@@ -6,6 +6,16 @@ part on the disk, so class membership is exact by construction.  The
 admissibility test for bare coefficient prefixes combines the modulus
 condition |c_k| <= 2 with positive semidefiniteness of the Toeplitz moment
 matrix; the modulus condition alone is available as the "modulus" mode.
+
+For K = 2 the moment matrix is PSD iff |c1| <= 2 and
+|c2 - c1^2/2| <= 2 - |c1|^2/2 (the Caratheodory-Toeplitz criterion; see
+Grenander & Szego, *Toeplitz Forms*, and the lemma of Libera & Zlotkiewicz,
+Proc. AMS 85 (1982)), so the K = 2 checks use this closed form.  EIG_TOL maps
+onto it exactly: lambda_min(T) >= -eps iff T + eps*I is PSD iff the prefix
+c / (1 + eps) is admissible, i.e. with a = c1 / (2(1+eps)) and
+b = c2 / (2(1+eps)) the test is |b - a^2| <= 1 - |a|^2.  ``eigvalsh`` of
+:func:`toeplitz_moment_matrix` remains the check for K > 2 and the oracle the
+tests hold the closed form to.
 """
 
 from __future__ import annotations
@@ -170,6 +180,17 @@ def toeplitz_moment_matrix(c) -> np.ndarray:
     return m
 
 
+def _k2_psd(c1, c2, eig_tol: float):
+    """Whether the K=2 moment matrix has smallest eigenvalue >= -eig_tol.
+
+    Closed form on scalars or arrays: |b - a^2| <= 1 - |a|^2 for the prefix
+    scaled by 1/(2(1+eig_tol)); False where an input is NaN or infinite.
+    """
+    s = 0.5 / (1.0 + eig_tol)
+    a = c1 * s
+    return abs(c2 * s - a * a) <= 1.0 - (a.real * a.real + a.imag * a.imag)
+
+
 def is_admissible_prefix(c, mode: str = "toeplitz",
                          modulus_tol: float = MODULUS_TOL,
                          eig_tol: float = EIG_TOL) -> str:
@@ -177,6 +198,10 @@ def is_admissible_prefix(c, mode: str = "toeplitz",
 
     The modulus condition is necessary; the Toeplitz positivity check (the
     default) is the full prefix characterization and strictly tightens it.
+    The smallest moment-matrix eigenvalue may dip eig_tol below 0.  For K = 2
+    this is decided by the closed form of the module docstring, for K > 2 by
+    ``eigvalsh``.  A non-finite K = 2 prefix that passes the modulus check
+    fails the Toeplitz check.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -187,10 +212,11 @@ def is_admissible_prefix(c, mode: str = "toeplitz",
         return PASS
     if mode != "toeplitz":
         raise ValueError(f"unknown mode {mode!r}")
-    ev = np.linalg.eigvalsh(toeplitz_moment_matrix(c))
-    if ev[0] < -eig_tol:
-        return FAIL_TOEPLITZ
-    return PASS
+    if c.size == 2:
+        psd = _k2_psd(complex(c[0]), complex(c[1]), eig_tol)
+    else:
+        psd = np.linalg.eigvalsh(toeplitz_moment_matrix(c))[0] >= -eig_tol
+    return PASS if psd else FAIL_TOEPLITZ
 
 
 def admissibility_mask_k2(c1, c2, mode: str = "toeplitz",
@@ -199,27 +225,19 @@ def admissibility_mask_k2(c1, c2, mode: str = "toeplitz",
     """Vectorized K=2 admissibility for prefix arrays (c1[i], c2[i]).
 
     Returns boolean arrays (admissible, fail_modulus, fail_toeplitz); the two
-    failure masks are disjoint, modulus checked first.  Agrees entrywise with
+    failure masks are disjoint, modulus checked first.  The Toeplitz check is
+    the closed form of the module docstring with eig_tol mapped exactly, so
+    it agrees with ``eigvalsh`` of the moment matrix wherever the smallest
+    eigenvalue is not within rounding of -eig_tol; non-finite prefixes that
+    pass the modulus check fail it.  Agrees entrywise with
     :func:`is_admissible_prefix`.
     """
     c1 = np.asarray(c1, dtype=complex)
     c2 = np.asarray(c2, dtype=complex)
     fail_mod = (np.abs(c1) > 2.0 + modulus_tol) | (np.abs(c2) > 2.0 + modulus_tol)
-    fail_toe = np.zeros_like(fail_mod)
     if mode == "modulus":
-        return ~fail_mod, fail_mod, fail_toe
+        return ~fail_mod, fail_mod, np.zeros_like(fail_mod)
     if mode != "toeplitz":
         raise ValueError(f"unknown mode {mode!r}")
-    idx = np.flatnonzero(~fail_mod)
-    if idx.size:
-        m = np.empty((idx.size, 3, 3), dtype=complex)
-        a = c1[idx] / 2.0
-        b = c2[idx] / 2.0
-        m[:, 0, 0] = m[:, 1, 1] = m[:, 2, 2] = 1.0
-        m[:, 0, 1] = m[:, 1, 2] = a
-        m[:, 0, 2] = b
-        m[:, 1, 0] = m[:, 2, 1] = np.conj(a)
-        m[:, 2, 0] = np.conj(b)
-        smallest = np.linalg.eigvalsh(m)[:, 0]
-        fail_toe[idx] = smallest < -eig_tol
-    return ~(fail_mod | fail_toe), fail_mod, fail_toe
+    psd = _k2_psd(c1, c2, eig_tol)
+    return ~fail_mod & psd, fail_mod, ~(fail_mod | psd)

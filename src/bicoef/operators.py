@@ -44,6 +44,12 @@ __all__ = [
 CONSISTENCY_TOL = 1e-9
 
 
+def _require_finite(params) -> None:
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AlphaParams:
     """Parameters of the angular-opening class: 0 < alpha <= 1, lam >= 1, mu >= 0."""
@@ -53,6 +59,7 @@ class AlphaParams:
     mu: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         if self.lam < 1.0:
@@ -70,6 +77,7 @@ class BetaParams:
     mu: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta!r}")
         if self.lam < 1.0:

@@ -198,9 +198,15 @@ class NormalizedFunction:
 
     @classmethod
     def from_tail(cls, tail, order: int | None = None) -> "NormalizedFunction":
-        """Build z + a_2 z^2 + a_3 z^3 + ... from the tail (a_2, a_3, ...)."""
+        """Build z + a_2 z^2 + a_3 z^3 + ... from the tail (a_2, a_3, ...).
+
+        The result is truncated at ``order`` (default: the tail's length + 1),
+        which must be >= 1.
+        """
         tail = np.asarray(tail, dtype=complex)
         n = tail.size + 1 if order is None else order
+        if n < 1:
+            raise ValueError(f"order must be >= 1, got {n}")
         c = np.zeros(n + 1, dtype=complex)
         c[1] = 1.0
         m = min(tail.size, n - 1)

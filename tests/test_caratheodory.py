@@ -1,7 +1,11 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicoef.caratheodory import (FAIL_MODULUS, FAIL_TOEPLITZ, PASS,
+from bicoef.caratheodory import (FAIL_MODULUS, FAIL_TOEPLITZ, MODULUS_TOL, PASS,
                                  CaratheodoryElement, admissibility_mask_k2,
                                  herglotz, is_admissible_prefix, sample_batch,
                                  sample_random, toeplitz_moment_matrix)
@@ -171,3 +175,96 @@ def test_mask_agrees_with_closed_form_interior_condition():
     keep = (np.abs(slack) > 1e-6) & (np.abs(c1) < 2) & (np.abs(c2) < 2)
     adm, _, _ = admissibility_mask_k2(c1, c2)
     assert np.array_equal(adm[keep], slack[keep] > 0)
+
+
+# ------------------------------------------- closed form vs eigvalsh oracle
+
+EIG_TOLS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3)
+EDGE_OFFSETS = (0.0,) + tuple(sgn * 10.0 ** -k for k in range(6, 13) for sgn in (1, -1))
+
+
+def _assert_matches_eigvalsh(c1, c2, eig_tol):
+    """Check both K=2 paths against eigvalsh of the moment matrix.
+
+    Points whose smallest eigenvalue lies within 1e-12 of -eig_tol are left
+    out: there the verdict is decided by rounding.  The modulus check is the
+    same np.abs comparison as in the code, so it is not part of the oracle.
+    Returns how many points were checked.
+    """
+    c1 = np.asarray(c1, dtype=complex)
+    c2 = np.asarray(c2, dtype=complex)
+    want, keep = [], []
+    for x1, x2 in zip(c1.tolist(), c2.tolist()):
+        lam = np.linalg.eigvalsh(toeplitz_moment_matrix([x1, x2]))[0]
+        if np.abs([x1, x2]).max() > 2.0 + MODULUS_TOL:
+            want.append(FAIL_MODULUS)
+        else:
+            want.append(PASS if lam >= -eig_tol else FAIL_TOEPLITZ)
+        keep.append(want[-1] == FAIL_MODULUS or abs(lam + eig_tol) > 1e-12)
+    adm, fmod, ftoe = admissibility_mask_k2(c1, c2, eig_tol=eig_tol)
+    for i in np.flatnonzero(keep):
+        assert is_admissible_prefix([c1[i], c2[i]], eig_tol=eig_tol) == want[i]
+        assert adm[i] == (want[i] == PASS)
+        assert fmod[i] == (want[i] == FAIL_MODULUS)
+        assert ftoe[i] == (want[i] == FAIL_TOEPLITZ)
+    return int(np.sum(keep))
+
+
+def _near_edge(r, phi, psi, d, scale):
+    """|c1| = 2r and c2 at distance d outside the edge
+    |c2 - c1^2/2| = 2 - |c1|^2/2, both multiplied by scale."""
+    c1 = 2.0 * r * cmath.exp(1j * phi)
+    c2 = c1 * c1 / 2 + (2.0 - abs(c1) ** 2 / 2 + d) * cmath.exp(1j * psi)
+    return c1 * scale, c2 * scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1.0 + d for d in EDGE_OFFSETS])),
+       phi=st.floats(0.0, 2 * np.pi), psi=st.floats(0.0, 2 * np.pi),
+       d=st.sampled_from(EDGE_OFFSETS), eig_tol=st.sampled_from(EIG_TOLS),
+       on_tolerance_edge=st.booleans())
+def test_k2_closed_form_matches_eigvalsh_near_the_edge(r, phi, psi, d, eig_tol,
+                                                       on_tolerance_edge):
+    # scaling by 1 + eig_tol moves the point from the exact edge onto the
+    # edge that eig_tol admits, which is where the mapping has to be exact
+    scale = 1.0 + eig_tol if on_tolerance_edge else 1.0
+    c1, c2 = _near_edge(r, phi, psi, d, scale)
+    _assert_matches_eigvalsh([c1], [c2], eig_tol)
+
+
+@pytest.mark.parametrize("eig_tol", EIG_TOLS)
+def test_k2_closed_form_matches_eigvalsh_on_a_boundary_grid(eig_tol):
+    angles = np.linspace(0.0, 2 * np.pi, 7)
+    c1, c2 = [2.0, 2.0], [2.0, -2.0]
+    for phi in angles:
+        c1.append(2 * cmath.exp(1j * phi))
+        c2.append(2 * cmath.exp(2j * phi))
+        for d in EDGE_OFFSETS:
+            for scale in (1.0, 1.0 + eig_tol):
+                # |c1| -> 2 from both sides, and points beside the edge
+                for r, psi in ((1.0 + d, 2 * phi), (0.5, phi), (0.999, 3.0)):
+                    x1, x2 = _near_edge(r, phi, psi, d, scale)
+                    c1.append(x1)
+                    c2.append(x2)
+    checked = _assert_matches_eigvalsh(c1, c2, eig_tol)
+    assert checked > len(c1) // 2
+
+
+def test_extremal_tuples_against_eigvalsh():
+    # (2 e^{i phi}, 2 e^{2 i phi}); phi = 0 is the tuple (2, 2)
+    phis = np.linspace(0.0, 2 * np.pi, 13)
+    c1 = [2 * cmath.exp(1j * p) for p in phis]
+    c2 = [2 * cmath.exp(2j * p) for p in phis]
+    assert _assert_matches_eigvalsh(c1, c2, 1e-9) == len(c1)
+    adm, _, _ = admissibility_mask_k2(c1, c2)
+    assert adm.all()
+
+
+def test_non_finite_k2_prefix_is_not_admissible():
+    nan = float("nan")
+    assert is_admissible_prefix([nan, 0]) == FAIL_TOEPLITZ
+    assert is_admissible_prefix([0, complex(0, nan)]) == FAIL_TOEPLITZ
+    adm, fmod, ftoe = admissibility_mask_k2([nan, 0, np.inf], [0, nan, 0])
+    assert not adm.any()
+    assert list(fmod) == [False, False, True]
+    assert list(ftoe) == [True, True, False]

@@ -139,6 +139,36 @@ def test_corollary_check_all_json(capsys):
 
 # ---------------------------------------------------------------- usability
 
+def assert_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bicoef: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda", "inf"),
+                                        ("--mu", "nan"), ("--mu", "inf")])
+@pytest.mark.parametrize("command", ["bound", "falsify"])
+def test_non_finite_param_is_usage_error(capsys, command, flag, value):
+    for family in (("--family", "alpha", "--alpha", "0.5"),
+                   ("--family", "beta", "--beta", "0.5")):
+        argv = [command, *family, flag, value]
+        if command == "falsify":
+            argv += ["-n", "100"]
+        assert "finite" in assert_usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("invert", "--coeffs", "1"),
+    ("operator", "--coeffs", "1"),
+    ("member", "--family", "alpha", "--alpha", "0.5", "--coeffs", "0.05"),
+], ids=lambda argv: argv[0])
+def test_order_zero_is_usage_error(capsys, argv):
+    assert "order" in assert_usage_error(capsys, *argv, "--order", "0")
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, "bound", "--family", "alpha", "--alpha", "1",
                "--nope")[0] == 2
