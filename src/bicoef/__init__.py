@@ -19,9 +19,9 @@ from .operators import (AlphaParams, BetaParams, CoefficientTuple,
                         membership_beta, lift_alpha, lift_beta, BetaLift,
                         induce_q_alpha, induce_q_beta)
 from .bounds import (BoundReport, IdentityReport, bounds_alpha, bounds_beta,
-                     corollary_check, COROLLARY_IDS)
-from .harness import (CampaignRecord, CampaignSummary, EmpiricalExtremum,
-                      falsify, extremal_search, VIOLATION_TOL)
+                     bounds_for, corollary_check, COROLLARY_IDS)
+from .harness import (CampaignSummary, EmpiricalExtremum, falsify,
+                      extremal_search, VIOLATION_TOL)
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,7 @@ __all__ = [
     "membership_alpha", "membership_beta", "lift_alpha", "lift_beta",
     "BetaLift", "induce_q_alpha", "induce_q_beta",
     "BoundReport", "IdentityReport", "bounds_alpha", "bounds_beta",
-    "corollary_check", "COROLLARY_IDS",
-    "CampaignRecord", "CampaignSummary", "EmpiricalExtremum",
+    "bounds_for", "corollary_check", "COROLLARY_IDS",
+    "CampaignSummary", "EmpiricalExtremum",
     "falsify", "extremal_search", "VIOLATION_TOL",
 ]

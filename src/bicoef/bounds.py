@@ -23,6 +23,7 @@ __all__ = [
     "IdentityReport",
     "bounds_alpha",
     "bounds_beta",
+    "bounds_for",
     "corollary_check",
     "COROLLARY_IDS",
     "IDENTITY_TOL",
@@ -51,13 +52,23 @@ class BoundReport:
     a3_branch: str
 
 
+def _a3_sum(phi1, lam, mu):
+    """4 phi1^2/(l+m)^2 + 2 phi1/(2l+m): the alpha |a3| bound, beta mu<1 arm 2."""
+    return 4.0 * phi1 * phi1 / (lam + mu) ** 2 + 2.0 * phi1 / (2.0 * lam + mu)
+
+
+def _beta_a2_arms(phi1, lam, mu):
+    """(sqrt arm, linear arm) of the real-part class |a2| bound."""
+    return (math.sqrt(4.0 * phi1 / ((mu + 1.0) * (2.0 * lam + mu))),
+            2.0 * phi1 / (lam + mu))
+
+
 def bounds_alpha(params: AlphaParams) -> BoundReport:
     """|a2| <= 2a/sqrt((l+m)^2 + a(m+2l-l^2)), |a3| <= 4a^2/(l+m)^2 + 2a/(2l+m)."""
     a, lam, mu = params.alpha, params.lam, params.mu
     denom = (lam + mu) ** 2 + a * (mu + 2.0 * lam - lam * lam)
     a2 = 2.0 * a / math.sqrt(denom)
-    a3 = 4.0 * a * a / (lam + mu) ** 2 + 2.0 * a / (2.0 * lam + mu)
-    return BoundReport(a2, a3, SINGLE, SINGLE)
+    return BoundReport(a2, _a3_sum(a, lam, mu), SINGLE, SINGLE)
 
 
 def bounds_beta(params: BetaParams) -> BoundReport:
@@ -66,10 +77,9 @@ def bounds_beta(params: BetaParams) -> BoundReport:
     Ties go to the first-listed arm.  The mu >= 1 case uses denominator
     2*lam + mu (the case boundary itself, mu = 1, is included there).
     """
-    b, lam, mu = params.beta, params.lam, params.mu
-    one_b = 1.0 - b
-    a2_sqrt = math.sqrt(4.0 * one_b / ((mu + 1.0) * (2.0 * lam + mu)))
-    a2_lin = 2.0 * one_b / (lam + mu)
+    lam, mu = params.lam, params.mu
+    one_b = params.phi[0]
+    a2_sqrt, a2_lin = _beta_a2_arms(one_b, lam, mu)
     if a2_sqrt <= a2_lin:
         a2, a2_branch = a2_sqrt, MIN_ARM_SQRT
     else:
@@ -78,12 +88,22 @@ def bounds_beta(params: BetaParams) -> BoundReport:
         a3, a3_branch = 2.0 * one_b / (2.0 * lam + mu), MU_GE1
     else:
         arm1 = 4.0 * one_b / ((mu + 1.0) * (2.0 * lam + mu))
-        arm2 = 4.0 * one_b * one_b / (lam + mu) ** 2 + 2.0 * one_b / (2.0 * lam + mu)
+        arm2 = _a3_sum(one_b, lam, mu)
         if arm1 <= arm2:
             a3, a3_branch = arm1, MU_LT1_ARM1
         else:
             a3, a3_branch = arm2, MU_LT1_ARM2
     return BoundReport(a2, a3, a2_branch, a3_branch)
+
+
+def bounds_for(params) -> BoundReport:
+    """The bounds of the class that ``params`` belongs to."""
+    family = getattr(params, "family", None)
+    if family == "alpha":
+        return bounds_alpha(params)
+    if family == "beta":
+        return bounds_beta(params)
+    raise TypeError(f"expected AlphaParams or BetaParams, got {type(params).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +159,10 @@ _C5_A2_NOTE = ("the classical |a2| form is the sqrt arm of the min; the min "
 _LAMBDA_GRID = tuple(1 + Fraction(j, 4) for j in range(8))
 
 
-def _alpha_grid(n: int):
-    return tuple(Fraction(i, n) for i in range(1, n + 1))
-
-
-def _beta_grid(n: int):
-    return tuple(Fraction(i, n) for i in range(n))
+def _shape_grid(family: str, n: int):
+    """n points of the shape range: (0, 1] for alpha, [0, 1) for beta."""
+    first = 1 if family == "alpha" else 0
+    return tuple(Fraction(i, n) for i in range(first, first + n))
 
 
 def _bisect_branch_switch(predicate, lo: float, hi: float) -> float:
@@ -160,125 +178,72 @@ def _bisect_branch_switch(predicate, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_c1(n: int):
-    devs, exact = [0.0], True
-    pts = 0
-    for a in _alpha_grid(n):
-        for lam in _LAMBDA_GRID:
-            pts += 1
-            rep = bounds_alpha(AlphaParams(float(a), float(lam), 1.0))
-            classical_a2 = 2 * float(a) / math.sqrt(
-                (float(lam) + 1) ** 2 + float(a) * (1 + 2 * float(lam) - float(lam) ** 2))
-            classical_a3 = (4 * float(a) ** 2 / (float(lam) + 1) ** 2
-                          + 2 * float(a) / (2 * float(lam) + 1))
-            devs.append(abs(rep.a2_bound - classical_a2))
-            devs.append(abs(rep.a3_bound - classical_a3))
-            exact &= a2sq_alpha_exact(a, lam, Fraction(1)) == \
-                4 * a * a / ((lam + 1) ** 2 + a * (1 + 2 * lam - lam * lam))
-            exact &= a3_alpha_exact(a, lam, Fraction(1)) == \
-                4 * a * a / (lam + 1) ** 2 + 2 * a / (2 * lam + 1)
-    return max(devs), pts, exact, ()
+def _exact_forms(family: str, s: Fraction, lam: Fraction, mu: Fraction) -> dict:
+    """The general bounds in exact rationals, by quantity; |a2| forms squared."""
+    if family == "alpha":
+        return {"a2": a2sq_alpha_exact(s, lam, mu), "a3": a3_alpha_exact(s, lam, mu)}
+    sq, lin_sq = a2sq_beta_arms_exact(s, lam, mu)
+    arm1, arm2, ge1 = a3_beta_arms_exact(s, lam, mu)
+    return {"a2": min(sq, lin_sq), "a2-sqrt-arm": sq, "a2-linear-arm": lin_sq,
+            "a3": ge1 if mu >= 1 else min(arm1, arm2)}
 
 
-def _check_c2(n: int):
-    devs, exact = [0.0], True
-    for a in _alpha_grid(n):
-        rep = bounds_alpha(AlphaParams(float(a), 1.0, 1.0))
-        classical_a2 = float(a) * math.sqrt(2.0 / (float(a) + 2.0))
-        classical_a3 = float(a) * (3.0 * float(a) + 2.0) / 3.0
-        devs.append(abs(rep.a2_bound - classical_a2))
-        devs.append(abs(rep.a3_bound - classical_a3))
-        exact &= a2sq_alpha_exact(a, Fraction(1), Fraction(1)) == 2 * a * a / (a + 2)
-        exact &= a3_alpha_exact(a, Fraction(1), Fraction(1)) == a * (3 * a + 2) / 3
-    return max(devs), n, exact, ()
+def _float_forms(params) -> dict:
+    """The same quantities from the float production route, |a2| unsquared."""
+    rep = bounds_for(params)
+    forms = {"a2": rep.a2_bound, "a3": rep.a3_bound}
+    if params.family == "beta":
+        forms["a2-sqrt-arm"], forms["a2-linear-arm"] = _beta_a2_arms(
+            params.phi[0], params.lam, params.mu)
+    return forms
 
 
-def _check_c51(n: int):
-    devs, exact = [0.0], True
-    for a in _alpha_grid(n):
-        rep = bounds_alpha(AlphaParams(float(a), 1.0, 0.0))
-        classical_a2 = 2.0 * float(a) / math.sqrt(1.0 + float(a))
-        classical_a3 = float(a) * (4.0 * float(a) + 1.0)
-        devs.append(abs(rep.a2_bound - classical_a2))
-        devs.append(abs(rep.a3_bound - classical_a3))
-        exact &= a2sq_alpha_exact(a, Fraction(1), Fraction(0)) == 4 * a * a / (1 + a)
-        exact &= a3_alpha_exact(a, Fraction(1), Fraction(0)) == a * (4 * a + 1)
-    return max(devs), n, exact, ()
+@dataclass(frozen=True)
+class _Corollary:
+    """A corollary: the general bounds at fixed parameters, and its classical forms.
+
+    ``classical`` maps quantities of :func:`_exact_forms` to their classical
+    closed forms in (shape, lam), |a2| squared; each must equal the general
+    form exactly, and its float must match the production route.  ``lam`` is
+    None for a sweep over _LAMBDA_GRID.  ``crossover`` is (where the branch
+    switches, BoundReport branch field, tag below the switch).
+    """
+
+    params: type
+    lam: Fraction | None
+    mu: Fraction
+    classical: dict
+    crossover: tuple | None = None
+    notes: tuple[str, ...] = ()
 
 
-def _check_c3(n: int):
-    devs, exact = [0.0], True
-    pts = 0
-    for b in _beta_grid(n):
-        for lam in _LAMBDA_GRID:
-            pts += 1
-            rep = bounds_beta(BetaParams(float(b), float(lam), 1.0))
-            fb, fl = float(b), float(lam)
-            classical_a2 = min(math.sqrt(2.0 * (1 - fb) / (2 * fl + 1)),
-                             2.0 * (1 - fb) / (fl + 1))
-            classical_a3 = 2.0 * (1 - fb) / (2 * fl + 1)
-            devs.append(abs(rep.a2_bound - classical_a2))
-            devs.append(abs(rep.a3_bound - classical_a3))
-            sq, lin_sq = a2sq_beta_arms_exact(b, lam, Fraction(1))
-            exact &= sq == 2 * (1 - b) / (2 * lam + 1)
-            exact &= lin_sq == (2 * (1 - b) / (lam + 1)) ** 2
-            exact &= a3_beta_arms_exact(b, lam, Fraction(1))[2] == 2 * (1 - b) / (2 * lam + 1)
-    return max(devs), pts, exact, (_MU_GE1_NOTE,)
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
-
-def _check_c4(n: int):
-    devs, exact = [0.0], True
-    third = Fraction(1, 3)
-    for b in _beta_grid(n):
-        rep = bounds_beta(BetaParams(float(b), 1.0, 1.0))
-        fb = float(b)
-        if b < third:
-            classical_a2 = math.sqrt(2.0 * (1 - fb) / 3.0)
-        else:
-            classical_a2 = 1.0 - fb
-        classical_a3 = 2.0 * (1 - fb) / 3.0
-        devs.append(abs(rep.a2_bound - classical_a2))
-        devs.append(abs(rep.a3_bound - classical_a3))
-        # exact: the min of the two arms switches exactly at 1/3
-        sq, lin_sq = a2sq_beta_arms_exact(b, Fraction(1), Fraction(1))
-        picked = sq if sq <= lin_sq else lin_sq
-        exact &= picked == (2 * (1 - b) / 3 if b < third else (1 - b) ** 2)
-        exact &= a3_beta_arms_exact(b, Fraction(1), Fraction(1))[2] == 2 * (1 - b) / 3
-    found = _bisect_branch_switch(
-        lambda x: bounds_beta(BetaParams(x, 1.0, 1.0)).a2_branch == MIN_ARM_SQRT,
-        0.0, 0.999)
-    return max(devs), n, exact, (_MU_GE1_NOTE,), (1.0 / 3.0, found)
-
-
-def _check_c5(n: int):
-    devs, exact = [0.0], True
-    threequarters = Fraction(3, 4)
-    for b in _beta_grid(n):
-        rep = bounds_beta(BetaParams(float(b), 1.0, 0.0))
-        fb = float(b)
-        # the classical |a2| form corresponds to the sqrt arm of the min
-        sqrt_arm = math.sqrt(4.0 * (1 - fb) / 2.0)
-        classical_a2 = math.sqrt(2.0 * (1 - fb))
-        if b < threequarters:
-            classical_a3 = 2.0 * (1 - fb)
-        else:
-            classical_a3 = (1 - fb) * (5.0 - 4.0 * fb)
-        devs.append(abs(sqrt_arm - classical_a2))
-        devs.append(abs(rep.a3_bound - classical_a3))
-        sq, _ = a2sq_beta_arms_exact(b, Fraction(1), Fraction(0))
-        exact &= sq == 2 * (1 - b)
-        arm1, arm2, _ = a3_beta_arms_exact(b, Fraction(1), Fraction(0))
-        picked = arm1 if arm1 <= arm2 else arm2
-        exact &= picked == (2 * (1 - b) if b < threequarters else (1 - b) * (5 - 4 * b))
-    found = _bisect_branch_switch(
-        lambda x: bounds_beta(BetaParams(x, 1.0, 0.0)).a3_branch == MU_LT1_ARM1,
-        0.0, 0.999)
-    return max(devs), n, exact, (_C5_A2_NOTE,), (0.75, found)
-
-
-_CHECKS = {"c1": _check_c1, "c2": _check_c2, "c51": _check_c51,
-           "c3": _check_c3, "c4": _check_c4, "c5": _check_c5}
-COROLLARY_IDS = tuple(_CHECKS)
+_COROLLARIES = {
+    "c1": _Corollary(AlphaParams, None, _ONE, {
+        "a2": lambda a, lam: 4 * a * a / ((lam + 1) ** 2 + a * (1 + 2 * lam - lam * lam)),
+        "a3": lambda a, lam: 4 * a * a / (lam + 1) ** 2 + 2 * a / (2 * lam + 1)}),
+    "c2": _Corollary(AlphaParams, _ONE, _ONE, {
+        "a2": lambda a, lam: 2 * a * a / (a + 2),
+        "a3": lambda a, lam: a * (3 * a + 2) / 3}),
+    "c51": _Corollary(AlphaParams, _ONE, _ZERO, {
+        "a2": lambda a, lam: 4 * a * a / (1 + a),
+        "a3": lambda a, lam: a * (4 * a + 1)}),
+    "c3": _Corollary(BetaParams, None, _ONE, {
+        "a2-sqrt-arm": lambda b, lam: 2 * (1 - b) / (2 * lam + 1),
+        "a2-linear-arm": lambda b, lam: (2 * (1 - b) / (lam + 1)) ** 2,
+        "a3": lambda b, lam: 2 * (1 - b) / (2 * lam + 1)},
+        notes=(_MU_GE1_NOTE,)),
+    "c4": _Corollary(BetaParams, _ONE, _ONE, {
+        "a2": lambda b, lam: 2 * (1 - b) / 3 if b < Fraction(1, 3) else (1 - b) ** 2,
+        "a3": lambda b, lam: 2 * (1 - b) / 3},
+        crossover=(Fraction(1, 3), "a2_branch", MIN_ARM_SQRT), notes=(_MU_GE1_NOTE,)),
+    "c5": _Corollary(BetaParams, _ONE, _ZERO, {
+        "a2-sqrt-arm": lambda b, lam: 2 * (1 - b),
+        "a3": lambda b, lam: 2 * (1 - b) if b < Fraction(3, 4) else (1 - b) * (5 - 4 * b)},
+        crossover=(Fraction(3, 4), "a3_branch", MU_LT1_ARM1), notes=(_C5_A2_NOTE,)),
+}
+COROLLARY_IDS = tuple(_COROLLARIES)
 
 
 def corollary_check(which: str, n_points: int = 101) -> IdentityReport:
@@ -289,19 +254,31 @@ def corollary_check(which: str, n_points: int = 101) -> IdentityReport:
     IDENTITY_TOL at every grid point, and (where a case table switches
     branches) the crossover located within CROSSOVER_TOL of its known value.
     """
-    if which not in _CHECKS:
+    if which not in _COROLLARIES:
         raise ValueError(f"unknown corollary {which!r}; expected one of {COROLLARY_IDS}")
-    out = _CHECKS[which](n_points)
-    if len(out) == 4:
-        max_dev, pts, exact, notes = out
-        crossover = None
-    else:
-        max_dev, pts, exact, notes, crossover = out
+    row = _COROLLARIES[which]
+    family = row.params.family
+    lams = _LAMBDA_GRID if row.lam is None else (row.lam,)
+    max_dev, pts, exact = 0.0, 0, True
+    for s in _shape_grid(family, n_points):
+        for lam in lams:
+            pts += 1
+            general = _exact_forms(family, s, lam, row.mu)
+            floats = _float_forms(row.params(float(s), float(lam), float(row.mu)))
+            for name, form in row.classical.items():
+                classical = form(s, lam)
+                exact &= general[name] == classical
+                value = math.sqrt(classical) if name.startswith("a2") else float(classical)
+                max_dev = max(max_dev, abs(floats[name] - value))
     passed = exact and max_dev < IDENTITY_TOL
     expected = found = err = None
-    if crossover is not None:
-        expected, found = crossover
+    if row.crossover is not None:
+        at, field, tag = row.crossover
+        expected = float(at)
+        found = _bisect_branch_switch(
+            lambda x: getattr(bounds_for(row.params(x, float(row.lam), float(row.mu))),
+                              field) == tag, 0.0, 0.999)
         err = abs(found - expected)
         passed = passed and err <= CROSSOVER_TOL
     return IdentityReport(which, passed, pts, max_dev, exact,
-                          expected, found, err, tuple(notes))
+                          expected, found, err, row.notes)

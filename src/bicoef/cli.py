@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .bounds import COROLLARY_IDS, bounds_alpha, bounds_beta, corollary_check
+from .bounds import COROLLARY_IDS, bounds_for, corollary_check
 from .harness import VIOLATION_TOL, extremal_search, falsify
 from .operators import (AlphaParams, BetaParams, MembershipGrid,
                         apply_operator, membership_alpha, membership_beta)
@@ -71,13 +71,14 @@ def _params_from_args(args):
     """Build the parameter set named by --family; argparse-style errors."""
     if args.family is None:
         raise ValueError("--family is required (flag or config)")
-    if args.family == "alpha":
-        if args.alpha is None:
-            raise ValueError("--alpha is required for --family alpha")
-        return AlphaParams(args.alpha, args.lam, args.mu)
-    if args.beta is None:
-        raise ValueError("--beta is required for --family beta")
-    return BetaParams(args.beta, args.lam, args.mu)
+    # argparse leaves a config-supplied value unchecked against choices
+    params = {"alpha": AlphaParams, "beta": BetaParams}.get(args.family)
+    if params is None:
+        raise ValueError(f"--family must be alpha or beta, got {args.family!r}")
+    shape = getattr(args, args.family)
+    if shape is None:
+        raise ValueError(f"--{args.family} is required for --family {args.family}")
+    return params(shape, args.lam, args.mu)
 
 
 # --------------------------------------------------------------------------
@@ -85,8 +86,8 @@ def _params_from_args(args):
 
 def _cmd_bound(args) -> int:
     params = _params_from_args(args)
-    rep = bounds_alpha(params) if args.family == "alpha" else bounds_beta(params)
-    payload = {"family": args.family,
+    rep = bounds_for(params)
+    payload = {"family": params.family,
                "alpha": getattr(params, "alpha", None),
                "beta": getattr(params, "beta", None),
                "lambda": params.lam, "mu": params.mu,
@@ -129,10 +130,8 @@ def _cmd_member(args) -> int:
     f = NormalizedFunction.from_tail(args.coeffs, order=args.order)
     grid = MembershipGrid(radii=tuple(args.radii), n_angles=args.angles,
                           tol=args.tol)
-    if args.family == "alpha":
-        rep = membership_alpha(f, params, grid)
-    else:
-        rep = membership_beta(f, params, grid)
+    membership = membership_alpha if params.family == "alpha" else membership_beta
+    rep = membership(f, params, grid)
     payload = {"passed": rep.passed, "test": rep.test,
                "threshold": rep.threshold, "worst_value": rep.worst_value,
                "margin": rep.margin, "worst_point": rep.worst_point,
@@ -219,9 +218,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.add_argument("--out", metavar="PATH",
                     help="also write the report (CSV for falsify) to PATH")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sp.add_argument("--order", type=int, default=None,
-                    help="series truncation order")
     sp.add_argument("--config", metavar="PATH",
                     help="key = value file mirroring long flags; flags win")
 
@@ -258,6 +254,8 @@ def build_parser():
                     metavar="A2,A3,...",
                     help="full reversion of z + a2 z^2 + ... instead of the "
                          "closed-form triple")
+    sp.add_argument("--order", type=int, default=None,
+                    help="series truncation order")
     _add_common(sp)
     sp.set_defaults(func=_cmd_invert)
     subparsers["invert"] = sp
@@ -267,6 +265,8 @@ def build_parser():
                     metavar="A2,A3,...")
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sp.add_argument("--mu", type=float, default=1.0)
+    sp.add_argument("--order", type=int, default=None,
+                    help="series truncation order")
     _add_common(sp)
     sp.set_defaults(func=_cmd_operator)
     subparsers["operator"] = sp
@@ -278,6 +278,8 @@ def build_parser():
     sp.add_argument("--radii", type=_float_list, default=[0.5, 0.8, 0.9, 0.95])
     sp.add_argument("--angles", type=int, default=256)
     sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--order", type=int, default=None,
+                    help="series truncation order")
     _add_common(sp)
     sp.set_defaults(func=_cmd_member)
     subparsers["member"] = sp
@@ -288,6 +290,7 @@ def build_parser():
     sp.add_argument("--filter", choices=("modulus", "toeplitz"),
                     default="toeplitz")
     sp.add_argument("--atoms", type=int, default=3)
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_common(sp)
     sp.set_defaults(func=_cmd_falsify)
     subparsers["falsify"] = sp
@@ -297,6 +300,7 @@ def build_parser():
     sp.add_argument("--objective", choices=("a2", "a3"), default="a2")
     sp.add_argument("--budget", type=int, default=10000)
     sp.add_argument("--atoms", type=int, default=3)
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_common(sp)
     sp.set_defaults(func=_cmd_extremal)
     subparsers["extremal"] = sp

@@ -18,12 +18,11 @@ from typing import Iterator
 import numpy as np
 
 from . import caratheodory
-from .bounds import BoundReport, bounds_alpha, bounds_beta
+from .bounds import BoundReport, bounds_for
 from .operators import (AlphaParams, BetaParams, CoefficientTuple,
                         induce_q_alpha, induce_q_beta)
 
 __all__ = [
-    "CampaignRecord",
     "CampaignSummary",
     "EmpiricalExtremum",
     "falsify",
@@ -43,43 +42,9 @@ CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
               "a2_margin", "a3_margin")
 
 
-def _family_of(params) -> str:
-    if isinstance(params, AlphaParams):
-        return "alpha"
-    if isinstance(params, BetaParams):
-        return "beta"
-    raise TypeError(f"expected AlphaParams or BetaParams, got {type(params).__name__}")
-
-
 def _induce(params, p1, p2):
-    if isinstance(params, AlphaParams):
-        return induce_q_alpha(p1, p2, params)
-    return induce_q_beta(p1, p2, params)
-
-
-def _bound_report(params) -> BoundReport:
-    if isinstance(params, AlphaParams):
-        return bounds_alpha(params)
-    return bounds_beta(params)
-
-
-@dataclass(frozen=True)
-class CampaignRecord:
-    """One falsification sample, exactly one CSV row."""
-
-    index: int
-    seed: int
-    family: str
-    params: AlphaParams | BetaParams
-    tuple: CoefficientTuple
-    admissible: bool
-    filter_reason: str          # "", "modulus" or "toeplitz"
-    a2_abs: float
-    a3_abs: float
-    a2_bound: float
-    a3_bound: float
-    a2_margin: float
-    a3_margin: float
+    induce = induce_q_alpha if params.family == "alpha" else induce_q_beta
+    return induce(p1, p2, params)
 
 
 @dataclass(frozen=True)
@@ -104,21 +69,6 @@ class CampaignSummary:
     a2_margin_hist: tuple[tuple[float, ...], tuple[int, ...]]   # (edges, counts)
     a3_margin_hist: tuple[tuple[float, ...], tuple[int, ...]]
     _arrays: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def records(self) -> Iterator[CampaignRecord]:
-        """Materialize per-sample records (lazily; campaigns can be large)."""
-        a = self._arrays
-        for i in range(self.n_samples):
-            yield CampaignRecord(
-                index=i, seed=self.seed, family=self.family, params=self.params,
-                tuple=CoefficientTuple(complex(a["p1"][i]), complex(a["p2"][i]),
-                                       complex(a["q1"][i]), complex(a["q2"][i])),
-                admissible=bool(a["admissible"][i]),
-                filter_reason=("modulus" if a["fail_modulus"][i]
-                               else "toeplitz" if a["fail_toeplitz"][i] else ""),
-                a2_abs=float(a["a2_abs"][i]), a3_abs=float(a["a3_abs"][i]),
-                a2_bound=self.bounds.a2_bound, a3_bound=self.bounds.a3_bound,
-                a2_margin=float(a["a2_margin"][i]), a3_margin=float(a["a3_margin"][i]))
 
     def csv_lines(self) -> Iterator[str]:
         """CSV rows in index order; floats use shortest round-trip form."""
@@ -153,7 +103,8 @@ class CampaignSummary:
     def to_json_dict(self) -> dict:
         d = {
             "family": self.family,
-            "params": _params_dict(self.params),
+            "params": {self.family: getattr(self.params, self.family),
+                       "lambda": self.params.lam, "mu": self.params.mu},
             "n_samples": self.n_samples,
             "seed": self.seed,
             "filter": self.filter_mode,
@@ -176,12 +127,6 @@ class CampaignSummary:
         return d
 
 
-def _params_dict(params) -> dict:
-    if isinstance(params, AlphaParams):
-        return {"alpha": params.alpha, "lambda": params.lam, "mu": params.mu}
-    return {"beta": params.beta, "lambda": params.lam, "mu": params.mu}
-
-
 def _margin_hist(margins: np.ndarray, bound: float):
     counts, edges = np.histogram(margins, bins=HIST_BINS, range=(0.0, max(bound, 1e-300)))
     return tuple(float(e) for e in edges), tuple(int(c) for c in counts)
@@ -198,8 +143,7 @@ def falsify(params, n_samples: int, seed: int, *,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    family = _family_of(params)
-    rep = _bound_report(params)
+    rep = bounds_for(params)
     _, _, coeffs = caratheodory.sample_batch(seed, n_samples, atom_count, order=2)
     p1, p2 = coeffs[:, 0], coeffs[:, 1]
     a2, a3, q1, q2 = _induce(params, p1, p2)
@@ -235,7 +179,7 @@ def falsify(params, n_samples: int, seed: int, *,
               "fail_toeplitz": fail_toe, "a2_abs": a2_abs, "a3_abs": a3_abs,
               "a2_margin": a2_margin, "a3_margin": a3_margin}
     return CampaignSummary(
-        family=family, params=params, n_samples=n_samples, seed=seed,
+        family=params.family, params=params, n_samples=n_samples, seed=seed,
         filter_mode=filter_mode, atom_count=atom_count, bounds=rep,
         n_admissible=n_adm, n_fail_modulus=int(fail_mod.sum()),
         n_fail_toeplitz=int(fail_toe.sum()), violations=tuple(violations),
@@ -277,7 +221,9 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         raise ValueError(f"objective must be 'a2' or 'a3', got {objective!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rep = _bound_report(params)
+    if atom_count < 1:
+        raise ValueError("atom_count must be >= 1")
+    rep = bounds_for(params)
     bound = rep.a2_bound if objective == "a2" else rep.a3_bound
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 

@@ -7,7 +7,8 @@ route is the module's core identity.  The induce/lift pair implements the
 forward and inverse coefficient-equating systems used to derive the bounds:
 ``induce`` solves for (a2, a3) and the second positive-real-part element from
 a given first one, ``lift`` recovers the coefficient functionals from a full
-tuple.
+tuple.  Both classes share one system, written in the (phi1, phi2) that the
+params objects state.
 
 All scalar formulas are plain arithmetic, so they broadcast over numpy
 arrays; the falsification harness relies on that.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,46 +46,65 @@ __all__ = [
 CONSISTENCY_TOL = 1e-9
 
 
-def _require_finite(params) -> None:
-    for name, value in vars(params).items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+class _ClassParams:
+    """Checks and shape shared by the two classes.
+
+    Both classes are ``L[f] = phi(p)`` for a positive-real-part ``p``, with
+    ``L1 = phi1 p1`` and ``L2 = phi1 p2 + phi2 p1^2`` (the Ma-Minda form);
+    ``phi`` is ``(phi1, phi2)``.  ``family`` names the class and its shape
+    field.
+    """
+
+    family: ClassVar[str]
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        self._check_shape()
+        if self.lam < 1.0:
+            raise ValueError(f"lam must be >= 1, got {self.lam!r}")
+        if self.mu < 0.0:
+            raise ValueError(f"mu must be >= 0, got {self.mu!r}")
 
 
 @dataclass(frozen=True)
-class AlphaParams:
+class AlphaParams(_ClassParams):
     """Parameters of the angular-opening class: 0 < alpha <= 1, lam >= 1, mu >= 0."""
 
+    family: ClassVar[str] = "alpha"
     alpha: float
     lam: float
     mu: float
 
-    def __post_init__(self):
-        _require_finite(self)
+    def _check_shape(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        if self.lam < 1.0:
-            raise ValueError(f"lam must be >= 1, got {self.lam!r}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu!r}")
+
+    @property
+    def phi(self) -> tuple[float, float]:
+        """L = p^alpha, so (phi1, phi2) = (alpha, alpha (alpha-1) / 2)."""
+        a = self.alpha
+        return a, a * (a - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class BetaParams:
+class BetaParams(_ClassParams):
     """Parameters of the real-part class: 0 <= beta < 1, lam >= 1, mu >= 0."""
 
+    family: ClassVar[str] = "beta"
     beta: float
     lam: float
     mu: float
 
-    def __post_init__(self):
-        _require_finite(self)
+    def _check_shape(self):
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta!r}")
-        if self.lam < 1.0:
-            raise ValueError(f"lam must be >= 1, got {self.lam!r}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu!r}")
+
+    @property
+    def phi(self) -> tuple[float, float]:
+        """L = beta + (1-beta) p, so (phi1, phi2) = (1-beta, 0)."""
+        return 1.0 - self.beta, 0.0
 
 
 @dataclass(frozen=True)
@@ -139,10 +160,18 @@ class MembershipGrid:
     n_angles: int = 256
     tol: float = 1e-8
 
-    def points(self) -> np.ndarray:
+    def __post_init__(self):
+        if not self.radii:
+            raise ValueError("radii must not be empty")
         for r in self.radii:
             if not 0.0 <= r < 1.0:
-                raise ValueError(f"grid radius must be < 1, got {r!r}")
+                raise ValueError(f"radii must lie in [0, 1), got {r!r}")
+        if self.n_angles < 1:
+            raise ValueError(f"n_angles must be >= 1, got {self.n_angles!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+
+    def points(self) -> np.ndarray:
         ang = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
         ring = np.exp(1j * ang)
         return np.concatenate([r * ring for r in self.radii])
@@ -222,6 +251,13 @@ def _check_first_coeff_consistency(p1, q1):
         raise ValueError(f"inconsistent tuple: p1^2 != q1^2 ({p1!r}, {q1!r})")
 
 
+def _a3_lift(t: CoefficientTuple, phi1, lam, mu):
+    """(s, a3) with s = phi1^2 (p1^2+q1^2) / (2 (lam+mu)^2) and
+    a3 = s + phi1 (p2-q2) / (2 (2 lam+mu)); s is a2^2 when phi2 = 0."""
+    sq = phi1 * phi1 * (t.p1 * t.p1 + t.q1 * t.q1) / (2.0 * (lam + mu) ** 2)
+    return sq, sq + phi1 * (t.p2 - t.q2) / (2.0 * (2.0 * lam + mu))
+
+
 def lift_alpha(t: CoefficientTuple, params: AlphaParams):
     """(a2^2, a3) functionals of a coefficient tuple for the angular class.
 
@@ -233,9 +269,7 @@ def lift_alpha(t: CoefficientTuple, params: AlphaParams):
     a, lam, mu = params.alpha, params.lam, params.mu
     denom = (lam + mu) ** 2 + a * (mu + 2.0 * lam - lam * lam)
     a2_sq = a * a * (t.p2 + t.q2) / denom
-    a3 = (a * a * (t.p1 * t.p1 + t.q1 * t.q1) / (2.0 * (lam + mu) ** 2)
-          + a * (t.p2 - t.q2) / (2.0 * (2.0 * lam + mu)))
-    return a2_sq, a3
+    return a2_sq, _a3_lift(t, a, lam, mu)[1]
 
 
 @dataclass(frozen=True)
@@ -256,38 +290,41 @@ class BetaLift:
 
 def lift_beta(t: CoefficientTuple, params: BetaParams) -> BetaLift:
     _check_first_coeff_consistency(t.p1, t.q1)
-    b, lam, mu = params.beta, params.lam, params.mu
-    one_b = 1.0 - b
-    a2sq_1 = one_b * one_b * (t.p1 * t.p1 + t.q1 * t.q1) / (2.0 * (lam + mu) ** 2)
+    lam, mu = params.lam, params.mu
+    one_b = params.phi[0]
+    a2sq_1, a3_primary = _a3_lift(t, one_b, lam, mu)
     a2sq_2 = one_b * (t.p2 + t.q2) / ((mu + 1.0) * (2.0 * lam + mu))
-    a3_primary = a2sq_1 + one_b * (t.p2 - t.q2) / (2.0 * (2.0 * lam + mu))
     a3_alternate = one_b / (2.0 * (2.0 * lam + mu)) * (
         (mu + 3.0) / (mu + 1.0) * t.p2 + (1.0 - mu) / (mu + 1.0) * t.q2)
     return BetaLift(a2sq_1, a2sq_2, a3_primary, a3_alternate)
 
 
-def induce_q_alpha(p1, p2, params: AlphaParams):
+def _induce_q(p1, p2, params):
     """Forward-solve (a2, a3) from (p1, p2), then back-solve (q1, q2).
+
+    f's equations are (lam+mu) a2 = phi1 p1 and (2 lam+mu) a3 + (mu-1)
+    (lam+mu/2) a2^2 = phi1 p2 + phi2 p1^2; those of the inverse, whose
+    coefficients are -a2 and 2 a2^2 - a3, give q1 = -p1 and q2.
+    """
+    (phi1, phi2), lam, mu = params.phi, params.lam, params.mu
+    a2 = phi1 * p1 / (lam + mu)
+    half_quad = (mu - 1.0) * (lam + mu / 2.0) * a2 * a2
+    a3 = (phi1 * p2 + phi2 * p1 * p1 - half_quad) / (2.0 * lam + mu)
+    q1 = -p1
+    q2 = (-(2.0 * lam + mu) * a3 + (3.0 + mu) * (lam + mu / 2.0) * a2 * a2
+          - phi2 * q1 * q1) / phi1
+    return a2, a3, q1, q2
+
+
+def induce_q_alpha(p1, p2, params: AlphaParams):
+    """(a2, a3, q1, q2) of the angular class from (p1, p2).
 
     Scalar or broadcasting array inputs.  Feeding the resulting tuple into
     :func:`lift_alpha` reproduces (a2^2, a3) exactly.
     """
-    a, lam, mu = params.alpha, params.lam, params.mu
-    a2 = a * p1 / (lam + mu)
-    half_quad = (mu - 1.0) * (lam + mu / 2.0) * a2 * a2
-    a3 = (a * p2 + a * (a - 1.0) / 2.0 * p1 * p1 - half_quad) / (2.0 * lam + mu)
-    q1 = -p1
-    q2 = (-(2.0 * lam + mu) * a3 + (3.0 + mu) * (lam + mu / 2.0) * a2 * a2
-          - a * (a - 1.0) / 2.0 * q1 * q1) / a
-    return a2, a3, q1, q2
+    return _induce_q(p1, p2, params)
 
 
 def induce_q_beta(p1, p2, params: BetaParams):
     """Real-part-class analogue of :func:`induce_q_alpha`."""
-    b, lam, mu = params.beta, params.lam, params.mu
-    one_b = 1.0 - b
-    a2 = one_b * p1 / (lam + mu)
-    a3 = (one_b * p2 - (mu - 1.0) * (lam + mu / 2.0) * a2 * a2) / (2.0 * lam + mu)
-    q1 = -p1
-    q2 = (-(2.0 * lam + mu) * a3 + (3.0 + mu) * (lam + mu / 2.0) * a2 * a2) / one_b
-    return a2, a3, q1, q2
+    return _induce_q(p1, p2, params)

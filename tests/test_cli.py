@@ -169,6 +169,36 @@ def test_order_zero_is_usage_error(capsys, argv):
     assert "order" in assert_usage_error(capsys, *argv, "--order", "0")
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--tol", "nan", "tol"), ("--tol", "-1", "tol"), ("--angles", "0", "n_angles"),
+    ("--radii", ",", "radii"), ("--radii", "1", "radii"),
+])
+def test_bad_membership_grid_is_usage_error(capsys, flag, value, field):
+    line = assert_usage_error(capsys, "member", "--family", "alpha", "--alpha",
+                              "0.5", "--coeffs", "0.05", flag, value)
+    assert field in line
+
+
+def test_extremal_zero_atoms_is_usage_error(capsys):
+    assert "atom_count" in assert_usage_error(
+        capsys, "extremal", "--family", "beta", "--beta", "0.5", "--atoms", "0",
+        "--budget", "10")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--family", "alpha", "--alpha", "1", "--seed", "1"),
+    ("falsify", "--family", "alpha", "--alpha", "1", "-n", "10", "--order", "3"),
+], ids=lambda argv: argv[0])
+def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
+    assert run(capsys, *argv)[0] == 2
+
+
+def test_config_family_outside_choices_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = gamma\nbeta = 0.5\n")
+    assert "--family" in assert_usage_error(capsys, "bound", "--config", str(cfg))
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, "bound", "--family", "alpha", "--alpha", "1",
                "--nope")[0] == 2

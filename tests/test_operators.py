@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bicoef.caratheodory import sample_batch
 from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
                               MembershipGrid, apply_operator, induce_q_alpha,
                               induce_q_beta, lift_alpha, lift_beta,
@@ -191,6 +192,56 @@ def test_induce_beta_frozen_examples():
     assert a2 == pytest.approx(0.5)
     assert a3 == pytest.approx(1 / 3, abs=1e-15)
     assert q2 == pytest.approx(1.0, abs=1e-14)
+
+
+def _reference_induce_q_alpha(p1, p2, params):
+    # the angular-class system as written out before both classes shared one kernel
+    a, lam, mu = params.alpha, params.lam, params.mu
+    a2 = a * p1 / (lam + mu)
+    half_quad = (mu - 1.0) * (lam + mu / 2.0) * a2 * a2
+    a3 = (a * p2 + a * (a - 1.0) / 2.0 * p1 * p1 - half_quad) / (2.0 * lam + mu)
+    q1 = -p1
+    q2 = (-(2.0 * lam + mu) * a3 + (3.0 + mu) * (lam + mu / 2.0) * a2 * a2
+          - a * (a - 1.0) / 2.0 * q1 * q1) / a
+    return a2, a3, q1, q2
+
+
+def _reference_induce_q_beta(p1, p2, params):
+    b, lam, mu = params.beta, params.lam, params.mu
+    one_b = 1.0 - b
+    a2 = one_b * p1 / (lam + mu)
+    a3 = (one_b * p2 - (mu - 1.0) * (lam + mu / 2.0) * a2 * a2) / (2.0 * lam + mu)
+    q1 = -p1
+    q2 = (-(2.0 * lam + mu) * a3 + (3.0 + mu) * (lam + mu / 2.0) * a2 * a2) / one_b
+    return a2, a3, q1, q2
+
+
+_ORACLES = {"alpha": (AlphaParams, induce_q_alpha, _reference_induce_q_alpha),
+            "beta": (BetaParams, induce_q_beta, _reference_induce_q_beta)}
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.2, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("family,shape", [
+    ("alpha", 1.0), ("alpha", 0.5), ("alpha", 0.3),
+    ("beta", 0.0), ("beta", 0.5), ("beta", 0.1),
+])
+def test_shared_kernel_matches_per_class_reference_exactly(family, shape, mu):
+    cls, induce, reference = _ORACLES[family]
+    params = cls(shape, 1.5, mu)
+    _, _, coeffs = sample_batch(17, 10_000, 3, order=2)
+    p1, p2 = coeffs[:, 0], coeffs[:, 1]
+    for got, want in zip(induce(p1, p2, params), reference(p1, p2, params)):
+        assert np.array_equal(got, want)
+    for i in range(50):
+        p1i, p2i = complex(p1[i]), complex(p2[i])
+        assert induce(p1i, p2i, params) == reference(p1i, p2i, params)
+
+
+def test_params_state_their_class_shape():
+    assert AlphaParams(0.5, 1, 0).family == "alpha"
+    assert AlphaParams(0.5, 1, 0).phi == (0.5, -0.125)
+    assert BetaParams(0.25, 1, 0).family == "beta"
+    assert BetaParams(0.25, 1, 0).phi == (0.75, 0.0)
 
 
 def _random_params(rng):
