@@ -97,13 +97,24 @@ def bounds_beta(params: BetaParams) -> BoundReport:
 
 
 def bounds_for(params) -> BoundReport:
-    """The bounds of the class that ``params`` belongs to."""
-    family = getattr(params, "family", None)
-    if family == "alpha":
-        return bounds_alpha(params)
-    if family == "beta":
-        return bounds_beta(params)
-    raise TypeError(f"expected AlphaParams or BetaParams, got {type(params).__name__}")
+    """The bounds of the class that ``params`` belongs to.
+
+    A lam or mu so large that a bound overflows, or cancels to zero or below,
+    raises ValueError rather than yield a bound that is not a finite positive
+    float.
+    """
+    bounds = {"alpha": bounds_alpha, "beta": bounds_beta}.get(
+        getattr(params, "family", None))
+    if bounds is None:
+        raise TypeError(f"expected AlphaParams or BetaParams, got {type(params).__name__}")
+    try:
+        rep = bounds(params)
+    except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: sqrt(< 0)
+        rep = None
+    if rep is None or not all(0.0 < b < math.inf for b in (rep.a2_bound, rep.a3_bound)):
+        raise ValueError(f"lambda = {params.lam!r} and mu = {params.mu!r} are too "
+                         "large: the bounds are not finite positive floats")
+    return rep
 
 
 # ---------------------------------------------------------------------------

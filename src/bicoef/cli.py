@@ -5,8 +5,13 @@ corollary-check.  Exit codes: 0 success, 1 violated invariant (a
 falsification violation, a failed corollary identity, or a negative search
 gap), 2 usage error.
 
-An optional config file (``--config``) holds ``key = value`` lines mirroring
-the long flag names; explicit flags win over config values.
+An optional config file (``--config``) holds ``key = value`` lines whose keys
+are the subcommand's long flag names.  Each line is read as the token
+``--key=value`` (a switch set to 1/true/yes as a bare ``--key``) placed right
+after the subcommand, so explicit flags win and argparse checks config values
+and flags alike: types, choices, required flags, unknown keys.  Every usage
+error, from argparse, the config file or a handler, is one ``bicoef: ...``
+line on stderr with exit 2.
 """
 
 from __future__ import annotations
@@ -61,23 +66,18 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         out = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     else:
         out = "\n".join(text_lines)
-    print(out)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
+    print(out)
 
 
 def _params_from_args(args):
-    """Build the parameter set named by --family; argparse-style errors."""
-    if args.family is None:
-        raise ValueError("--family is required (flag or config)")
-    # argparse leaves a config-supplied value unchecked against choices
-    params = {"alpha": AlphaParams, "beta": BetaParams}.get(args.family)
-    if params is None:
-        raise ValueError(f"--family must be alpha or beta, got {args.family!r}")
+    """Build the parameter set named by --family."""
     shape = getattr(args, args.family)
     if shape is None:
         raise ValueError(f"--{args.family} is required for --family {args.family}")
+    params = {"alpha": AlphaParams, "beta": BetaParams}[args.family]
     return params(shape, args.lam, args.mu)
 
 
@@ -214,17 +214,28 @@ def _cmd_corollary_check(args) -> int:
 # --------------------------------------------------------------------------
 # parser construction and config handling
 
+class _UsageError(Exception):
+    """A command line or config file that the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its usage errors instead of exiting."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _add_common(sp) -> None:
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.add_argument("--out", metavar="PATH",
                     help="also write the report (CSV for falsify) to PATH")
     sp.add_argument("--config", metavar="PATH",
-                    help="key = value file mirroring long flags; flags win")
+                    help="file of 'key = value' lines, each read as "
+                         "--key=value; flags win")
 
 
 def _add_family(sp) -> None:
-    # not required=True: a config file may supply it (checked in the handler)
-    sp.add_argument("--family", choices=("alpha", "beta"), default=None)
+    sp.add_argument("--family", choices=("alpha", "beta"), required=True)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
@@ -232,19 +243,17 @@ def _add_family(sp) -> None:
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bicoef",
         description="Coefficient bounds and falsification harness for two "
                     "bi-univalent function classes")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     sp = sub.add_parser("bound", help="evaluate the closed-form bounds")
     _add_family(sp)
     _add_common(sp)
     sp.set_defaults(func=_cmd_bound)
-    subparsers["bound"] = sp
 
     sp = sub.add_parser("invert", help="inverse-function coefficients")
     sp.add_argument("--a2", type=_complex, default=0j)
@@ -258,7 +267,6 @@ def build_parser():
                     help="series truncation order")
     _add_common(sp)
     sp.set_defaults(func=_cmd_invert)
-    subparsers["invert"] = sp
 
     sp = sub.add_parser("operator", help="apply the class operator")
     sp.add_argument("--coeffs", type=_complex_list, required=True,
@@ -269,7 +277,6 @@ def build_parser():
                     help="series truncation order")
     _add_common(sp)
     sp.set_defaults(func=_cmd_operator)
-    subparsers["operator"] = sp
 
     sp = sub.add_parser("member", help="grid membership check")
     _add_family(sp)
@@ -282,7 +289,6 @@ def build_parser():
                     help="series truncation order")
     _add_common(sp)
     sp.set_defaults(func=_cmd_member)
-    subparsers["member"] = sp
 
     sp = sub.add_parser("falsify", help="randomized falsification campaign")
     _add_family(sp)
@@ -293,7 +299,6 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_common(sp)
     sp.set_defaults(func=_cmd_falsify)
-    subparsers["falsify"] = sp
 
     sp = sub.add_parser("extremal", help="derivative-free extremal search")
     _add_family(sp)
@@ -303,7 +308,6 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_common(sp)
     sp.set_defaults(func=_cmd_extremal)
-    subparsers["extremal"] = sp
 
     sp = sub.add_parser("corollary-check",
                         help="verify corollary reductions of the bounds")
@@ -311,70 +315,59 @@ def build_parser():
                     default="all")
     _add_common(sp)
     sp.set_defaults(func=_cmd_corollary_check)
-    subparsers["corollary-check"] = sp
 
-    return parser, subparsers
+    return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
-    cfg = {}
+_SWITCHES = ("json",)
+
+
+def _config_tokens(path: str) -> list[str]:
+    """The ``key = value`` lines of a config file as command-line tokens.
+
+    ``--key=value`` keeps a value with a leading minus a value; a switch is a
+    bare ``--key`` when set to 1/true/yes and absent when set to 0/false/no.
+    """
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
-    return cfg
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or key == "config":
+                raise _UsageError(f"config error: {path}:{lineno}: expected "
+                                  f"'key = value' naming a flag other than "
+                                  f"--config, got {line!r}")
+            switch = value.lower() if key in _SWITCHES else None
+            if switch in ("1", "true", "yes"):
+                tokens.append(f"--{key}")
+            elif switch not in ("0", "false", "no"):
+                tokens.append(f"--{key}={value}")
+    return tokens
 
 
-def _apply_config(subparsers: dict, cfg: dict[str, str]) -> None:
-    for sp in subparsers.values():
-        defaults = {}
-        for action in sp._actions:
-            for opt in action.option_strings:
-                key = opt.lstrip("-")
-                if key not in cfg or not opt.startswith("--"):
-                    continue
-                raw = cfg[key]
-                if isinstance(action, argparse._StoreTrueAction):
-                    defaults[action.dest] = raw.lower() in ("1", "true", "yes")
-                elif action.type is not None:
-                    defaults[action.dest] = action.type(raw)
-                else:
-                    defaults[action.dest] = raw
-        sp.set_defaults(**defaults)
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the ``--config`` file's tokens after the subcommand name."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    # the top-level parser takes no option values: the first word is the command
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")),
+              len(argv))
+    return argv[:at + 1] + _config_tokens(path) + argv[at + 1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subparsers = build_parser()
-
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    ns, _ = pre.parse_known_args(argv)
-    if ns.config:
-        try:
-            cfg = _load_config(ns.config)
-        except (OSError, ValueError) as exc:
-            print(f"bicoef: config error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            _apply_config(subparsers, cfg)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            print(f"bicoef: config error: {exc}", file=sys.stderr)
-            return 2
-
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
-
-    try:
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
-    except ValueError as exc:
+    except SystemExit as exc:  # -h and --version
+        return exc.code
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"bicoef: {exc}", file=sys.stderr)
         return 2
 

@@ -207,7 +207,7 @@ class EmpiricalExtremum:
 
 
 def extremal_search(params, objective: str, budget: int, seed: int, *,
-                    atom_count: int = 3, filter_mode: str = "toeplitz") -> EmpiricalExtremum:
+                    atom_count: int = 3) -> EmpiricalExtremum:
     """Maximize |a2| or |a3| over atom mixtures, subject to induced
     admissibility of the paired prefix.
 
@@ -244,7 +244,7 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
         if first_tuple is None:
             first_tuple = tup
-        verdict = caratheodory.is_admissible_prefix([q1, q2], mode=filter_mode)
+        verdict = caratheodory.is_admissible_prefix([q1, q2])
         if verdict != caratheodory.PASS:
             return None, tup, atoms
         val = abs(a2) if objective == "a2" else abs(a3)

@@ -304,15 +304,18 @@ def _induce_q(p1, p2, params):
 
     f's equations are (lam+mu) a2 = phi1 p1 and (2 lam+mu) a3 + (mu-1)
     (lam+mu/2) a2^2 = phi1 p2 + phi2 p1^2; those of the inverse, whose
-    coefficients are -a2 and 2 a2^2 - a3, give q1 = -p1 and q2.
+    coefficients are -a2 and 2 a2^2 - a3, give q1 = -p1 and q2.  The phi2
+    terms are skipped when phi2 = 0 (the real-part class), where they would
+    only add zeros.
     """
     (phi1, phi2), lam, mu = params.phi, params.lam, params.mu
     a2 = phi1 * p1 / (lam + mu)
     half_quad = (mu - 1.0) * (lam + mu / 2.0) * a2 * a2
-    a3 = (phi1 * p2 + phi2 * p1 * p1 - half_quad) / (2.0 * lam + mu)
+    l2 = phi1 * p2 + phi2 * p1 * p1 if phi2 else phi1 * p2
+    a3 = (l2 - half_quad) / (2.0 * lam + mu)
     q1 = -p1
-    q2 = (-(2.0 * lam + mu) * a3 + (3.0 + mu) * (lam + mu / 2.0) * a2 * a2
-          - phi2 * q1 * q1) / phi1
+    back = -(2.0 * lam + mu) * a3 + (3.0 + mu) * (lam + mu / 2.0) * a2 * a2
+    q2 = (back - phi2 * q1 * q1 if phi2 else back) / phi1
     return a2, a3, q1, q2
 
 

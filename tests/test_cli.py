@@ -190,7 +190,18 @@ def test_extremal_zero_atoms_is_usage_error(capsys):
     ("falsify", "--family", "alpha", "--alpha", "1", "-n", "10", "--order", "3"),
 ], ids=lambda argv: argv[0])
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
-    assert run(capsys, *argv)[0] == 2
+    assert argv[-2] in assert_usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("falsify", "--family", "alpha", "--alpha", "0.5", "--lambda", "1e200",
+     "-n", "10"),
+    ("bound", "--family", "beta", "--beta", "0.5", "--lambda", "1e308"),
+    ("bound", "--family", "alpha", "--alpha", "1", "--lambda", "1e150",
+     "--mu", "1"),
+], ids=["overflow", "underflow", "cancellation"])
+def test_huge_lambda_is_usage_error(capsys, argv):
+    assert "lambda" in assert_usage_error(capsys, *argv)
 
 
 def test_config_family_outside_choices_is_usage_error(tmp_path, capsys):
@@ -199,13 +210,46 @@ def test_config_family_outside_choices_is_usage_error(tmp_path, capsys):
     assert "--family" in assert_usage_error(capsys, "bound", "--config", str(cfg))
 
 
+@pytest.mark.parametrize("text,name", [
+    ("family = alpha\nalpha = 1\nlamda = 2\n", "--lamda"),
+    ("family = alpha\nalpha = 1\nseed = 3\n", "--seed"),
+    ("family = alpha\nalpha = one\n", "--alpha"),
+    ("family = alpha\nalpha = 1\njson = maybe\n", "--json"),
+    ("config = other.cfg\nfamily = alpha\nalpha = 1\n", "'config = other.cfg'"),
+], ids=["typo-key", "key-the-subcommand-lacks", "bad-float", "bad-switch",
+        "nested-config"])
+def test_bad_config_key_or_value_is_usage_error(tmp_path, capsys, text, name):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert name in assert_usage_error(capsys, "bound", "--config", str(cfg))
+
+
 def test_unknown_flag_is_usage_error(capsys):
-    assert run(capsys, "bound", "--family", "alpha", "--alpha", "1",
-               "--nope")[0] == 2
+    assert "--nope" in assert_usage_error(
+        capsys, "bound", "--family", "alpha", "--alpha", "1", "--nope")
 
 
 def test_missing_subcommand_is_usage_error(capsys):
-    assert run(capsys)[0] == 2
+    assert "command" in assert_usage_error(capsys)
+
+
+def test_config_without_a_path_is_usage_error(capsys):
+    assert "--config" in assert_usage_error(capsys, "bound", "--config")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--family", "beta", "--beta", "0.5"),
+    ("falsify", "--family", "beta", "--beta", "0.5", "-n", "10"),
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report"
+    assert str(target) in assert_usage_error(capsys, *argv, "--out", str(target))
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("bound", "-h")])
+def test_help_and_version_exit_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and not err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -225,12 +269,26 @@ def test_flags_beat_config(tmp_path, capsys):
     assert json.loads(out)["alpha"] == 1.0
 
 
+def test_config_switch_and_required_flag(tmp_path, capsys):
+    flags = run(capsys, "operator", "--coeffs=-0.5,0.25", "--json")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coeffs = -0.5,0.25\njson = true\n")
+    assert run(capsys, "operator", "--config", str(cfg)) == flags
+    assert json.loads(flags[1])["coeffs"][1] == [-1.0, 0.0]  # (lam + mu) a2
+
+
+def test_flag_beats_config_for_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coeffs = -0.5,0.25\n")
+    assert (run(capsys, "operator", "--config", str(cfg), "--coeffs", "0.5")
+            == run(capsys, "operator", "--coeffs", "0.5"))
+
+
 def test_malformed_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("this line has no equals sign\n")
-    code, _, err = run(capsys, "bound", "--config", str(cfg))
-    assert code == 2
-    assert "config error" in err
+    line = assert_usage_error(capsys, "bound", "--config", str(cfg))
+    assert "config error" in line and f"{cfg}:1" in line
 
 
 def test_out_writes_report(tmp_path, capsys):
