@@ -168,6 +168,7 @@ _C5_A2_NOTE = ("the classical |a2| form is the sqrt arm of the min; the min "
                "switches to the linear arm for beta > 1/2, where it is tighter")
 
 _LAMBDA_GRID = tuple(1 + Fraction(j, 4) for j in range(8))
+_SHAPE_POINTS = 101
 
 
 def _shape_grid(family: str, n: int):
@@ -257,8 +258,8 @@ _COROLLARIES = {
 COROLLARY_IDS = tuple(_COROLLARIES)
 
 
-def corollary_check(which: str, n_points: int = 101) -> IdentityReport:
-    """Verify one corollary reduction on a parameter grid.
+def corollary_check(which: str) -> IdentityReport:
+    """Verify one corollary reduction on a grid of _SHAPE_POINTS shape values.
 
     PASS requires exact rational identity between the specialized general
     bounds and the corollary closed forms, float deviation below
@@ -271,7 +272,7 @@ def corollary_check(which: str, n_points: int = 101) -> IdentityReport:
     family = row.params.family
     lams = _LAMBDA_GRID if row.lam is None else (row.lam,)
     max_dev, pts, exact = 0.0, 0, True
-    for s in _shape_grid(family, n_points):
+    for s in _shape_grid(family, _SHAPE_POINTS):
         for lam in lams:
             pts += 1
             general = _exact_forms(family, s, lam, row.mu)

@@ -71,9 +71,6 @@ class CaratheodoryElement:
     def order(self) -> int:
         return self.series.order
 
-    def c(self, k: int) -> complex:
-        return self.series[k]
-
     def coeff_prefix(self, k: int | None = None) -> np.ndarray:
         """Coefficients c_1..c_k (defaults to the full known prefix)."""
         k = self.order if k is None else k
@@ -102,16 +99,6 @@ def _mixture_coeffs(weights, angles, order: int) -> np.ndarray:
     return 2.0 * (weights[:, :, None] * phases).sum(axis=1)
 
 
-def _atom_coeffs(weights, angles, order: int) -> np.ndarray:
-    """c_0..c_order of a single mixture element; c_0 = 1."""
-    w = np.asarray(weights, dtype=float)
-    th = np.asarray(angles, dtype=float)
-    c = np.empty(order + 1, dtype=complex)
-    c[0] = 1.0
-    c[1:] = _mixture_coeffs(w[None, :], th[None, :], order)[0]
-    return c
-
-
 def herglotz(atoms, order: int = DEFAULT_ORDER) -> CaratheodoryElement:
     """Element generated by a finite atom mixture [(t_i, theta_i), ...].
 
@@ -126,7 +113,8 @@ def herglotz(atoms, order: int = DEFAULT_ORDER) -> CaratheodoryElement:
     if abs(w.sum() - 1.0) > WEIGHT_TOL:
         raise ValueError(f"atom weights must sum to 1, got {w.sum()!r}")
     th = np.array([t for _, t in atoms])
-    return CaratheodoryElement(TruncatedSeries(_atom_coeffs(w, th, order)), atoms)
+    c = np.concatenate(([1.0], _mixture_coeffs(w[None, :], th[None, :], order)[0]))
+    return CaratheodoryElement(TruncatedSeries(c), atoms)
 
 
 def _spawn_streams(seed: int):
@@ -191,22 +179,20 @@ def _k2_psd(c1, c2, eig_tol: float):
     return abs(c2 * s - a * a) <= 1.0 - (a.real * a.real + a.imag * a.imag)
 
 
-def is_admissible_prefix(c, mode: str = "toeplitz",
-                         modulus_tol: float = MODULUS_TOL,
-                         eig_tol: float = EIG_TOL) -> str:
+def is_admissible_prefix(c, mode: str = "toeplitz", eig_tol: float = EIG_TOL) -> str:
     """Verdict for a coefficient prefix c_1..c_K: PASS or a failure reason.
 
-    The modulus condition is necessary; the Toeplitz positivity check (the
-    default) is the full prefix characterization and strictly tightens it.
-    The smallest moment-matrix eigenvalue may dip eig_tol below 0.  For K = 2
-    this is decided by the closed form of the module docstring, for K > 2 by
-    ``eigvalsh``.  A non-finite K = 2 prefix that passes the modulus check
-    fails the Toeplitz check.
+    The modulus condition |c_k| <= 2 + MODULUS_TOL is necessary; the Toeplitz
+    positivity check (the default) is the full prefix characterization and
+    strictly tightens it.  The smallest moment-matrix eigenvalue may dip
+    eig_tol below 0.  For K = 2 this is decided by the closed form of the
+    module docstring, for K > 2 by ``eigvalsh``.  A non-finite K = 2 prefix
+    that passes the modulus check fails the Toeplitz check.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("need a 1-D prefix c_1..c_K with K >= 1")
-    if np.any(np.abs(c) > 2.0 + modulus_tol):
+    if np.any(np.abs(c) > 2.0 + MODULUS_TOL):
         return FAIL_MODULUS
     if mode == "modulus":
         return PASS
@@ -219,22 +205,20 @@ def is_admissible_prefix(c, mode: str = "toeplitz",
     return PASS if psd else FAIL_TOEPLITZ
 
 
-def admissibility_mask_k2(c1, c2, mode: str = "toeplitz",
-                          modulus_tol: float = MODULUS_TOL,
-                          eig_tol: float = EIG_TOL):
+def admissibility_mask_k2(c1, c2, mode: str = "toeplitz", eig_tol: float = EIG_TOL):
     """Vectorized K=2 admissibility for prefix arrays (c1[i], c2[i]).
 
     Returns boolean arrays (admissible, fail_modulus, fail_toeplitz); the two
-    failure masks are disjoint, modulus checked first.  The Toeplitz check is
-    the closed form of the module docstring with eig_tol mapped exactly, so
-    it agrees with ``eigvalsh`` of the moment matrix wherever the smallest
-    eigenvalue is not within rounding of -eig_tol; non-finite prefixes that
-    pass the modulus check fail it.  Agrees entrywise with
-    :func:`is_admissible_prefix`.
+    failure masks are disjoint, modulus (|c_k| <= 2 + MODULUS_TOL) checked
+    first.  The Toeplitz check is the closed form of the module docstring
+    with eig_tol mapped exactly, so it agrees with ``eigvalsh`` of the moment
+    matrix wherever the smallest eigenvalue is not within rounding of
+    -eig_tol; non-finite prefixes that pass the modulus check fail it.
+    Agrees entrywise with :func:`is_admissible_prefix`.
     """
     c1 = np.asarray(c1, dtype=complex)
     c2 = np.asarray(c2, dtype=complex)
-    fail_mod = (np.abs(c1) > 2.0 + modulus_tol) | (np.abs(c2) > 2.0 + modulus_tol)
+    fail_mod = (np.abs(c1) > 2.0 + MODULUS_TOL) | (np.abs(c2) > 2.0 + MODULUS_TOL)
     if mode == "modulus":
         return ~fail_mod, fail_mod, np.zeros_like(fail_mod)
     if mode != "toeplitz":

@@ -17,8 +17,11 @@ line on stderr with exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+
+import numpy as np
 
 from . import __version__
 from .bounds import COROLLARY_IDS, bounds_for, corollary_check
@@ -30,11 +33,20 @@ from .series import NormalizedFunction, inverse_coeffs_closed, revert
 __all__ = ["main", "build_parser"]
 
 
-def _complex(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+def _number(kind):
+    """argparse type: a finite float or complex; a complex may hold spaces."""
+    def parse(text: str):
+        try:
+            value = kind(text.replace(" ", "") if kind is complex else text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a {kind.__name__} value: {text!r}")
+        if not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        return value
+    return parse
+
+
+_float, _complex = _number(float), _number(complex)
 
 
 def _complex_list(text: str) -> list[complex]:
@@ -45,10 +57,7 @@ def _complex_list(text: str) -> list[complex]:
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a float list: {text!r}")
+    return [_float(t) for t in text.split(",") if t.strip()]
 
 
 def _jsonable(value):
@@ -70,6 +79,23 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
     print(out)
+
+
+@contextlib.contextmanager
+def _usage_error_on_overflow(flags: str):
+    """numpy's float warnings off; an OverflowError is a usage error naming flags."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except OverflowError:
+        raise ValueError(f"the result of {flags} overflows") from None
+
+
+def _finite(numbers):
+    """numbers, or OverflowError where one of them is inf or NaN."""
+    if not np.isfinite(numbers).all():
+        raise OverflowError
+    return numbers
 
 
 def _params_from_args(args):
@@ -100,14 +126,20 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    closed = {"--a2": args.a2, "--a3": args.a3, "--a4": args.a4}
     if args.coeffs is not None:
+        given = [flag for flag, value in closed.items() if value is not None]
+        if given:
+            raise ValueError(f"{' and '.join(given)} cannot be combined with --coeffs")
         f = NormalizedFunction.from_tail(args.coeffs, order=args.order)
-        g = revert(f)
-        tail = [g.coefficient(k) for k in range(2, g.order + 1)]
-        payload = {"inverse_tail": tail, "order": g.order}
+        with _usage_error_on_overflow("--coeffs"):
+            tail = _finite(revert(f).series.coeffs[2:].tolist())
+        payload = {"inverse_tail": tail, "order": f.order}
         lines = [f"b{k + 2} = {c}" for k, c in enumerate(tail)]
     else:
-        b2, b3, b4 = inverse_coeffs_closed(args.a2, args.a3, args.a4)
+        with _usage_error_on_overflow("--a2, --a3 and --a4"):
+            b2, b3, b4 = _finite(inverse_coeffs_closed(
+                *(0j if value is None else value for value in closed.values())))
         payload = {"b2": b2, "b3": b3, "b4": b4}
         lines = [f"b2 = {b2}", f"b3 = {b3}", f"b4 = {b4}"]
     _emit(args, payload, lines)
@@ -116,9 +148,9 @@ def _cmd_invert(args) -> int:
 
 def _cmd_operator(args) -> int:
     f = NormalizedFunction.from_tail(args.coeffs, order=args.order)
-    series = apply_operator(f, args.lam, args.mu)
-    coeffs = [series[k] for k in range(series.order + 1)]
-    payload = {"coeffs": coeffs, "order": series.order,
+    with _usage_error_on_overflow("--coeffs, --lambda and --mu"):
+        coeffs = _finite(apply_operator(f, args.lam, args.mu).coeffs.tolist())
+    payload = {"coeffs": coeffs, "order": len(coeffs) - 1,
                "lambda": args.lam, "mu": args.mu}
     lines = [f"c{k} = {c}" for k, c in enumerate(coeffs)]
     _emit(args, payload, lines)
@@ -131,7 +163,8 @@ def _cmd_member(args) -> int:
     grid = MembershipGrid(radii=tuple(args.radii), n_angles=args.angles,
                           tol=args.tol)
     membership = membership_alpha if params.family == "alpha" else membership_beta
-    rep = membership(f, params, grid)
+    with _usage_error_on_overflow("--coeffs, --lambda and --mu"):
+        rep = membership(f, params, grid)
     payload = {"passed": rep.passed, "test": rep.test,
                "threshold": rep.threshold, "worst_value": rep.worst_value,
                "margin": rep.margin, "worst_point": rep.worst_point,
@@ -236,10 +269,11 @@ def _add_common(sp) -> None:
 
 def _add_family(sp) -> None:
     sp.add_argument("--family", choices=("alpha", "beta"), required=True)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.add_argument("--mu", type=float, default=1.0)
+    shape = sp.add_mutually_exclusive_group()   # the one --family names
+    shape.add_argument("--alpha", type=_float, default=None)
+    shape.add_argument("--beta", type=_float, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_float, default=1.0)
+    sp.add_argument("--mu", type=_float, default=1.0)
 
 
 def build_parser():
@@ -256,13 +290,13 @@ def build_parser():
     sp.set_defaults(func=_cmd_bound)
 
     sp = sub.add_parser("invert", help="inverse-function coefficients")
-    sp.add_argument("--a2", type=_complex, default=0j)
-    sp.add_argument("--a3", type=_complex, default=0j)
-    sp.add_argument("--a4", type=_complex, default=0j)
+    sp.add_argument("--a2", type=_complex, default=None, help="default 0")
+    sp.add_argument("--a3", type=_complex, default=None, help="default 0")
+    sp.add_argument("--a4", type=_complex, default=None, help="default 0")
     sp.add_argument("--coeffs", type=_complex_list, default=None,
                     metavar="A2,A3,...",
                     help="full reversion of z + a2 z^2 + ... instead of the "
-                         "closed-form triple")
+                         "closed-form triple; not with --a2/--a3/--a4")
     sp.add_argument("--order", type=int, default=None,
                     help="series truncation order")
     _add_common(sp)
@@ -271,8 +305,8 @@ def build_parser():
     sp = sub.add_parser("operator", help="apply the class operator")
     sp.add_argument("--coeffs", type=_complex_list, required=True,
                     metavar="A2,A3,...")
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.add_argument("--mu", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=_float, default=1.0)
+    sp.add_argument("--mu", type=_float, default=1.0)
     sp.add_argument("--order", type=int, default=None,
                     help="series truncation order")
     _add_common(sp)
@@ -284,7 +318,7 @@ def build_parser():
                     metavar="A2,A3,...")
     sp.add_argument("--radii", type=_float_list, default=[0.5, 0.8, 0.9, 0.95])
     sp.add_argument("--angles", type=int, default=256)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_float, default=1e-8)
     sp.add_argument("--order", type=int, default=None,
                     help="series truncation order")
     _add_common(sp)

@@ -51,7 +51,6 @@ def _induce(params, p1, p2):
 class CampaignSummary:
     """Aggregate result of one campaign; per-sample data stays in arrays."""
 
-    family: str
     params: AlphaParams | BetaParams
     n_samples: int
     seed: int
@@ -73,7 +72,7 @@ class CampaignSummary:
     def csv_lines(self) -> Iterator[str]:
         """CSV rows in index order; floats use shortest round-trip form."""
         yield ",".join(CSV_HEADER)
-        fam = self.family
+        fam = self.params.family
         alpha = repr(self.params.alpha) if fam == "alpha" else ""
         beta = repr(self.params.beta) if fam == "beta" else ""
         prefix = f"{fam},{self.seed},"
@@ -101,9 +100,9 @@ class CampaignSummary:
                 fh.write(line + "\n")
 
     def to_json_dict(self) -> dict:
-        d = {
-            "family": self.family,
-            "params": {self.family: getattr(self.params, self.family),
+        return {
+            "family": self.params.family,
+            "params": {self.params.family: getattr(self.params, self.params.family),
                        "lambda": self.params.lam, "mu": self.params.mu},
             "n_samples": self.n_samples,
             "seed": self.seed,
@@ -124,7 +123,6 @@ class CampaignSummary:
             "a3_margin_hist": {"edges": list(self.a3_margin_hist[0]),
                                "counts": list(self.a3_margin_hist[1])},
         }
-        return d
 
 
 def _margin_hist(margins: np.ndarray, bound: float):
@@ -167,25 +165,50 @@ def falsify(params, n_samples: int, seed: int, *,
         max_a3 = float(a3_abs[admissible].max())
         min_m2 = float(a2_margin[admissible].min())
         min_m3 = float(a3_margin[admissible].min())
-        h2 = _margin_hist(a2_margin[admissible], rep.a2_bound)
-        h3 = _margin_hist(a3_margin[admissible], rep.a3_bound)
     else:
         max_a2 = max_a3 = min_m2 = min_m3 = None
-        h2 = _margin_hist(np.empty(0), rep.a2_bound)
-        h3 = _margin_hist(np.empty(0), rep.a3_bound)
+    h2 = _margin_hist(a2_margin[admissible], rep.a2_bound)
+    h3 = _margin_hist(a3_margin[admissible], rep.a3_bound)
 
     arrays = {"p1": p1, "p2": p2, "q1": q1, "q2": q2,
               "admissible": admissible, "fail_modulus": fail_mod,
               "fail_toeplitz": fail_toe, "a2_abs": a2_abs, "a3_abs": a3_abs,
               "a2_margin": a2_margin, "a3_margin": a3_margin}
     return CampaignSummary(
-        family=params.family, params=params, n_samples=n_samples, seed=seed,
+        params=params, n_samples=n_samples, seed=seed,
         filter_mode=filter_mode, atom_count=atom_count, bounds=rep,
         n_admissible=n_adm, n_fail_modulus=int(fail_mod.sum()),
         n_fail_toeplitz=int(fail_toe.sum()), violations=tuple(violations),
         max_a2_abs=max_a2, max_a3_abs=max_a3,
         min_a2_margin=min_m2, min_a3_margin=min_m3,
         a2_margin_hist=h2, a3_margin_hist=h3, _arrays=arrays)
+
+
+def _search_points(rng, atom_count: int):
+    """The points x = (v, theta) of the search, in order; send() each score.
+
+    A restart draws x from rng.  Each coordinate is tried at +step, then at
+    -step; the first improvement moves x, and the sweep goes on to the next
+    coordinate.  A sweep with none halves the step; once the step is <= 1e-3
+    the search restarts.  A score is None where x fails the filter.
+    """
+    while True:
+        x = np.concatenate([rng.normal(0.0, 1.0, atom_count),
+                            rng.uniform(0.0, 2.0 * np.pi, atom_count)])
+        cur = yield x
+        step = 0.6
+        while step > 1e-3:
+            improved = False
+            for j in range(x.size):
+                for sgn in (1.0, -1.0):
+                    x2 = x.copy()
+                    x2[j] += sgn * step
+                    val = yield x2
+                    if val is not None and (cur is None or val > cur):
+                        x, cur, improved = x2, val, True
+                        break
+            if not improved:
+                step *= 0.5
 
 
 @dataclass(frozen=True)
@@ -225,66 +248,27 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         raise ValueError("atom_count must be >= 1")
     rep = bounds_for(params)
     bound = rep.a2_bound if objective == "a2" else rep.a3_bound
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    evals = 0
-    best_val = None
-    best_tuple = None
-    best_atoms = None
-    first_tuple = None
-
-    def evaluate(v, theta):
-        nonlocal evals, first_tuple
-        evals += 1
+    points = _search_points(np.random.default_rng(seed), atom_count)
+    x = next(points)
+    best_val = best_tuple = best_atoms = None
+    for _ in range(budget):
+        v, theta = x[:atom_count], x[atom_count:]
         w = np.exp(v - v.max())
         t = w / w.sum()
         atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
         c = caratheodory.herglotz(atoms, order=2).coeff_prefix()
         a2, a3, q1, q2 = _induce(params, c[0], c[1])
         tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
-        if first_tuple is None:
-            first_tuple = tup
-        verdict = caratheodory.is_admissible_prefix([q1, q2])
-        if verdict != caratheodory.PASS:
-            return None, tup, atoms
-        val = abs(a2) if objective == "a2" else abs(a3)
-        return float(val), tup, atoms
-
-    def consider(val, tup, atoms):
-        nonlocal best_val, best_tuple, best_atoms
-        if val is not None and (best_val is None or val > best_val):
-            best_val, best_tuple, best_atoms = val, tup, atoms
-
-    while evals < budget:
-        v = rng.normal(0.0, 1.0, atom_count)
-        theta = rng.uniform(0.0, 2.0 * np.pi, atom_count)
-        cur_val, cur_tup, cur_atoms = evaluate(v, theta)
-        consider(cur_val, cur_tup, cur_atoms)
-        step = 0.6
-        while step > 1e-3 and evals < budget:
-            improved = False
-            for j in range(2 * atom_count):
-                for sgn in (1.0, -1.0):
-                    if evals >= budget:
-                        break
-                    v2, th2 = v.copy(), theta.copy()
-                    if j < atom_count:
-                        v2[j] += sgn * step
-                    else:
-                        th2[j - atom_count] += sgn * step
-                    val2, tup2, atoms2 = evaluate(v2, th2)
-                    consider(val2, tup2, atoms2)
-                    if val2 is not None and (cur_val is None or val2 > cur_val):
-                        v, theta, cur_val = v2, th2, val2
-                        improved = True
-                        break
-                if evals >= budget:
-                    break
-            if not improved:
-                step *= 0.5
-
+        val = None
+        if caratheodory.is_admissible_prefix([q1, q2]) == caratheodory.PASS:
+            val = float(abs(a2) if objective == "a2" else abs(a3))
+            if best_val is None or val > best_val:
+                best_val, best_tuple, best_atoms = val, tup, atoms
+        elif best_tuple is None:   # the first tuple, until an evaluation passes
+            best_tuple = tup
+        x = points.send(val)
     achieved = best_val if best_val is not None else 0.0
     return EmpiricalExtremum(
-        best_tuple=best_tuple if best_tuple is not None else first_tuple,
-        achieved=achieved, bound=bound, gap=bound - achieved,
-        evaluations=evals, objective=objective, best_atoms=best_atoms)
+        best_tuple=best_tuple, achieved=achieved, bound=bound,
+        gap=bound - achieved, evaluations=budget, objective=objective,
+        best_atoms=best_atoms)

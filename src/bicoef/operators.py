@@ -22,7 +22,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import caratheodory
 from .series import NormalizedFunction, TruncatedSeries, revert
 
 __all__ = [
@@ -116,13 +115,6 @@ class CoefficientTuple:
     q1: complex
     q2: complex
 
-    def prefix_verdicts(self, mode: str = "toeplitz") -> tuple[str, str]:
-        """Admissibility verdicts for the (p1, p2) and (q1, q2) prefixes."""
-        return (
-            caratheodory.is_admissible_prefix([self.p1, self.p2], mode=mode),
-            caratheodory.is_admissible_prefix([self.q1, self.q2], mode=mode),
-        )
-
 
 def apply_operator(f: NormalizedFunction, lam: float, mu: float,
                    order: int | None = None) -> TruncatedSeries:
@@ -200,12 +192,15 @@ def _worst_over_grid(f: NormalizedFunction, grid: MembershipGrid, lam, mu, test)
     """Worst operator value over both f and its reversion on the grid.
 
     test "arg" tracks the largest |principal arg|, test "re" the smallest
-    real part.  Returns (value, point, side).
+    real part.  Returns (value, point, side).  Raises OverflowError where an
+    operator value is not finite.
     """
     pts = grid.points()
     worst = None
     for side, fn in (("f", f), ("g", revert(f))):
         values = apply_operator(fn, lam, mu).evaluate(pts)
+        if not np.isfinite(values).all():
+            raise OverflowError(f"operator values on side {side} are not finite")
         if test == "arg":
             v = np.abs(np.angle(values))
             i = int(np.argmax(v))

@@ -87,6 +87,7 @@ def test_extremal_prefix_passes():
 
 def test_modulus_violation_fails():
     assert is_admissible_prefix([2.5, 0]) == FAIL_MODULUS
+    assert is_admissible_prefix([-2, 4]) == FAIL_MODULUS
 
 
 def test_constant_element_passes():

@@ -204,6 +204,39 @@ def test_huge_lambda_is_usage_error(capsys, argv):
     assert "lambda" in assert_usage_error(capsys, *argv)
 
 
+@pytest.mark.filterwarnings("error")   # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("argv,flag", [
+    (("operator", "--coeffs", "1", "--lambda", "nan"), "--lambda"),
+    (("operator", "--coeffs", "1", "--lambda", "1e308", "--mu", "1e308"), "--lambda"),
+    (("invert", "--a2", "nan"), "--a2"),
+    (("invert", "--a2", "1e120"), "--a2"),
+    (("invert", "--coeffs", "1e200,1e200", "--order", "6"), "--coeffs"),
+    (("member", "--family", "beta", "--beta", "0.5", "--coeffs", "nan"), "--coeffs"),
+    (("member", "--family", "alpha", "--alpha", "0.5", "--mu", "0.5",
+      "--coeffs", "1e200,1e200"), "--coeffs"),
+], ids=["operator-nan", "operator-overflow", "invert-nan", "invert-closed-overflow",
+        "invert-overflow", "member-nan", "member-overflow"])
+def test_non_finite_input_or_result_is_usage_error(capsys, argv, flag):
+    assert flag in assert_usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("bound", "--family", "alpha", "--alpha", "0.5", "--beta", "0.3"), "--beta"),
+    (("falsify", "--family", "beta", "--beta", "0.5", "--alpha", "1", "-n", "10"),
+     "--alpha"),
+    (("invert", "--a2", "1", "--coeffs", "2,3"), "--a2"),
+    (("invert", "--coeffs", "2,3", "--a4", "0"), "--a4"),
+], ids=["other-shape-flag", "other-shape-flag-beta", "a2-with-coeffs", "a4-with-coeffs"])
+def test_flags_that_would_be_ignored_are_usage_errors(capsys, argv, flag):
+    assert flag in assert_usage_error(capsys, *argv)
+
+
+def test_config_setting_both_shapes_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = alpha\nalpha = 0.5\nbeta = 0.3\n")
+    assert "--beta" in assert_usage_error(capsys, "bound", "--config", str(cfg))
+
+
 def test_config_family_outside_choices_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = gamma\nbeta = 0.5\n")

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
-from bicoef.harness import (CSV_HEADER, VIOLATION_TOL, EmpiricalExtremum,
+from bicoef import caratheodory
+from bicoef.bounds import bounds_for
+from bicoef.harness import (CSV_HEADER, VIOLATION_TOL, EmpiricalExtremum, _induce,
                             extremal_search, falsify)
-from bicoef.operators import AlphaParams, BetaParams
+from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 
 
 # ------------------------------------------------------------------ falsify
@@ -155,3 +158,117 @@ def test_extremal_validates_arguments():
         extremal_search(AlphaParams(1, 1, 1), "a4", budget=10, seed=0)
     with pytest.raises(ValueError):
         extremal_search(AlphaParams(1, 1, 1), "a2", budget=0, seed=0)
+
+
+# ------------------------------------------- the search against its old loop
+
+def _reference_search(params, objective, budget, seed, atom_count, restarts):
+    """The two-closure loop of the earlier extremal_search, kept as the
+    reference for the generator that replaced it; it also appends the
+    evaluation count at each restart to ``restarts``."""
+    rep = bounds_for(params)
+    bound = rep.a2_bound if objective == "a2" else rep.a3_bound
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    evals = 0
+    best_val = None
+    best_tuple = None
+    best_atoms = None
+    first_tuple = None
+
+    def evaluate(v, theta):
+        nonlocal evals, first_tuple
+        evals += 1
+        w = np.exp(v - v.max())
+        t = w / w.sum()
+        atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
+        c = caratheodory.herglotz(atoms, order=2).coeff_prefix()
+        a2, a3, q1, q2 = _induce(params, c[0], c[1])
+        tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
+        if first_tuple is None:
+            first_tuple = tup
+        verdict = caratheodory.is_admissible_prefix([q1, q2])
+        if verdict != caratheodory.PASS:
+            return None, tup, atoms
+        val = abs(a2) if objective == "a2" else abs(a3)
+        return float(val), tup, atoms
+
+    def consider(val, tup, atoms):
+        nonlocal best_val, best_tuple, best_atoms
+        if val is not None and (best_val is None or val > best_val):
+            best_val, best_tuple, best_atoms = val, tup, atoms
+
+    while evals < budget:
+        restarts.append(evals)
+        v = rng.normal(0.0, 1.0, atom_count)
+        theta = rng.uniform(0.0, 2.0 * np.pi, atom_count)
+        cur_val, cur_tup, cur_atoms = evaluate(v, theta)
+        consider(cur_val, cur_tup, cur_atoms)
+        step = 0.6
+        while step > 1e-3 and evals < budget:
+            improved = False
+            for j in range(2 * atom_count):
+                for sgn in (1.0, -1.0):
+                    if evals >= budget:
+                        break
+                    v2, th2 = v.copy(), theta.copy()
+                    if j < atom_count:
+                        v2[j] += sgn * step
+                    else:
+                        th2[j - atom_count] += sgn * step
+                    val2, tup2, atoms2 = evaluate(v2, th2)
+                    consider(val2, tup2, atoms2)
+                    if val2 is not None and (cur_val is None or val2 > cur_val):
+                        v, theta, cur_val = v2, th2, val2
+                        improved = True
+                        break
+                if evals >= budget:
+                    break
+            if not improved:
+                step *= 0.5
+
+    achieved = best_val if best_val is not None else 0.0
+    return EmpiricalExtremum(
+        best_tuple=best_tuple if best_tuple is not None else first_tuple,
+        achieved=achieved, bound=bound, gap=bound - achieved,
+        evaluations=evals, objective=objective, best_atoms=best_atoms)
+
+
+def _search_with_points(monkeypatch, search, *args, **kwargs):
+    """search's result and the atoms of every point it evaluated, in order."""
+    points, herglotz = [], caratheodory.herglotz
+
+    def recording(atoms, order):
+        points.append(atoms)
+        return herglotz(atoms, order=order)
+
+    with monkeypatch.context() as m:
+        m.setattr(caratheodory, "herglotz", recording)
+        return search(*args, **kwargs), points
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("atom_count", [1, 3])
+@pytest.mark.parametrize("objective", ["a2", "a3"])
+@pytest.mark.parametrize("params", [AlphaParams(0.5, 1, 1), BetaParams(0.5, 2, 0.5)],
+                         ids=["alpha", "beta"])
+def test_search_matches_the_two_closure_loop(monkeypatch, params, objective,
+                                             atom_count, seed):
+    restarts = []
+    # 450 ends mid-sweep for one atom (restarts every 41 evaluations)
+    expected = _search_with_points(monkeypatch, _reference_search, params, objective,
+                                   450, seed, atom_count, restarts)
+    assert _search_with_points(monkeypatch, extremal_search, params, objective, 450,
+                               seed, atom_count=atom_count) == expected
+    budgets = [1]
+    if len(restarts) > 1:   # the last evaluation before the second restart, and at it
+        budgets += [restarts[1], restarts[1] + 1]
+    for budget in budgets:
+        assert (extremal_search(params, objective, budget, seed, atom_count=atom_count)
+                == _reference_search(params, objective, budget, seed, atom_count, []))
+    if atom_count == 1:
+        # a single atom's paired prefix never passes: the first tuple stands
+        result, points = expected
+        assert result.best_atoms is None and result.achieved == 0.0
+        first = extremal_search(params, objective, 1, seed, atom_count=1)
+        assert result.best_tuple == first.best_tuple

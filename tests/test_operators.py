@@ -304,8 +304,3 @@ def test_denominator_positive_on_dense_grid():
     a, l, m = np.meshgrid(alphas, lams, mus, indexing="ij")
     denom = (l + m) ** 2 + a * (m + 2 * l - l * l)
     assert denom.min() > 0
-
-
-def test_tuple_prefix_verdicts():
-    t = CoefficientTuple(2, 2, -2, 4)
-    assert t.prefix_verdicts() == ("PASS", "FAIL_MODULUS")
