@@ -15,8 +15,7 @@ from .caratheodory import (CaratheodoryElement, herglotz, sample_random,
                            FAIL_TOEPLITZ)
 from .operators import (AlphaParams, BetaParams, CoefficientTuple,
                         MembershipGrid, MembershipReport, apply_operator,
-                        operator_coeffs_closed, membership_alpha,
-                        membership_beta, lift_alpha, lift_beta, BetaLift,
+                        operator_coeffs_closed, membership, lift, Lift,
                         induce_q_alpha, induce_q_beta)
 from .bounds import (BoundReport, IdentityReport, bounds_alpha, bounds_beta,
                      bounds_for, corollary_check, COROLLARY_IDS)
@@ -33,8 +32,7 @@ __all__ = [
     "PASS", "FAIL_MODULUS", "FAIL_TOEPLITZ",
     "AlphaParams", "BetaParams", "CoefficientTuple", "MembershipGrid",
     "MembershipReport", "apply_operator", "operator_coeffs_closed",
-    "membership_alpha", "membership_beta", "lift_alpha", "lift_beta",
-    "BetaLift", "induce_q_alpha", "induce_q_beta",
+    "membership", "lift", "Lift", "induce_q_alpha", "induce_q_beta",
     "BoundReport", "IdentityReport", "bounds_alpha", "bounds_beta",
     "bounds_for", "corollary_check", "COROLLARY_IDS",
     "CampaignSummary", "EmpiricalExtremum",

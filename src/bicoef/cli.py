@@ -27,7 +27,7 @@ from . import __version__
 from .bounds import COROLLARY_IDS, bounds_for, corollary_check
 from .harness import VIOLATION_TOL, extremal_search, falsify
 from .operators import (AlphaParams, BetaParams, MembershipGrid,
-                        apply_operator, membership_alpha, membership_beta)
+                        apply_operator, membership)
 from .series import NormalizedFunction, inverse_coeffs_closed, revert
 
 __all__ = ["main", "build_parser"]
@@ -49,10 +49,28 @@ def _number(kind):
 _float, _complex = _number(float), _number(complex)
 
 
+MAX_ORDER = 256   # series.revert composes once per coefficient: order 320 takes seconds
+
+
+def _order(text: str) -> int:
+    """argparse type: a series truncation order in [1, MAX_ORDER]."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an int value: {text!r}")
+    if not 1 <= value <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [1, {MAX_ORDER}], got {value}")
+    return value
+
+
 def _complex_list(text: str) -> list[complex]:
     toks = [t for t in text.split(",") if t.strip()]
     if not toks:
         raise argparse.ArgumentTypeError("empty coefficient list")
+    if len(toks) >= MAX_ORDER:   # the default order is the list's length + 1
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_ORDER - 1} coefficients, got {len(toks)}")
     return [_complex(t) for t in toks]
 
 
@@ -137,6 +155,8 @@ def _cmd_invert(args) -> int:
         payload = {"inverse_tail": tail, "order": f.order}
         lines = [f"b{k + 2} = {c}" for k, c in enumerate(tail)]
     else:
+        if args.order is not None:
+            raise ValueError("--order applies only with --coeffs")
         with _usage_error_on_overflow("--a2, --a3 and --a4"):
             b2, b3, b4 = _finite(inverse_coeffs_closed(
                 *(0j if value is None else value for value in closed.values())))
@@ -162,7 +182,6 @@ def _cmd_member(args) -> int:
     f = NormalizedFunction.from_tail(args.coeffs, order=args.order)
     grid = MembershipGrid(radii=tuple(args.radii), n_angles=args.angles,
                           tol=args.tol)
-    membership = membership_alpha if params.family == "alpha" else membership_beta
     with _usage_error_on_overflow("--coeffs, --lambda and --mu"):
         rep = membership(f, params, grid)
     payload = {"passed": rep.passed, "test": rep.test,
@@ -267,6 +286,11 @@ def _add_common(sp) -> None:
                          "--key=value; flags win")
 
 
+def _add_order(sp) -> None:
+    sp.add_argument("--order", type=_order, default=None,
+                    help=f"series truncation order, 1 to {MAX_ORDER}")
+
+
 def _add_family(sp) -> None:
     sp.add_argument("--family", choices=("alpha", "beta"), required=True)
     shape = sp.add_mutually_exclusive_group()   # the one --family names
@@ -297,8 +321,7 @@ def build_parser():
                     metavar="A2,A3,...",
                     help="full reversion of z + a2 z^2 + ... instead of the "
                          "closed-form triple; not with --a2/--a3/--a4")
-    sp.add_argument("--order", type=int, default=None,
-                    help="series truncation order")
+    _add_order(sp)
     _add_common(sp)
     sp.set_defaults(func=_cmd_invert)
 
@@ -307,8 +330,7 @@ def build_parser():
                     metavar="A2,A3,...")
     sp.add_argument("--lambda", dest="lam", type=_float, default=1.0)
     sp.add_argument("--mu", type=_float, default=1.0)
-    sp.add_argument("--order", type=int, default=None,
-                    help="series truncation order")
+    _add_order(sp)
     _add_common(sp)
     sp.set_defaults(func=_cmd_operator)
 
@@ -319,8 +341,7 @@ def build_parser():
     sp.add_argument("--radii", type=_float_list, default=[0.5, 0.8, 0.9, 0.95])
     sp.add_argument("--angles", type=int, default=256)
     sp.add_argument("--tol", type=_float, default=1e-8)
-    sp.add_argument("--order", type=int, default=None,
-                    help="series truncation order")
+    _add_order(sp)
     _add_common(sp)
     sp.set_defaults(func=_cmd_member)
 
@@ -403,6 +424,9 @@ def main(argv=None) -> int:
         return exc.code
     except (_UsageError, ValueError, OSError) as exc:
         print(f"bicoef: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"bicoef: out of memory: {str(exc) or 'no detail'}", file=sys.stderr)
         return 2
 
 

@@ -5,10 +5,11 @@ normalized function to a unit-constant series.  Its first two coefficients
 admit closed forms in (a2, a3, lam, mu); matching them against the series
 route is the module's core identity.  The induce/lift pair implements the
 forward and inverse coefficient-equating systems used to derive the bounds:
-``induce`` solves for (a2, a3) and the second positive-real-part element from
-a given first one, ``lift`` recovers the coefficient functionals from a full
-tuple.  Both classes share one system, written in the (phi1, phi2) that the
-params objects state.
+``induce_q_*`` solves for (a2, a3) and the second positive-real-part element
+from a given first one, :func:`lift` recovers the coefficient functionals from
+a full tuple.  Both classes share one system, written in the (phi1, phi2) that
+the params objects state, and one grid membership test of the region
+``phi(U)`` that they state as ``region``.
 
 All scalar formulas are plain arithmetic, so they broadcast over numpy
 arrays; the falsification harness relies on that.
@@ -32,11 +33,9 @@ __all__ = [
     "MembershipReport",
     "apply_operator",
     "operator_coeffs_closed",
-    "membership_alpha",
-    "membership_beta",
-    "lift_alpha",
-    "lift_beta",
-    "BetaLift",
+    "membership",
+    "lift",
+    "Lift",
     "induce_q_alpha",
     "induce_q_beta",
     "CONSISTENCY_TOL",
@@ -50,8 +49,9 @@ class _ClassParams:
 
     Both classes are ``L[f] = phi(p)`` for a positive-real-part ``p``, with
     ``L1 = phi1 p1`` and ``L2 = phi1 p2 + phi2 p1^2`` (the Ma-Minda form);
-    ``phi`` is ``(phi1, phi2)``.  ``family`` names the class and its shape
-    field.
+    ``phi`` is ``(phi1, phi2)``, and ``region`` is the region ``phi(U)``
+    that ``L[f]`` must map into, as ``(test, threshold)``.  ``family`` names
+    the class and its shape field.
     """
 
     family: ClassVar[str]
@@ -86,6 +86,11 @@ class AlphaParams(_ClassParams):
         a = self.alpha
         return a, a * (a - 1.0) / 2.0
 
+    @property
+    def region(self) -> tuple[str, float]:
+        """The sector |arg w| < alpha pi/2."""
+        return "arg", self.alpha * math.pi / 2.0
+
 
 @dataclass(frozen=True)
 class BetaParams(_ClassParams):
@@ -104,6 +109,11 @@ class BetaParams(_ClassParams):
     def phi(self) -> tuple[float, float]:
         """L = beta + (1-beta) p, so (phi1, phi2) = (1-beta, 0)."""
         return 1.0 - self.beta, 0.0
+
+    @property
+    def region(self) -> tuple[str, float]:
+        """The half-plane Re w > beta."""
+        return "re", self.beta
 
 
 @dataclass(frozen=True)
@@ -188,54 +198,32 @@ class MembershipReport:
     tol: float
 
 
-def _worst_over_grid(f: NormalizedFunction, grid: MembershipGrid, lam, mu, test):
-    """Worst operator value over both f and its reversion on the grid.
+def membership(f: NormalizedFunction, params: AlphaParams | BetaParams,
+               grid: MembershipGrid | None = None) -> MembershipReport:
+    """Grid test that L maps f and its reversion into ``params.region``.
 
-    test "arg" tracks the largest |principal arg|, test "re" the smallest
-    real part.  Returns (value, point, side).  Raises OverflowError where an
-    operator value is not finite.
+    Works on truncations, so a PASS is necessary, not sufficient, for class
+    membership; a FAIL is conclusive at the truncation level.  Raises
+    OverflowError where an operator value on the grid is not finite.
     """
+    grid = grid or MembershipGrid()
+    test, threshold = params.region
+    # score each value so that larger is worse: |arg w| for the sector,
+    # -Re w for the half-plane
+    sign = 1.0 if test == "arg" else -1.0
     pts = grid.points()
     worst = None
     for side, fn in (("f", f), ("g", revert(f))):
-        values = apply_operator(fn, lam, mu).evaluate(pts)
+        values = apply_operator(fn, params.lam, params.mu).evaluate(pts)
         if not np.isfinite(values).all():
             raise OverflowError(f"operator values on side {side} are not finite")
-        if test == "arg":
-            v = np.abs(np.angle(values))
-            i = int(np.argmax(v))
-            worse = worst is None or v[i] > worst[0]
-        else:
-            v = values.real
-            i = int(np.argmin(v))
-            worse = worst is None or v[i] < worst[0]
-        if worse:
-            worst = (float(v[i]), complex(pts[i]), side)
-    return worst
-
-
-def membership_alpha(f: NormalizedFunction, params: AlphaParams,
-                     grid: MembershipGrid | None = None) -> MembershipReport:
-    """Grid test of |arg L| < alpha*pi/2 for f and its reversion.
-
-    Works on truncations, so a PASS is necessary, not sufficient, for class
-    membership; a FAIL is conclusive at the truncation level.
-    """
-    grid = grid or MembershipGrid()
-    threshold = params.alpha * math.pi / 2.0
-    worst, point, side = _worst_over_grid(f, grid, params.lam, params.mu, "arg")
-    margin = threshold - worst
-    return MembershipReport(margin > -grid.tol, "arg", threshold, worst,
-                            margin, point, side, grid.tol)
-
-
-def membership_beta(f: NormalizedFunction, params: BetaParams,
-                    grid: MembershipGrid | None = None) -> MembershipReport:
-    """Grid test of Re L > beta for f and its reversion (necessary condition)."""
-    grid = grid or MembershipGrid()
-    worst, point, side = _worst_over_grid(f, grid, params.lam, params.mu, "re")
-    margin = worst - params.beta
-    return MembershipReport(margin > -grid.tol, "re", params.beta, worst,
+        score = np.abs(np.angle(values)) if test == "arg" else -values.real
+        i = int(np.argmax(score))
+        if worst is None or score[i] > worst[0]:
+            worst = (float(score[i]), complex(pts[i]), side)
+    score, point, side = worst
+    margin = sign * threshold - score
+    return MembershipReport(margin > -grid.tol, test, threshold, sign * score,
                             margin, point, side, grid.tol)
 
 
@@ -246,35 +234,14 @@ def _check_first_coeff_consistency(p1, q1):
         raise ValueError(f"inconsistent tuple: p1^2 != q1^2 ({p1!r}, {q1!r})")
 
 
-def _a3_lift(t: CoefficientTuple, phi1, lam, mu):
-    """(s, a3) with s = phi1^2 (p1^2+q1^2) / (2 (lam+mu)^2) and
-    a3 = s + phi1 (p2-q2) / (2 (2 lam+mu)); s is a2^2 when phi2 = 0."""
-    sq = phi1 * phi1 * (t.p1 * t.p1 + t.q1 * t.q1) / (2.0 * (lam + mu) ** 2)
-    return sq, sq + phi1 * (t.p2 - t.q2) / (2.0 * (2.0 * lam + mu))
-
-
-def lift_alpha(t: CoefficientTuple, params: AlphaParams):
-    """(a2^2, a3) functionals of a coefficient tuple for the angular class.
-
-    a2^2 = alpha^2 (p2+q2) / ((lam+mu)^2 + alpha (mu + 2 lam - lam^2)) and
-    a3 = alpha^2 (p1^2+q1^2) / (2 (lam+mu)^2) + alpha (p2-q2) / (2 (2 lam+mu)).
-    The denominator is positive throughout the parameter ranges.
-    """
-    _check_first_coeff_consistency(t.p1, t.q1)
-    a, lam, mu = params.alpha, params.lam, params.mu
-    denom = (lam + mu) ** 2 + a * (mu + 2.0 * lam - lam * lam)
-    a2_sq = a * a * (t.p2 + t.q2) / denom
-    return a2_sq, _a3_lift(t, a, lam, mu)[1]
-
-
 @dataclass(frozen=True)
-class BetaLift:
-    """Functionals of a tuple for the real-part class.
+class Lift:
+    """Functionals of a tuple, from the equations L[f] = phi(p), L[g] = phi(q).
 
     The two a2^2 candidates come from the first-coefficient equations and
-    from the sum of the second-coefficient equations; the two a3 routes come
-    from substituting a2^2 back versus eliminating it.  For tuples produced
-    by :func:`induce_q_beta` all four agree pairwise.
+    from the sum of the second-coefficient equations; each a3 route adds
+    phi1 (p2-q2) / (2 (2 lam+mu)), from their difference, to its a2^2.  For
+    tuples produced by ``induce_q_*`` all four agree pairwise.
     """
 
     a2sq_from_p1q1: complex
@@ -283,15 +250,20 @@ class BetaLift:
     a3_alternate: complex
 
 
-def lift_beta(t: CoefficientTuple, params: BetaParams) -> BetaLift:
+def lift(t: CoefficientTuple, params: AlphaParams | BetaParams) -> Lift:
+    """The :class:`Lift` of a coefficient tuple for the class of ``params``.
+
+    a2^2 = phi1^2 (p1^2+q1^2) / (2 (lam+mu)^2) or phi1 (p2+q2) / D with
+    D = (mu+1)(2 lam+mu) - 2 phi2 (lam+mu)^2 / phi1^2; phi2 <= 0 in both
+    classes, so D >= (mu+1)(2 lam+mu) >= 2.
+    """
     _check_first_coeff_consistency(t.p1, t.q1)
-    lam, mu = params.lam, params.mu
-    one_b = params.phi[0]
-    a2sq_1, a3_primary = _a3_lift(t, one_b, lam, mu)
-    a2sq_2 = one_b * (t.p2 + t.q2) / ((mu + 1.0) * (2.0 * lam + mu))
-    a3_alternate = one_b / (2.0 * (2.0 * lam + mu)) * (
-        (mu + 3.0) / (mu + 1.0) * t.p2 + (1.0 - mu) / (mu + 1.0) * t.q2)
-    return BetaLift(a2sq_1, a2sq_2, a3_primary, a3_alternate)
+    (phi1, phi2), lam, mu = params.phi, params.lam, params.mu
+    sq_1 = phi1 * phi1 * (t.p1 * t.p1 + t.q1 * t.q1) / (2.0 * (lam + mu) ** 2)
+    denom = (mu + 1.0) * (2.0 * lam + mu) - 2.0 * phi2 * (lam + mu) ** 2 / (phi1 * phi1)
+    sq_2 = phi1 * (t.p2 + t.q2) / denom
+    half_diff = phi1 * (t.p2 - t.q2) / (2.0 * (2.0 * lam + mu))
+    return Lift(sq_1, sq_2, sq_1 + half_diff, sq_2 + half_diff)
 
 
 def _induce_q(p1, p2, params):
@@ -318,7 +290,7 @@ def induce_q_alpha(p1, p2, params: AlphaParams):
     """(a2, a3, q1, q2) of the angular class from (p1, p2).
 
     Scalar or broadcasting array inputs.  Feeding the resulting tuple into
-    :func:`lift_alpha` reproduces (a2^2, a3) exactly.
+    :func:`lift` reproduces (a2^2, a3) on every route.
     """
     return _induce_q(p1, p2, params)
 

@@ -13,7 +13,7 @@ from bicoef.cli import main
 from bicoef.harness import falsify
 from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
                               apply_operator, induce_q_alpha, induce_q_beta,
-                              lift_alpha, lift_beta, operator_coeffs_closed)
+                              lift, operator_coeffs_closed)
 from bicoef.series import NormalizedFunction, inverse_coeffs_closed, revert
 
 
@@ -102,7 +102,7 @@ def test_criterion_5_falsification_dominance():
                     s = falsify(BetaParams(beta, lam, mu), n, seed)
                     total += 1
                     violations += len(s.violations)
-    a2_sq, _ = lift_alpha(CoefficientTuple(2, 2, 2, 2), AlphaParams(1, 1, 1))
+    a2_sq = lift(CoefficientTuple(2, 2, 2, 2), AlphaParams(1, 1, 1)).a2sq_from_p2q2
     attained = math.sqrt(abs(a2_sq))
     bound = bounds_alpha(AlphaParams(1, 1, 1)).a2_bound
     exact_attainment = abs(attained - bound) < 1e-12
@@ -120,15 +120,13 @@ def test_criterion_6_self_consistency():
         p2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         ap = AlphaParams(rng.uniform(0.05, 1), rng.uniform(1, 3), rng.uniform(0, 4))
         bp = BetaParams(rng.uniform(0, 0.95), rng.uniform(1, 3), rng.uniform(0, 4))
-        a2, a3, q1, q2 = induce_q_alpha(p1, p2, ap)
-        a2_sq, a3_back = lift_alpha(CoefficientTuple(p1, p2, q1, q2), ap)
-        ok &= abs(a2_sq - a2 * a2) < 1e-9 and abs(a3_back - a3) < 1e-9
-        a2, a3, q1, q2 = induce_q_beta(p1, p2, bp)
-        lift = lift_beta(CoefficientTuple(p1, p2, q1, q2), bp)
-        ok &= abs(lift.a2sq_from_p1q1 - a2 * a2) < 1e-9
-        ok &= abs(lift.a2sq_from_p2q2 - a2 * a2) < 1e-9
-        ok &= abs(lift.a3_primary - a3) < 1e-9
-        ok &= abs(lift.a3_primary - lift.a3_alternate) < 1e-9
+        for induce, params in ((induce_q_alpha, ap), (induce_q_beta, bp)):
+            a2, a3, q1, q2 = induce(p1, p2, params)
+            out = lift(CoefficientTuple(p1, p2, q1, q2), params)
+            ok &= abs(out.a2sq_from_p1q1 - a2 * a2) < 1e-9
+            ok &= abs(out.a2sq_from_p2q2 - a2 * a2) < 1e-9
+            ok &= abs(out.a3_primary - a3) < 1e-9
+            ok &= abs(out.a3_primary - out.a3_alternate) < 1e-9
     _verdict(6, ok,
              "induce -> lift round trips and the two a3 derivations agree "
              "within 1e-9 over 10^4 random draws in both families")

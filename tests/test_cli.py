@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bicoef import cli
 from bicoef.cli import main
 
 
@@ -166,7 +173,17 @@ def test_non_finite_param_is_usage_error(capsys, command, flag, value):
     ("member", "--family", "alpha", "--alpha", "0.5", "--coeffs", "0.05"),
 ], ids=lambda argv: argv[0])
 def test_order_zero_is_usage_error(capsys, argv):
-    assert "order" in assert_usage_error(capsys, *argv, "--order", "0")
+    for order in ("0", "100000"):
+        assert "order" in assert_usage_error(capsys, *argv, "--order", order)
+
+
+@pytest.mark.parametrize("argv", [
+    ("invert",), ("operator",), ("member", "--family", "beta", "--beta", "0.5"),
+], ids=lambda argv: argv[0])
+def test_coefficient_list_beyond_the_order_cap_is_usage_error(capsys, argv):
+    too_long, longest = ",".join(["0.01"] * 256), ",".join(["0.01"] * 255)
+    assert "--coeffs" in assert_usage_error(capsys, *argv, "--coeffs", too_long)
+    assert run(capsys, *argv, "--coeffs", longest, "--order", "2")[0] == 0
 
 
 @pytest.mark.parametrize("flag,value,field", [
@@ -226,9 +243,21 @@ def test_non_finite_input_or_result_is_usage_error(capsys, argv, flag):
      "--alpha"),
     (("invert", "--a2", "1", "--coeffs", "2,3"), "--a2"),
     (("invert", "--coeffs", "2,3", "--a4", "0"), "--a4"),
-], ids=["other-shape-flag", "other-shape-flag-beta", "a2-with-coeffs", "a4-with-coeffs"])
+    (("invert", "--a2", "1", "--order", "5"), "--order"),
+], ids=["other-shape-flag", "other-shape-flag-beta", "a2-with-coeffs", "a4-with-coeffs",
+        "order-without-coeffs"])
 def test_flags_that_would_be_ignored_are_usage_errors(capsys, argv, flag):
     assert flag in assert_usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 14.6 TiB for an array", ""])
+def test_out_of_memory_is_usage_error(capsys, monkeypatch, message):
+    def falsify(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, "falsify", falsify)
+    line = assert_usage_error(capsys, "falsify", "--family", "beta", "--beta",
+                              "0.5", "-n", "1000000000000")
+    assert line.startswith("bicoef: out of memory: ") and line.endswith(message or "no detail")
 
 
 def test_config_setting_both_shapes_is_usage_error(tmp_path, capsys):
@@ -330,3 +359,39 @@ def test_out_writes_report(tmp_path, capsys):
                      "--json", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["a2_bound"] > 0
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_COMMANDS = ("bound", "invert", "operator", "member", "falsify", "extremal",
+             "corollary-check")
+_FLAGS = ("-h", "--help", "--version", "--json", "--out", "--config", "--family",
+          "--alpha", "--beta", "--lambda", "--mu", "--a2", "--a3", "--a4",
+          "--coeffs", "--order", "--radii", "--angles", "--tol", "-n",
+          "--samples", "--filter", "--atoms", "--seed", "--objective",
+          "--budget", "--which")
+# the values of the choice flags, so that well-formed commands come up too
+_WORDS = ("alpha", "beta", "modulus", "toeplitz", "a2", "a3", "all", "c1")
+_VALUES = ("-1", "0", "1", "2", "0.5", "nan", "inf", "1e308", "x", "")
+_TOKENS = _COMMANDS + _FLAGS + _WORDS + _VALUES
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.builds(lambda head, rest: head + rest,
+                      st.lists(st.sampled_from(_COMMANDS), max_size=1),
+                      st.lists(st.sampled_from(_TOKENS), max_size=10)))
+def test_main_never_raises_and_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:   # --out writes relative paths
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bicoef: ")

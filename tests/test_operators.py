@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ import pytest
 from bicoef.caratheodory import sample_batch
 from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
                               MembershipGrid, apply_operator, induce_q_alpha,
-                              induce_q_beta, lift_alpha, lift_beta,
-                              membership_alpha, membership_beta,
+                              induce_q_beta, lift, membership,
                               operator_coeffs_closed)
-from bicoef.series import NormalizedFunction, identity_series
+from bicoef.series import NormalizedFunction, identity_series, revert
 
 
 # ------------------------------------------------------------------- params
@@ -107,68 +107,122 @@ def test_membership_identity_function_passes_everywhere():
     for _ in range(10):
         ap = AlphaParams(rng.uniform(0.05, 1), rng.uniform(1, 3), rng.uniform(0, 3))
         bp = BetaParams(rng.uniform(0, 0.95), rng.uniform(1, 3), rng.uniform(0, 3))
-        ra = membership_alpha(f, ap)
-        rb = membership_beta(f, bp)
+        ra = membership(f, ap)
+        rb = membership(f, bp)
         assert ra.passed and ra.margin == pytest.approx(ap.alpha * math.pi / 2)
         assert rb.passed and rb.margin == pytest.approx(1 - bp.beta)
 
 
-def test_membership_alpha_small_perturbation_passes():
+def test_membership_sector_small_perturbation_passes():
     f = NormalizedFunction.from_tail([0.05])
-    rep = membership_alpha(f, AlphaParams(0.5, 1, 1))
+    rep = membership(f, AlphaParams(0.5, 1, 1))
     assert rep.passed
 
 
-def test_membership_alpha_koebe_prefix_fails_tight_opening():
+def test_membership_sector_koebe_prefix_fails_tight_opening():
     f = NormalizedFunction.from_tail([2.0])
-    rep = membership_alpha(f, AlphaParams(0.1, 1, 1))
+    rep = membership(f, AlphaParams(0.1, 1, 1))
     assert not rep.passed
     assert rep.worst_value > 0.1 * math.pi / 2
 
 
-def test_membership_beta_small_perturbation_passes():
+def test_membership_half_plane_small_perturbation_passes():
     f = NormalizedFunction.from_tail([0.05])
-    rep = membership_beta(f, BetaParams(0.5, 1, 1))
+    rep = membership(f, BetaParams(0.5, 1, 1))
     assert rep.passed
 
 
-def test_membership_beta_koebe_prefix_fails_high_level():
+def test_membership_half_plane_koebe_prefix_fails_high_level():
     f = NormalizedFunction.from_tail([2.0])
-    rep = membership_beta(f, BetaParams(0.9, 1, 1))
+    rep = membership(f, BetaParams(0.9, 1, 1))
     assert not rep.passed
     assert rep.worst_value < 0.9
+
+
+def _reference_membership(f, params, grid):
+    # the two per-class membership tests as written before both classes shared one
+    pts = grid.points()
+    worst = None
+    for side, fn in (("f", f), ("g", revert(f))):
+        values = apply_operator(fn, params.lam, params.mu).evaluate(pts)
+        if params.family == "alpha":
+            v = np.abs(np.angle(values))
+            i = int(np.argmax(v))
+            worse = worst is None or v[i] > worst[0]
+        else:
+            v = values.real
+            i = int(np.argmin(v))
+            worse = worst is None or v[i] < worst[0]
+        if worse:
+            worst = (float(v[i]), complex(pts[i]), side)
+    value, point, side = worst
+    if params.family == "alpha":
+        test, threshold = "arg", params.alpha * math.pi / 2.0
+        margin = threshold - value
+    else:
+        test, threshold = "re", params.beta
+        margin = value - threshold
+    return (margin > -grid.tol, test, threshold, value, margin, point, side, grid.tol)
+
+
+@pytest.mark.parametrize("tail", [[0.05], [2.0], [0.3, -0.2], [0.5 + 0.1j, 0.25, -0.1]])
+@pytest.mark.parametrize("params", [
+    AlphaParams(1.0, 1, 1), AlphaParams(0.5, 1.5, 0.5), AlphaParams(0.1, 1, 0),
+    BetaParams(0.0, 1, 1), BetaParams(0.5, 1.5, 0.5), BetaParams(0.9, 2, 3),
+], ids=repr)
+def test_membership_matches_per_class_reference_exactly(params, tail):
+    f = NormalizedFunction.from_tail(tail, order=6)
+    grid = MembershipGrid(radii=(0.5, 0.99), n_angles=64)
+    rep = membership(f, params, grid)
+    assert astuple(rep) == _reference_membership(f, params, grid)
 
 
 def test_membership_grid_rejects_bad_radius():
     f = NormalizedFunction.from_tail([0.1])
     with pytest.raises(ValueError):
-        membership_alpha(f, AlphaParams(1, 1, 1), MembershipGrid(radii=(1.0,)))
+        membership(f, AlphaParams(1, 1, 1), MembershipGrid(radii=(1.0,)))
 
 
 # ------------------------------------------------------------- lift / induce
 
-def test_lift_alpha_extremal_tuple_attains_bound():
-    a2_sq, a3 = lift_alpha(CoefficientTuple(2, 2, 2, 2), AlphaParams(1, 1, 1))
+def _angular_lift(t, params):
+    # the two functionals the angular class read before both classes shared lift
+    out = lift(t, params)
+    return out.a2sq_from_p2q2, out.a3_primary
+
+
+def test_lift_angular_extremal_tuple_attains_bound():
+    a2_sq, a3 = _angular_lift(CoefficientTuple(2, 2, 2, 2), AlphaParams(1, 1, 1))
     assert a2_sq == pytest.approx(4 / 6, abs=1e-15)
     assert abs(math.sqrt(abs(a2_sq)) - math.sqrt(2 / 3)) < 1e-15
     assert a3 == pytest.approx(1.0, abs=1e-15)
 
 
-def test_lift_alpha_zero_tuple():
-    assert lift_alpha(CoefficientTuple(0, 0, 0, 0), AlphaParams(1, 2, 0)) == (0, 0)
+def test_lift_angular_zero_tuple():
+    assert _angular_lift(CoefficientTuple(0, 0, 0, 0), AlphaParams(1, 2, 0)) == (0, 0)
 
 
-def test_lift_alpha_second_coefficients_only():
-    a2_sq, a3 = lift_alpha(CoefficientTuple(0, 2, 0, -2), AlphaParams(1, 1, 1))
+def test_lift_angular_second_coefficients_only():
+    a2_sq, a3 = _angular_lift(CoefficientTuple(0, 2, 0, -2), AlphaParams(1, 1, 1))
     assert a2_sq == 0
     assert a3 == pytest.approx(2 / 3, abs=1e-15)
 
 
+@pytest.mark.parametrize("params,a2sq", [(AlphaParams(0.5, 1, 1), 0.2),
+                                         (BetaParams(0.0, 1, 1), 2 / 3)], ids=repr)
+def test_lift_routes_differ_off_the_induced_tuples(params, a2sq):
+    # p1 = q1 = 0 with p2 = q2 = 2 solves no class system, so each route shows
+    out = lift(CoefficientTuple(0, 2, 0, 2), params)
+    assert (out.a2sq_from_p1q1, out.a3_primary) == (0, 0)
+    assert out.a2sq_from_p2q2 == pytest.approx(a2sq, abs=1e-15)
+    assert out.a3_alternate == pytest.approx(a2sq, abs=1e-15)
+
+
 def test_lift_rejects_inconsistent_first_coefficients():
     with pytest.raises(ValueError):
-        lift_alpha(CoefficientTuple(1, 0, 0.5, 0), AlphaParams(1, 1, 1))
+        lift(CoefficientTuple(1, 0, 0.5, 0), AlphaParams(1, 1, 1))
     with pytest.raises(ValueError):
-        lift_beta(CoefficientTuple(1, 0, 0.5, 0), BetaParams(0, 1, 1))
+        lift(CoefficientTuple(1, 0, 0.5, 0), BetaParams(0, 1, 1))
 
 
 def test_induce_alpha_frozen_example():
@@ -258,16 +312,36 @@ def test_induce_lift_round_trip():
         ap, bp = _random_params(rng)
 
         a2, a3, q1, q2 = induce_q_alpha(p1, p2, ap)
-        a2_sq, a3_back = lift_alpha(CoefficientTuple(p1, p2, q1, q2), ap)
+        a2_sq, a3_back = _angular_lift(CoefficientTuple(p1, p2, q1, q2), ap)
         assert abs(a2_sq - a2 * a2) < 1e-9
         assert abs(a3_back - a3) < 1e-9
 
         a2, a3, q1, q2 = induce_q_beta(p1, p2, bp)
-        lift = lift_beta(CoefficientTuple(p1, p2, q1, q2), bp)
-        assert abs(lift.a2sq_from_p1q1 - a2 * a2) < 1e-9
-        assert abs(lift.a2sq_from_p2q2 - a2 * a2) < 1e-9
-        assert abs(lift.a3_primary - a3) < 1e-9
-        assert abs(lift.a3_alternate - a3) < 1e-9
+        out = lift(CoefficientTuple(p1, p2, q1, q2), bp)
+        assert abs(out.a2sq_from_p1q1 - a2 * a2) < 1e-9
+        assert abs(out.a2sq_from_p2q2 - a2 * a2) < 1e-9
+        assert abs(out.a3_primary - a3) < 1e-9
+        assert abs(out.a3_alternate - a3) < 1e-9
+
+
+@pytest.mark.parametrize("family,shapes", [
+    ("alpha", (1.0, 0.9, 0.5, 0.05)), ("beta", (0.0, 0.5, 0.8, 0.95)),
+])
+def test_lift_recovers_induced_tuples_on_every_route(family, shapes):
+    # lam^2 > 2 lam + mu (lam = 5, mu = 0) is where the angular a2^2 denominator
+    # differs most from (lam+mu)^2
+    cls, induce, _ = _ORACLES[family]
+    _, _, coeffs = sample_batch(5, 500, 3, order=2)
+    for shape in shapes:
+        for lam, mu in [(1.0, 0.0), (1.5, 0.5), (5.0, 0.0), (2.0, 3.0)]:
+            params = cls(shape, lam, mu)
+            for p1, p2 in coeffs.tolist():
+                a2, a3, q1, q2 = induce(p1, p2, params)
+                out = lift(CoefficientTuple(p1, p2, q1, q2), params)
+                assert abs(out.a2sq_from_p1q1 - a2 * a2) < 1e-9
+                assert abs(out.a2sq_from_p2q2 - a2 * a2) < 1e-9
+                assert abs(out.a3_primary - a3) < 1e-9
+                assert abs(out.a3_alternate - a3) < 1e-9
 
 
 def test_first_coefficient_square_identity():
@@ -283,18 +357,18 @@ def test_first_coefficient_square_identity():
         assert abs(lhs - rhs) < 1e-10
 
 
-def test_lift_beta_frozen_example():
-    lift = lift_beta(CoefficientTuple(2, 2, -2, 4), BetaParams(0.0, 1, 1))
-    assert lift.a2sq_from_p1q1 == pytest.approx(1.0, abs=1e-15)
-    assert lift.a2sq_from_p2q2 == pytest.approx(1.0, abs=1e-15)
-    assert lift.a3_primary == pytest.approx(2 / 3, abs=1e-15)
-    assert lift.a3_alternate == pytest.approx(2 / 3, abs=1e-15)
+def test_lift_real_part_frozen_example():
+    out = lift(CoefficientTuple(2, 2, -2, 4), BetaParams(0.0, 1, 1))
+    assert out.a2sq_from_p1q1 == pytest.approx(1.0, abs=1e-15)
+    assert out.a2sq_from_p2q2 == pytest.approx(1.0, abs=1e-15)
+    assert out.a3_primary == pytest.approx(2 / 3, abs=1e-15)
+    assert out.a3_alternate == pytest.approx(2 / 3, abs=1e-15)
 
 
-def test_lift_beta_zero_tuple():
-    lift = lift_beta(CoefficientTuple(0, 0, 0, 0), BetaParams(0.3, 1.5, 2))
-    assert (lift.a2sq_from_p1q1, lift.a2sq_from_p2q2) == (0, 0)
-    assert (lift.a3_primary, lift.a3_alternate) == (0, 0)
+def test_lift_real_part_zero_tuple():
+    out = lift(CoefficientTuple(0, 0, 0, 0), BetaParams(0.3, 1.5, 2))
+    assert (out.a2sq_from_p1q1, out.a2sq_from_p2q2) == (0, 0)
+    assert (out.a3_primary, out.a3_alternate) == (0, 0)
 
 
 def test_denominator_positive_on_dense_grid():
@@ -302,5 +376,6 @@ def test_denominator_positive_on_dense_grid():
     lams = np.linspace(1.0, 6.0, 40)
     mus = np.linspace(0.0, 6.0, 40)
     a, l, m = np.meshgrid(alphas, lams, mus, indexing="ij")
-    denom = (l + m) ** 2 + a * (m + 2 * l - l * l)
+    phi1, phi2 = a, a * (a - 1) / 2
+    denom = (m + 1) * (2 * l + m) - 2 * phi2 * (l + m) ** 2 / (phi1 * phi1)
     assert denom.min() > 0
