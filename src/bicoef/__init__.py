@@ -17,8 +17,8 @@ from .operators import (AlphaParams, BetaParams, CoefficientTuple,
                         MembershipGrid, MembershipReport, apply_operator,
                         operator_coeffs_closed, membership, lift, Lift,
                         induce_q_alpha, induce_q_beta)
-from .bounds import (BoundReport, IdentityReport, bounds_alpha, bounds_beta,
-                     bounds_for, corollary_check, COROLLARY_IDS)
+from .bounds import (BoundReport, IdentityReport, bounds_for, corollary_check,
+                     COROLLARY_IDS)
 from .harness import (CampaignSummary, EmpiricalExtremum, falsify,
                       extremal_search, VIOLATION_TOL)
 
@@ -33,8 +33,7 @@ __all__ = [
     "AlphaParams", "BetaParams", "CoefficientTuple", "MembershipGrid",
     "MembershipReport", "apply_operator", "operator_coeffs_closed",
     "membership", "lift", "Lift", "induce_q_alpha", "induce_q_beta",
-    "BoundReport", "IdentityReport", "bounds_alpha", "bounds_beta",
-    "bounds_for", "corollary_check", "COROLLARY_IDS",
-    "CampaignSummary", "EmpiricalExtremum",
+    "BoundReport", "IdentityReport", "bounds_for", "corollary_check",
+    "COROLLARY_IDS", "CampaignSummary", "EmpiricalExtremum",
     "falsify", "extremal_search", "VIOLATION_TOL",
 ]

@@ -1,9 +1,11 @@
 """Closed-form coefficient bounds for both classes, with branch bookkeeping.
 
-The angular-opening class has single-expression bounds; the real-part class
-bound is a min of two arms for |a2| and, for |a3|, a min of two arms below
-mu = 1 and a single expression at and above it.  Reports record which arm or
-case produced the value.
+Every arm is written in phi1, lam, mu and D = ``params.sum_denominator``, a
+sum of non-negative terms (the paper's angular form of alpha D cancels for
+large lam).  The angular-opening class has single-expression bounds; the
+real-part class bound is a min of two arms for |a2| and, for |a3|, a min of
+two arms below mu = 1 and a single expression at and above it.  Reports
+record which arm or case produced the value.
 
 Corollary reductions (the classical special cases at mu = 1, lam = mu = 1 and
 lam = 1, mu = 0) are verified against their classical closed forms with an
@@ -21,8 +23,6 @@ from .operators import AlphaParams, BetaParams
 __all__ = [
     "BoundReport",
     "IdentityReport",
-    "bounds_alpha",
-    "bounds_beta",
     "bounds_for",
     "corollary_check",
     "COROLLARY_IDS",
@@ -57,38 +57,37 @@ def _a3_sum(phi1, lam, mu):
     return 4.0 * phi1 * phi1 / (lam + mu) ** 2 + 2.0 * phi1 / (2.0 * lam + mu)
 
 
-def _beta_a2_arms(phi1, lam, mu):
-    """(sqrt arm, linear arm) of the real-part class |a2| bound."""
-    return (math.sqrt(4.0 * phi1 / ((mu + 1.0) * (2.0 * lam + mu))),
-            2.0 * phi1 / (lam + mu))
+def _a2_arms(params):
+    """(sqrt arm, linear arm) of |a2|: sqrt(4 phi1 / D) and 2 phi1 / (lam+mu).
 
-
-def bounds_alpha(params: AlphaParams) -> BoundReport:
-    """|a2| <= 2a/sqrt((l+m)^2 + a(m+2l-l^2)), |a3| <= 4a^2/(l+m)^2 + 2a/(2l+m)."""
-    a, lam, mu = params.alpha, params.lam, params.mu
-    denom = (lam + mu) ** 2 + a * (mu + 2.0 * lam - lam * lam)
-    a2 = 2.0 * a / math.sqrt(denom)
-    return BoundReport(a2, _a3_sum(a, lam, mu), SINGLE, SINGLE)
-
-
-def bounds_beta(params: BetaParams) -> BoundReport:
-    """Min-of-arms bound for |a2|; case split at mu = 1 for |a3|.
-
-    Ties go to the first-listed arm.  The mu >= 1 case uses denominator
-    2*lam + mu (the case boundary itself, mu = 1, is included there).
+    phi1 / D is about alpha^2, so phi1 is scaled by 4^-k around the sqrt: no
+    bit changes where 4 phi1 / D is normal, and alpha < 1e-154 cannot underflow.
     """
-    lam, mu = params.lam, params.mu
-    one_b = params.phi[0]
-    a2_sqrt, a2_lin = _beta_a2_arms(one_b, lam, mu)
-    if a2_sqrt <= a2_lin:
-        a2, a2_branch = a2_sqrt, MIN_ARM_SQRT
+    phi1 = params.phi[0]
+    k = math.frexp(phi1)[1] // 2
+    sqrt_arm = math.sqrt(4.0 * math.ldexp(phi1, -2 * k) / params.sum_denominator)
+    return math.ldexp(sqrt_arm, k), 2.0 * phi1 / (params.lam + params.mu)
+
+
+def _bounds(params) -> BoundReport:
+    """Angular class: the sqrt arm and the a3 sum.  Real-part class: the min of
+    the |a2| arms; for |a3|, the min of 4 phi1 / D and the a3 sum below mu = 1
+    and 2 phi1 / (2 lam+mu) at and above it.  Ties go to the first-listed arm.
+    The a3 sum, which overflows at lam = 1e200, is evaluated only where used.
+    """
+    phi1, lam, mu = params.phi[0], params.lam, params.mu
+    sqrt_arm, linear_arm = _a2_arms(params)
+    if params.family == "alpha":
+        return BoundReport(sqrt_arm, _a3_sum(phi1, lam, mu), SINGLE, SINGLE)
+    if sqrt_arm <= linear_arm:
+        a2, a2_branch = sqrt_arm, MIN_ARM_SQRT
     else:
-        a2, a2_branch = a2_lin, MIN_ARM_LINEAR
+        a2, a2_branch = linear_arm, MIN_ARM_LINEAR
     if mu >= 1.0:
-        a3, a3_branch = 2.0 * one_b / (2.0 * lam + mu), MU_GE1
+        a3, a3_branch = 2.0 * phi1 / (2.0 * lam + mu), MU_GE1
     else:
-        arm1 = 4.0 * one_b / ((mu + 1.0) * (2.0 * lam + mu))
-        arm2 = _a3_sum(one_b, lam, mu)
+        arm1 = 4.0 * phi1 / params.sum_denominator
+        arm2 = _a3_sum(phi1, lam, mu)
         if arm1 <= arm2:
             a3, a3_branch = arm1, MU_LT1_ARM1
         else:
@@ -96,20 +95,18 @@ def bounds_beta(params: BetaParams) -> BoundReport:
     return BoundReport(a2, a3, a2_branch, a3_branch)
 
 
-def bounds_for(params) -> BoundReport:
-    """The bounds of the class that ``params`` belongs to.
+def bounds_for(params: AlphaParams | BetaParams) -> BoundReport:
+    """The bounds of the class that ``params`` belongs to, from ``phi`` and ``D``.
 
-    A lam or mu so large that a bound overflows, or cancels to zero or below,
+    A lam or mu so large that a bound overflows, or underflows to zero,
     raises ValueError rather than yield a bound that is not a finite positive
     float.
     """
-    bounds = {"alpha": bounds_alpha, "beta": bounds_beta}.get(
-        getattr(params, "family", None))
-    if bounds is None:
+    if not isinstance(params, (AlphaParams, BetaParams)):
         raise TypeError(f"expected AlphaParams or BetaParams, got {type(params).__name__}")
     try:
-        rep = bounds(params)
-    except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: sqrt(< 0)
+        rep = _bounds(params)
+    except OverflowError:   # (lam+mu)**2
         rep = None
     if rep is None or not all(0.0 < b < math.inf for b in (rep.a2_bound, rep.a3_bound)):
         raise ValueError(f"lambda = {params.lam!r} and mu = {params.mu!r} are too "
@@ -203,11 +200,9 @@ def _exact_forms(family: str, s: Fraction, lam: Fraction, mu: Fraction) -> dict:
 def _float_forms(params) -> dict:
     """The same quantities from the float production route, |a2| unsquared."""
     rep = bounds_for(params)
-    forms = {"a2": rep.a2_bound, "a3": rep.a3_bound}
-    if params.family == "beta":
-        forms["a2-sqrt-arm"], forms["a2-linear-arm"] = _beta_a2_arms(
-            params.phi[0], params.lam, params.mu)
-    return forms
+    sqrt_arm, linear_arm = _a2_arms(params)
+    return {"a2": rep.a2_bound, "a3": rep.a3_bound,
+            "a2-sqrt-arm": sqrt_arm, "a2-linear-arm": linear_arm}
 
 
 @dataclass(frozen=True)

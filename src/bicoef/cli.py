@@ -78,21 +78,16 @@ def _float_list(text: str) -> list[float]:
     return [_float(t) for t in text.split(",") if t.strip()]
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+def _report(args, payload: dict, text_lines: list[str]) -> str:
+    """The --json payload (a complex as [re, im]) or the text lines."""
+    if args.json:
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          default=lambda z: [z.real, z.imag])
+    return "\n".join(text_lines)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        out = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    else:
-        out = "\n".join(text_lines)
+    out = _report(args, payload, text_lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -213,10 +208,7 @@ def _cmd_falsify(args) -> int:
         f"max |a3|   {summary.max_a3_abs!r}  bound {summary.bounds.a3_bound!r}",
         f"violations {len(summary.violations)}",
     ]
-    if args.json:
-        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    print(_report(args, payload, lines))
     return 1 if summary.violations else 0
 
 

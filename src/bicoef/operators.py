@@ -7,9 +7,9 @@ route is the module's core identity.  The induce/lift pair implements the
 forward and inverse coefficient-equating systems used to derive the bounds:
 ``induce_q_*`` solves for (a2, a3) and the second positive-real-part element
 from a given first one, :func:`lift` recovers the coefficient functionals from
-a full tuple.  Both classes share one system, written in the (phi1, phi2) that
-the params objects state, and one grid membership test of the region
-``phi(U)`` that they state as ``region``.
+a full tuple.  Both classes share one system, written in the (phi1, phi2) and
+the denominator ``sum_denominator`` that the params objects state, and one
+grid membership test of the region ``phi(U)`` that they state as ``region``.
 
 All scalar formulas are plain arithmetic, so they broadcast over numpy
 arrays; the falsification harness relies on that.
@@ -49,9 +49,10 @@ class _ClassParams:
 
     Both classes are ``L[f] = phi(p)`` for a positive-real-part ``p``, with
     ``L1 = phi1 p1`` and ``L2 = phi1 p2 + phi2 p1^2`` (the Ma-Minda form);
-    ``phi`` is ``(phi1, phi2)``, and ``region`` is the region ``phi(U)``
-    that ``L[f]`` must map into, as ``(test, threshold)``.  ``family`` names
-    the class and its shape field.
+    ``phi`` is ``(phi1, phi2)``, ``sum_denominator`` is the ``D`` that
+    :func:`lift` and every bound arm use, and ``region`` is the region
+    ``phi(U)`` that ``L[f]`` must map into, as ``(test, threshold)``.
+    ``family`` names the class and its shape field.
     """
 
     family: ClassVar[str]
@@ -65,6 +66,17 @@ class _ClassParams:
             raise ValueError(f"lam must be >= 1, got {self.lam!r}")
         if self.mu < 0.0:
             raise ValueError(f"mu must be >= 0, got {self.mu!r}")
+
+    @property
+    def sum_denominator(self) -> float:
+        """D = (mu+1)(2 lam+mu) - 2 phi2 (lam+mu)^2 / phi1^2 >= 2, as phi2 <= 0.
+
+        The summed second-coefficient equations of f and its inverse give
+        a2^2 = phi1 (p2+q2) / D.  The phi2 term is skipped when phi2 = 0.
+        """
+        (phi1, phi2), lam, mu = self.phi, self.lam, self.mu
+        d = (mu + 1.0) * (2.0 * lam + mu)
+        return d - 2.0 * phi2 / phi1 * (lam + mu) ** 2 / phi1 if phi2 else d
 
 
 @dataclass(frozen=True)
@@ -254,14 +266,12 @@ def lift(t: CoefficientTuple, params: AlphaParams | BetaParams) -> Lift:
     """The :class:`Lift` of a coefficient tuple for the class of ``params``.
 
     a2^2 = phi1^2 (p1^2+q1^2) / (2 (lam+mu)^2) or phi1 (p2+q2) / D with
-    D = (mu+1)(2 lam+mu) - 2 phi2 (lam+mu)^2 / phi1^2; phi2 <= 0 in both
-    classes, so D >= (mu+1)(2 lam+mu) >= 2.
+    D = ``params.sum_denominator``.
     """
     _check_first_coeff_consistency(t.p1, t.q1)
-    (phi1, phi2), lam, mu = params.phi, params.lam, params.mu
+    phi1, lam, mu = params.phi[0], params.lam, params.mu
     sq_1 = phi1 * phi1 * (t.p1 * t.p1 + t.q1 * t.q1) / (2.0 * (lam + mu) ** 2)
-    denom = (mu + 1.0) * (2.0 * lam + mu) - 2.0 * phi2 * (lam + mu) ** 2 / (phi1 * phi1)
-    sq_2 = phi1 * (t.p2 + t.q2) / denom
+    sq_2 = phi1 * (t.p2 + t.q2) / params.sum_denominator
     half_diff = phi1 * (t.p2 - t.q2) / (2.0 * (2.0 * lam + mu))
     return Lift(sq_1, sq_2, sq_1 + half_diff, sq_2 + half_diff)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from bicoef.bounds import COROLLARY_IDS, bounds_alpha, corollary_check
+from bicoef.bounds import COROLLARY_IDS, bounds_for, corollary_check
 from bicoef.cli import main
 from bicoef.harness import falsify
 from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
@@ -24,10 +24,10 @@ def _verdict(n: int, ok: bool, desc: str) -> None:
 
 def test_criterion_1_bound_evaluation():
     checks = []
-    rep = bounds_alpha(AlphaParams(1, 1, 1))
+    rep = bounds_for(AlphaParams(1, 1, 1))
     checks.append(abs(rep.a2_bound - math.sqrt(float(Fraction(2, 3)))) < 1e-12)
     checks.append(abs(rep.a3_bound - float(Fraction(5, 3))) < 1e-12)
-    rep = bounds_alpha(AlphaParams(1, 1, 0))
+    rep = bounds_for(AlphaParams(1, 1, 0))
     checks.append(abs(rep.a2_bound - math.sqrt(float(Fraction(2)))) < 1e-12)
     checks.append(abs(rep.a3_bound - float(Fraction(5))) < 1e-12)
     _verdict(1, all(checks),
@@ -104,7 +104,7 @@ def test_criterion_5_falsification_dominance():
                     violations += len(s.violations)
     a2_sq = lift(CoefficientTuple(2, 2, 2, 2), AlphaParams(1, 1, 1)).a2sq_from_p2q2
     attained = math.sqrt(abs(a2_sq))
-    bound = bounds_alpha(AlphaParams(1, 1, 1)).a2_bound
+    bound = bounds_for(AlphaParams(1, 1, 1)).a2_bound
     exact_attainment = abs(attained - bound) < 1e-12
     _verdict(5, violations == 0 and exact_attainment,
              f"{total} campaigns x {n} samples: {violations} bound "

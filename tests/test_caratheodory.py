@@ -261,6 +261,7 @@ def test_extremal_tuples_against_eigvalsh():
     assert adm.all()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_k2_prefix_is_not_admissible():
     nan = float("nan")
     assert is_admissible_prefix([nan, 0]) == FAIL_TOEPLITZ

@@ -1,14 +1,17 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicoef import cli
+from bicoef.bounds import a2sq_alpha_exact, a3_alpha_exact
 from bicoef.cli import main
 
 
@@ -214,11 +217,22 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     ("falsify", "--family", "alpha", "--alpha", "0.5", "--lambda", "1e200",
      "-n", "10"),
     ("bound", "--family", "beta", "--beta", "0.5", "--lambda", "1e308"),
-    ("bound", "--family", "alpha", "--alpha", "1", "--lambda", "1e150",
-     "--mu", "1"),
-], ids=["overflow", "underflow", "cancellation"])
+], ids=["overflow", "underflow"])
 def test_huge_lambda_is_usage_error(capsys, argv):
     assert "lambda" in assert_usage_error(capsys, *argv)
+
+
+def test_huge_lambda_alpha_bound_does_not_cancel(capsys):
+    # the paper's form (lam+mu)^2 + alpha (mu + 2 lam - lam^2) cancels to 0 here
+    code, out, _ = run(capsys, "bound", "--family", "alpha", "--alpha", "1",
+                       "--lambda", "1e150", "--mu", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    lam, mu = Fraction(10) ** 150, Fraction(1)
+    a2 = math.sqrt(a2sq_alpha_exact(Fraction(1), lam, mu))
+    a3 = float(a3_alpha_exact(Fraction(1), lam, mu))
+    assert abs(payload["a2_bound"] - a2) <= 1e-15 * a2
+    assert abs(payload["a3_bound"] - a3) <= 1e-15 * a3
 
 
 @pytest.mark.filterwarnings("error")   # a numpy RuntimeWarning fails the test
@@ -353,6 +367,17 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     assert "config error" in line and f"{cfg}:1" in line
 
 
+
+def test_huge_lambda_beta_bound_evaluates_only_the_arms_it_uses(capsys):
+    # the a3 sum squares lam + mu, which overflows here; mu >= 1 does not use it
+    code, out, _ = run(capsys, "bound", "--family", "beta", "--beta", "0.5",
+                       "--lambda", "1e200", "--mu", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["a2_bound"] == pytest.approx(1e-200, rel=1e-15)
+    assert payload["a3_bound"] == pytest.approx(5e-201, rel=1e-15)
+    assert (payload["a2_branch"], payload["a3_branch"]) == ("min-arm-linear", "mu-ge-1")
+
 def test_out_writes_report(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _, _ = run(capsys, "bound", "--family", "beta", "--beta", "0.5",
@@ -391,6 +416,8 @@ def test_main_never_raises_and_exits_0_1_or_2(argv):
         finally:
             os.chdir(cwd)
     assert code in (0, 1, 2)
+    if code == 1:   # a violated invariant: only these handlers report one
+        assert argv[0] in ("falsify", "extremal", "corollary-check")
     if code == 2:
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
