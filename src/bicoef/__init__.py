@@ -8,9 +8,8 @@ falsification harness with a CLI.
 """
 
 from .series import (TruncatedSeries, NormalizedFunction, compose, revert,
-                     inverse_coeffs_closed, identity_series, DEFAULT_ORDER)
-from .caratheodory import (CaratheodoryElement, herglotz, sample_random,
-                           sample_batch, is_admissible_prefix,
+                     inverse_coeffs_closed, identity_series)
+from .caratheodory import (herglotz, sample_batch, is_admissible_prefix,
                            toeplitz_moment_matrix, PASS, FAIL_MODULUS,
                            FAIL_TOEPLITZ)
 from .operators import (AlphaParams, BetaParams, CoefficientTuple,
@@ -26,8 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TruncatedSeries", "NormalizedFunction", "compose", "revert",
-    "inverse_coeffs_closed", "identity_series", "DEFAULT_ORDER",
-    "CaratheodoryElement", "herglotz", "sample_random", "sample_batch",
+    "inverse_coeffs_closed", "identity_series", "herglotz", "sample_batch",
     "is_admissible_prefix", "toeplitz_moment_matrix",
     "PASS", "FAIL_MODULUS", "FAIL_TOEPLITZ",
     "AlphaParams", "BetaParams", "CoefficientTuple", "MembershipGrid",

@@ -2,7 +2,10 @@
 
 Every element built here is a convex combination of Moebius atoms
 (1 + e^{i*theta} z) / (1 - e^{i*theta} z), each of which has positive real
-part on the disk, so class membership is exact by construction.  The
+part on the disk, so class membership is exact by construction.  An element
+is its coefficient array c_1..c_K (p(0) = 1 is implied): :func:`herglotz`
+gives it for one atom mixture, :func:`sample_batch` for a batch of random
+ones, with c_k = 2 sum_i t_i e^{i k theta_i}.  The
 admissibility test for bare coefficient prefixes combines the modulus
 condition |c_k| <= 2 with positive semidefiniteness of the Toeplitz moment
 matrix; the modulus condition alone is available as the "modulus" mode.
@@ -20,16 +23,10 @@ tests hold the closed form to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .series import TruncatedSeries, DEFAULT_ORDER
-
 __all__ = [
-    "CaratheodoryElement",
     "herglotz",
-    "sample_random",
     "sample_batch",
     "is_admissible_prefix",
     "admissibility_mask_k2",
@@ -51,47 +48,6 @@ EIG_TOL = 1e-9       # smallest moment-matrix eigenvalue may dip this far below 
 WEIGHT_TOL = 1e-12   # atom weights must sum to 1 within this
 
 
-@dataclass(frozen=True)
-class CaratheodoryElement:
-    """A coefficient prefix of an element p with p(0) = 1 and Re p > 0.
-
-    ``atoms`` holds the generating (weight, angle) pairs when the element was
-    produced constructively; reconstruction then gives
-    c_k = 2 * sum_i t_i * exp(i*k*theta_i).
-    """
-
-    series: TruncatedSeries
-    atoms: tuple[tuple[float, float], ...] | None = None
-
-    def __post_init__(self):
-        if self.series.coeffs[0] != 1:
-            raise ValueError("constant term must be exactly 1")
-
-    @property
-    def order(self) -> int:
-        return self.series.order
-
-    def coeff_prefix(self, k: int | None = None) -> np.ndarray:
-        """Coefficients c_1..c_k (defaults to the full known prefix)."""
-        k = self.order if k is None else k
-        return self.series.coeffs[1 : k + 1]
-
-    def atom_value(self, z):
-        """Exact evaluation sum_i t_i (1+e^{i th} z)/(1-e^{i th} z).
-
-        Unlike truncated-series evaluation there is no tail error, so this is
-        the right way to test Re p > 0 on a grid.  Requires atoms.
-        """
-        if self.atoms is None:
-            raise ValueError("element carries no atom representation")
-        zs = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(zs)
-        for t, theta in self.atoms:
-            u = np.exp(1j * theta) * zs
-            acc = acc + t * (1 + u) / (1 - u)
-        return complex(acc) if acc.ndim == 0 else acc
-
-
 def _mixture_coeffs(weights, angles, order: int) -> np.ndarray:
     """(count, order) array of c_1..c_order, c_k = 2 sum_i t_i e^{ik th_i}."""
     k = np.arange(1, order + 1)
@@ -99,22 +55,21 @@ def _mixture_coeffs(weights, angles, order: int) -> np.ndarray:
     return 2.0 * (weights[:, :, None] * phases).sum(axis=1)
 
 
-def herglotz(atoms, order: int = DEFAULT_ORDER) -> CaratheodoryElement:
-    """Element generated by a finite atom mixture [(t_i, theta_i), ...].
+def herglotz(atoms, order: int) -> np.ndarray:
+    """c_1..c_order, as an (order,) array, of the atom mixture [(t_i, theta_i), ...].
 
-    Weights must be positive and sum to 1 within WEIGHT_TOL.
+    Weights must be positive and sum to 1 within WEIGHT_TOL.  Equals the row
+    of :func:`sample_batch` drawn with the same atoms, bit for bit.
     """
-    atoms = tuple((float(t), float(th)) for t, th in atoms)
-    if not atoms:
-        raise ValueError("need at least one atom")
-    w = np.array([t for t, _ in atoms])
+    a = np.array(atoms, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 2 or not len(a):
+        raise ValueError("need at least one (weight, angle) atom")
+    w, th = a.T
     if np.any(w <= 0):
         raise ValueError("atom weights must be positive")
     if abs(w.sum() - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"atom weights must sum to 1, got {w.sum()!r}")
-    th = np.array([t for _, t in atoms])
-    c = np.concatenate(([1.0], _mixture_coeffs(w[None, :], th[None, :], order)[0]))
-    return CaratheodoryElement(TruncatedSeries(c), atoms)
+        raise ValueError(f"atom weights must sum to 1, got {float(w.sum())!r}")
+    return _mixture_coeffs(w[None, :], th[None, :], order)[0]
 
 
 def _spawn_streams(seed: int):
@@ -140,16 +95,6 @@ def sample_batch(seed: int, count: int, atom_count: int, order: int = 2):
     t = w / w.sum(axis=1, keepdims=True)
     theta = arng.uniform(0.0, 2.0 * np.pi, (count, atom_count))
     return t, theta, _mixture_coeffs(t, theta, order)
-
-
-def sample_random(seed: int, atom_count: int, order: int = DEFAULT_ORDER) -> CaratheodoryElement:
-    """One random atom-mixture element; bitwise deterministic per seed.
-
-    Coincides with row 0 of :func:`sample_batch` for the same seed.
-    """
-    t, theta, _ = sample_batch(seed, 1, atom_count, order=1)
-    atoms = tuple(zip(t[0].tolist(), theta[0].tolist()))
-    return herglotz(atoms, order=order)
 
 
 def toeplitz_moment_matrix(c) -> np.ndarray:

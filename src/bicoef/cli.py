@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -52,16 +53,22 @@ _float, _complex = _number(float), _number(complex)
 MAX_ORDER = 256   # series.revert composes once per coefficient: order 320 takes seconds
 
 
-def _order(text: str) -> int:
-    """argparse type: a series truncation order in [1, MAX_ORDER]."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an int value: {text!r}")
-    if not 1 <= value <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"must lie in [1, {MAX_ORDER}], got {value}")
-    return value
+def _int(lo: int, hi: int | None = None):
+    """argparse type: an int in [lo, hi], or at least lo where hi is None."""
+    wanted = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an int value: {text!r}")
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must {wanted}, got {value}")
+        return value
+    return parse
+
+
+_order, _count, _seed = _int(1, MAX_ORDER), _int(1), _int(0)
 
 
 def _complex_list(text: str) -> list[complex]:
@@ -126,12 +133,8 @@ def _params_from_args(args):
 def _cmd_bound(args) -> int:
     params = _params_from_args(args)
     rep = bounds_for(params)
-    payload = {"family": params.family,
-               "alpha": getattr(params, "alpha", None),
-               "beta": getattr(params, "beta", None),
-               "lambda": params.lam, "mu": params.mu,
-               "a2_bound": rep.a2_bound, "a3_bound": rep.a3_bound,
-               "a2_branch": rep.a2_branch, "a3_branch": rep.a3_branch}
+    payload = {"family": params.family, "alpha": args.alpha, "beta": args.beta,
+               "lambda": params.lam, "mu": params.mu, **asdict(rep)}
     lines = [f"a2_bound = {rep.a2_bound!r}  [{rep.a2_branch}]",
              f"a3_bound = {rep.a3_bound!r}  [{rep.a3_branch}]"]
     _emit(args, payload, lines)
@@ -179,16 +182,12 @@ def _cmd_member(args) -> int:
                           tol=args.tol)
     with _usage_error_on_overflow("--coeffs, --lambda and --mu"):
         rep = membership(f, params, grid)
-    payload = {"passed": rep.passed, "test": rep.test,
-               "threshold": rep.threshold, "worst_value": rep.worst_value,
-               "margin": rep.margin, "worst_point": rep.worst_point,
-               "worst_side": rep.worst_side}
     lines = [f"{'PASS' if rep.passed else 'FAIL'} ({rep.test} test, "
              f"threshold {rep.threshold!r})",
              f"worst value {rep.worst_value!r} at z = {rep.worst_point} "
              f"on side {rep.worst_side}",
              f"margin {rep.margin!r}"]
-    _emit(args, payload, lines)
+    _emit(args, asdict(rep), lines)
     return 0
 
 
@@ -216,31 +215,18 @@ def _cmd_extremal(args) -> int:
     params = _params_from_args(args)
     res = extremal_search(params, args.objective, args.budget, args.seed,
                           atom_count=args.atoms)
-    payload = {"objective": res.objective, "achieved": res.achieved,
-               "bound": res.bound, "gap": res.gap,
-               "evaluations": res.evaluations,
-               "best_tuple": {"p1": res.best_tuple.p1, "p2": res.best_tuple.p2,
-                              "q1": res.best_tuple.q1, "q2": res.best_tuple.q2},
-               "best_atoms": res.best_atoms}
     lines = [f"objective |{res.objective}|",
              f"achieved  {res.achieved!r}",
              f"bound     {res.bound!r}",
              f"gap       {res.gap!r}",
              f"evals     {res.evaluations}"]
-    _emit(args, payload, lines)
+    _emit(args, asdict(res), lines)
     return 1 if res.gap < -VIOLATION_TOL else 0
 
 
 def _cmd_corollary_check(args) -> int:
     which = COROLLARY_IDS if args.which == "all" else (args.which,)
     reports = [corollary_check(w) for w in which]
-    payload = {"reports": [{
-        "which": r.which, "passed": r.passed, "points": r.points,
-        "max_deviation": r.max_deviation, "exact_identity": r.exact_identity,
-        "crossover_expected": r.crossover_expected,
-        "crossover_found": r.crossover_found,
-        "crossover_error": r.crossover_error, "notes": list(r.notes)}
-        for r in reports]}
     lines = []
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -251,7 +237,7 @@ def _cmd_corollary_check(args) -> int:
                          f"(expected {r.crossover_expected!r})")
         for note in r.notes:
             lines.append(f"  note: {note}")
-    _emit(args, payload, lines)
+    _emit(args, {"reports": [asdict(r) for r in reports]}, lines)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -331,7 +317,7 @@ def build_parser():
     sp.add_argument("--coeffs", type=_complex_list, required=True,
                     metavar="A2,A3,...")
     sp.add_argument("--radii", type=_float_list, default=[0.5, 0.8, 0.9, 0.95])
-    sp.add_argument("--angles", type=int, default=256)
+    sp.add_argument("--angles", type=_count, default=256)
     sp.add_argument("--tol", type=_float, default=1e-8)
     _add_order(sp)
     _add_common(sp)
@@ -339,20 +325,20 @@ def build_parser():
 
     sp = sub.add_parser("falsify", help="randomized falsification campaign")
     _add_family(sp)
-    sp.add_argument("-n", "--samples", dest="n", type=int, default=100000)
+    sp.add_argument("-n", "--samples", dest="n", type=_count, default=100000)
     sp.add_argument("--filter", choices=("modulus", "toeplitz"),
                     default="toeplitz")
-    sp.add_argument("--atoms", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sp.add_argument("--atoms", type=_count, default=3)
+    sp.add_argument("--seed", type=_seed, default=0, help="RNG seed")
     _add_common(sp)
     sp.set_defaults(func=_cmd_falsify)
 
     sp = sub.add_parser("extremal", help="derivative-free extremal search")
     _add_family(sp)
     sp.add_argument("--objective", choices=("a2", "a3"), default="a2")
-    sp.add_argument("--budget", type=int, default=10000)
-    sp.add_argument("--atoms", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sp.add_argument("--budget", type=_count, default=10000)
+    sp.add_argument("--atoms", type=_count, default=3)
+    sp.add_argument("--seed", type=_seed, default=0, help="RNG seed")
     _add_common(sp)
     sp.set_defaults(func=_cmd_extremal)
 

@@ -126,7 +126,7 @@ class CampaignSummary:
 
 
 def _margin_hist(margins: np.ndarray, bound: float):
-    counts, edges = np.histogram(margins, bins=HIST_BINS, range=(0.0, max(bound, 1e-300)))
+    counts, edges = np.histogram(margins, bins=HIST_BINS, range=(0.0, bound))
     return tuple(float(e) for e in edges), tuple(int(c) for c in counts)
 
 
@@ -256,7 +256,7 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         w = np.exp(v - v.max())
         t = w / w.sum()
         atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
-        c = caratheodory.herglotz(atoms, order=2).coeff_prefix()
+        c = caratheodory.herglotz(atoms, order=2)
         a2, a3, q1, q2 = _induce(params, c[0], c[1])
         tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
         val = None

@@ -18,6 +18,7 @@ arrays; the falsification harness relies on that.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -91,6 +92,10 @@ class AlphaParams(_ClassParams):
     def _check_shape(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        # a subnormal alpha rounds phi2, and D ~ (lam+mu)^2 / alpha overflows
+        if self.alpha < sys.float_info.min:
+            raise ValueError(f"alpha must be a normal float, at least "
+                             f"{sys.float_info.min!r}, got {self.alpha!r}")
 
     @property
     def phi(self) -> tuple[float, float]:
@@ -138,20 +143,14 @@ class CoefficientTuple:
     q2: complex
 
 
-def apply_operator(f: NormalizedFunction, lam: float, mu: float,
-                   order: int | None = None) -> TruncatedSeries:
+def apply_operator(f: NormalizedFunction, lam: float, mu: float) -> TruncatedSeries:
     """The operator series (1-lam)*(f/z)^mu + lam*f'*(f/z)^(mu-1).
 
-    f/z and f' are known only through order f.order - 1, so that is the
-    maximum (and default) result order.  The constant term is exactly 1.
+    f/z and f' are known only through order f.order - 1, which is the order
+    of the result.  The constant term is exactly 1.
     """
-    max_order = f.order - 1
-    if order is None:
-        order = max_order
-    if order > max_order:
-        raise ValueError(f"order {order} exceeds computable order {max_order}")
-    h = f.series.shift_down().truncate(order)
-    df = f.series.derivative().truncate(order)
+    h = f.series.shift_down()
+    df = f.series.derivative()
     return (1.0 - lam) * h.pow_real(mu) + lam * (df * h.pow_real(mu - 1.0))
 
 

@@ -12,14 +12,11 @@ import numpy as np
 __all__ = [
     "TruncatedSeries",
     "NormalizedFunction",
-    "DEFAULT_ORDER",
     "compose",
     "revert",
     "inverse_coeffs_closed",
     "identity_series",
 ]
-
-DEFAULT_ORDER = 8
 
 
 class TruncatedSeries:

@@ -6,59 +6,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicoef.caratheodory import (FAIL_MODULUS, FAIL_TOEPLITZ, MODULUS_TOL, PASS,
-                                 CaratheodoryElement, admissibility_mask_k2,
-                                 herglotz, is_admissible_prefix, sample_batch,
-                                 sample_random, toeplitz_moment_matrix)
-from bicoef.series import TruncatedSeries
+                                 admissibility_mask_k2, herglotz,
+                                 is_admissible_prefix, sample_batch,
+                                 toeplitz_moment_matrix)
 
 
 # ----------------------------------------------------------------- herglotz
 
 def test_single_atom_at_zero_is_extremal():
-    el = herglotz([(1.0, 0.0)], order=6)
-    assert np.allclose(el.coeff_prefix(), 2.0, atol=1e-14, rtol=0)
+    assert np.allclose(herglotz([(1.0, 0.0)], order=6), 2.0, atol=1e-14, rtol=0)
 
 
 def test_two_symmetric_atoms():
     # (1+z^2)/(1-z^2): odd coefficients vanish, even ones are 2
-    el = herglotz([(0.5, 0.0), (0.5, np.pi)], order=6)
+    c = herglotz([(0.5, 0.0), (0.5, np.pi)], order=6)
     want = [1 + (-1) ** k for k in range(1, 7)]
-    assert np.allclose(el.coeff_prefix(), want, atol=1e-13, rtol=0)
+    assert c.shape == (6,)
+    assert np.allclose(c, want, atol=1e-13, rtol=0)
 
 
 def test_single_atom_at_pi_alternates():
-    el = herglotz([(1.0, np.pi)], order=5)
     want = [2 * (-1) ** k for k in range(1, 6)]
-    assert np.allclose(el.coeff_prefix(), want, atol=1e-13, rtol=0)
+    assert np.allclose(herglotz([(1.0, np.pi)], order=5), want, atol=1e-13, rtol=0)
 
 
 def test_herglotz_rejects_bad_weights():
+    # the sum prints as a Python float, not as np.float64(...)
+    with pytest.raises(ValueError, match=r"must sum to 1, got 0\.9$"):
+        herglotz([(0.5, 0.0), (0.4, 1.0)], order=2)
     with pytest.raises(ValueError):
-        herglotz([(0.5, 0.0), (0.4, 1.0)])
+        herglotz([(-0.5, 0.0), (1.5, 1.0)], order=2)
     with pytest.raises(ValueError):
-        herglotz([(-0.5, 0.0), (1.5, 1.0)])
-    with pytest.raises(ValueError):
-        herglotz([])
+        herglotz([], order=2)
 
 
-def test_element_requires_unit_constant():
-    with pytest.raises(ValueError):
-        CaratheodoryElement(TruncatedSeries([0.9, 1.0]))
+def test_herglotz_of_a_batch_row_is_that_row():
+    t, theta, coeffs = sample_batch(42, 50, 3, order=4)
+    for i in (0, 1, 17, 49):
+        atoms = list(zip(t[i].tolist(), theta[i].tolist()))
+        assert np.array_equal(herglotz(atoms, order=4), coeffs[i])
 
 
 # ------------------------------------------------------------------ sampler
 
 def test_sampler_is_deterministic():
-    a = sample_random(123, 3)
-    b = sample_random(123, 3)
-    assert np.array_equal(a.series.coeffs, b.series.coeffs)
-    assert a.atoms == b.atoms
+    a = sample_batch(123, 5, 3, order=8)
+    b = sample_batch(123, 5, 3, order=8)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_single_atom_draws_have_extremal_moduli():
     for seed in range(5):
-        el = sample_random(seed, 1)
-        assert np.allclose(np.abs(el.coeff_prefix()), 2.0, atol=1e-12, rtol=0)
+        _, _, coeffs = sample_batch(seed, 4, 1, order=8)
+        assert np.allclose(np.abs(coeffs), 2.0, atol=1e-12, rtol=0)
 
 
 def test_batch_never_violates_modulus_condition():
@@ -70,13 +71,6 @@ def test_batch_rows_are_prefix_stable():
     _, _, big = sample_batch(9, 500, 3, order=2)
     _, _, small = sample_batch(9, 20, 3, order=2)
     assert np.array_equal(big[:20], small)
-
-
-def test_sample_random_matches_batch_row_zero():
-    t, th, coeffs = sample_batch(42, 1, 3, order=2)
-    el = sample_random(42, 3)
-    assert np.array_equal(el.coeff_prefix(2), coeffs[0])
-    assert np.allclose([a[0] for a in el.atoms], t[0], atol=0, rtol=0)
 
 
 # ------------------------------------------------------------- admissibility
@@ -112,35 +106,19 @@ def test_herglotz_outputs_are_admissible_at_every_prefix_length():
     rng = np.random.default_rng(5)
     for _ in range(20):
         m = int(rng.integers(1, 5))
-        el = sample_random(int(rng.integers(1e6)), m, order=6)
-        c = el.coeff_prefix()
-        for k in range(1, 7):
-            assert is_admissible_prefix(c[:k]) == PASS
+        _, _, coeffs = sample_batch(int(rng.integers(1e6)), 3, m, order=6)
+        for c in coeffs:
+            for k in range(1, 7):
+                assert is_admissible_prefix(c[:k]) == PASS
 
 
 def test_convex_combination_of_admissible_prefixes_is_admissible():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        a = sample_random(int(rng.integers(1e6)), 3, order=4).coeff_prefix()
-        b = sample_random(int(rng.integers(1e6)), 2, order=4).coeff_prefix()
+        a = sample_batch(int(rng.integers(1e6)), 1, 3, order=4)[2][0]
+        b = sample_batch(int(rng.integers(1e6)), 1, 2, order=4)[2][0]
         t = rng.random()
         assert is_admissible_prefix(t * a + (1 - t) * b) == PASS
-
-
-def test_atom_value_has_positive_real_part_on_grid():
-    rng = np.random.default_rng(8)
-    radii = np.linspace(0.05, 0.9, 10)
-    ring = np.exp(2j * np.pi * np.arange(64) / 64)
-    grid = np.concatenate([r * ring for r in radii])
-    for seed in range(10):
-        el = sample_random(seed, int(rng.integers(1, 5)))
-        assert el.atom_value(grid).real.min() > 0
-
-
-def test_atom_value_requires_atoms():
-    el = CaratheodoryElement(TruncatedSeries([1, 0.5]))
-    with pytest.raises(ValueError):
-        el.atom_value(0.1)
 
 
 # -------------------------------------------------------- vectorized filter

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicoef import cli
-from bicoef.bounds import a2sq_alpha_exact, a3_alpha_exact
+from bicoef.bounds import BoundReport, IdentityReport, a2sq_alpha_exact, a3_alpha_exact
 from bicoef.cli import main
+from bicoef.harness import EmpiricalExtremum
+from bicoef.operators import CoefficientTuple, MembershipReport
 
 
 def run(capsys, *argv):
@@ -46,8 +49,10 @@ def test_bound_missing_family_param_is_usage_error(capsys):
 
 
 def test_bound_out_of_range_param_is_usage_error(capsys):
-    code, _, err = run(capsys, "bound", "--family", "alpha", "--alpha", "2")
-    assert code == 2
+    # a subnormal alpha has no representable D of about (lam+mu)^2 / alpha
+    for alpha in ("2", "1e-310", "5e-324"):
+        line = assert_usage_error(capsys, "bound", "--family", "alpha", "--alpha", alpha)
+        assert line.startswith("bicoef: alpha must ")
 
 
 # ------------------------------------------------------------------- invert
@@ -147,6 +152,28 @@ def test_corollary_check_all_json(capsys):
     assert all(r["passed"] for r in payload["reports"])
 
 
+def test_json_payloads_are_the_result_records(capsys):
+    def keys(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    code, out, _ = run(capsys, "member", "--family", "alpha", "--alpha", "0.5",
+                       "--coeffs", "0.05", "--tol", "1e-6", "--json")
+    payload = json.loads(out)
+    assert code == 0 and set(payload) == keys(MembershipReport)
+    assert payload["tol"] == 1e-6
+    code, out, _ = run(capsys, "extremal", "--family", "beta", "--beta", "0.5",
+                       "--budget", "50", "--json")
+    payload = json.loads(out)
+    assert code == 0 and set(payload) == keys(EmpiricalExtremum)
+    assert set(payload["best_tuple"]) == keys(CoefficientTuple)
+    code, out, _ = run(capsys, "corollary-check", "--json")
+    assert code == 0
+    assert all(set(r) == keys(IdentityReport) for r in json.loads(out)["reports"])
+    code, out, _ = run(capsys, "bound", "--family", "beta", "--beta", "0.5", "--json")
+    assert code == 0
+    assert set(json.loads(out)) == {"family", "alpha", "beta", "lambda", "mu"} | keys(BoundReport)
+
+
 # ---------------------------------------------------------------- usability
 
 def assert_usage_error(capsys, *argv):
@@ -190,7 +217,7 @@ def test_coefficient_list_beyond_the_order_cap_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("flag,value,field", [
-    ("--tol", "nan", "tol"), ("--tol", "-1", "tol"), ("--angles", "0", "n_angles"),
+    ("--tol", "nan", "tol"), ("--tol", "-1", "tol"), ("--angles", "0", "--angles"),
     ("--radii", ",", "radii"), ("--radii", "1", "radii"),
 ])
 def test_bad_membership_grid_is_usage_error(capsys, flag, value, field):
@@ -200,9 +227,20 @@ def test_bad_membership_grid_is_usage_error(capsys, flag, value, field):
 
 
 def test_extremal_zero_atoms_is_usage_error(capsys):
-    assert "atom_count" in assert_usage_error(
+    assert "argument --atoms: must be >= 1, got 0" in assert_usage_error(
         capsys, "extremal", "--family", "beta", "--beta", "0.5", "--atoms", "0",
         "--budget", "10")
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("falsify", "--seed", "-1"), ("falsify", "-n", "0"), ("falsify", "--atoms", "0"),
+    ("extremal", "--seed", "-1"), ("extremal", "--budget", "0"),
+    ("extremal", "--budget", "1.5"),
+])
+def test_integer_flag_out_of_range_is_usage_error(capsys, command, flag, value):
+    line = assert_usage_error(capsys, command, "--family", "beta", "--beta", "0.5",
+                              flag, value)
+    assert f"argument {flag}" in line and value in line
 
 
 @pytest.mark.parametrize("argv", [

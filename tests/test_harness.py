@@ -1,12 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from bicoef import caratheodory
 from bicoef.bounds import bounds_for
-from bicoef.harness import (CSV_HEADER, VIOLATION_TOL, EmpiricalExtremum, _induce,
-                            extremal_search, falsify)
+from bicoef.harness import (CSV_HEADER, HIST_BINS, VIOLATION_TOL, EmpiricalExtremum,
+                            _induce, extremal_search, falsify)
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 
 
@@ -54,6 +55,17 @@ def test_campaign_counts_are_consistent():
     assert (summary.n_admissible + summary.n_fail_modulus
             + summary.n_fail_toeplitz) == summary.n_samples
     assert summary.n_fail_toeplitz > 0  # the tighter filter does fire
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e-302, sys.float_info.min])
+def test_margin_histograms_span_zero_to_the_bound(alpha):
+    # tiny bounds included: the bins are bound / HIST_BINS wide, however small
+    summary = falsify(AlphaParams(alpha, 1, 0), 500, seed=1)
+    for bound, (edges, counts) in ((summary.bounds.a2_bound, summary.a2_margin_hist),
+                                   (summary.bounds.a3_bound, summary.a3_margin_hist)):
+        assert edges[0] == 0.0 and edges[-1] == bound and len(counts) == HIST_BINS
+        assert sum(counts) == summary.n_admissible
+        assert max(counts) < summary.n_admissible
 
 
 def test_toeplitz_filter_is_tighter_than_modulus():
@@ -182,7 +194,7 @@ def _reference_search(params, objective, budget, seed, atom_count, restarts):
         w = np.exp(v - v.max())
         t = w / w.sum()
         atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
-        c = caratheodory.herglotz(atoms, order=2).coeff_prefix()
+        c = caratheodory.herglotz(atoms, order=2)
         a2, a3, q1, q2 = _induce(params, c[0], c[1])
         tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
         if first_tuple is None:

@@ -68,10 +68,10 @@ def test_operator_constant_term_exactly_one():
 
 
 def test_operator_order_cap():
-    f = NormalizedFunction.from_tail([0.5, 0.25])
-    assert apply_operator(f, 1, 1, order=1).order == 1
-    with pytest.raises(ValueError):
-        apply_operator(f, 1, 1, order=3)
+    # f/z and f' are known through order f.order - 1, and so is the result
+    for order in (1, 2, 5):
+        f = NormalizedFunction.from_tail([0.5, 0.25], order=order + 1)
+        assert apply_operator(f, 1.5, 2.5).order == order
 
 
 def test_closed_coeffs_trivial_cases():

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicoef.series import (DEFAULT_ORDER, NormalizedFunction, TruncatedSeries,
-                           compose, identity_series, inverse_coeffs_closed,
-                           revert)
+from bicoef.series import (NormalizedFunction, TruncatedSeries, compose,
+                           identity_series, inverse_coeffs_closed, revert)
 
 TOL = 1e-10
 
@@ -192,7 +191,3 @@ def test_normalization_is_exact():
     assert f.coefficient(1) == 1
     assert f.coefficient(2) == 7j
     assert f.coefficient(4) == 0
-
-
-def test_default_order_headroom():
-    assert DEFAULT_ORDER == 8
