@@ -98,9 +98,8 @@ def _bounds(params) -> BoundReport:
 def bounds_for(params: AlphaParams | BetaParams) -> BoundReport:
     """The bounds of the class that ``params`` belongs to, from ``phi`` and ``D``.
 
-    A lam or mu so large that a bound overflows, or underflows to zero,
-    raises ValueError rather than yield a bound that is not a finite positive
-    float.
+    Parameters under which a bound overflows, or underflows to zero, raise
+    ValueError rather than yield a bound that is not a finite positive float.
     """
     if not isinstance(params, (AlphaParams, BetaParams)):
         raise TypeError(f"expected AlphaParams or BetaParams, got {type(params).__name__}")
@@ -109,8 +108,9 @@ def bounds_for(params: AlphaParams | BetaParams) -> BoundReport:
     except OverflowError:   # (lam+mu)**2
         rep = None
     if rep is None or not all(0.0 < b < math.inf for b in (rep.a2_bound, rep.a3_bound)):
-        raise ValueError(f"lambda = {params.lam!r} and mu = {params.mu!r} are too "
-                         "large: the bounds are not finite positive floats")
+        raise ValueError(f"{params.family} = {getattr(params, params.family)!r}, lambda = "
+                         f"{params.lam!r} and mu = {params.mu!r} give bounds that are "
+                         "not finite positive floats")
     return rep
 
 

@@ -8,7 +8,8 @@ gives it for one atom mixture, :func:`sample_batch` for a batch of random
 ones, with c_k = 2 sum_i t_i e^{i k theta_i}.  The
 admissibility test for bare coefficient prefixes combines the modulus
 condition |c_k| <= 2 with positive semidefiniteness of the Toeplitz moment
-matrix; the modulus condition alone is available as the "modulus" mode.
+matrix.  The batch mask :func:`admissibility_mask_k2` also has a "modulus"
+mode that applies the modulus condition alone.
 
 For K = 2 the moment matrix is PSD iff |c1| <= 2 and
 |c2 - c1^2/2| <= 2 - |c1|^2/2 (the Caratheodory-Toeplitz criterion; see
@@ -58,12 +59,15 @@ def _mixture_coeffs(weights, angles, order: int) -> np.ndarray:
 def herglotz(atoms, order: int) -> np.ndarray:
     """c_1..c_order, as an (order,) array, of the atom mixture [(t_i, theta_i), ...].
 
-    Weights must be positive and sum to 1 within WEIGHT_TOL.  Equals the row
-    of :func:`sample_batch` drawn with the same atoms, bit for bit.
+    Weights and angles must be finite, and the weights positive with sum 1
+    within WEIGHT_TOL.  Equals the row of :func:`sample_batch` drawn with the
+    same atoms, bit for bit.
     """
     a = np.array(atoms, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2 or not len(a):
         raise ValueError("need at least one (weight, angle) atom")
+    if not np.isfinite(a).all():
+        raise ValueError("atom weights and angles must be finite")
     w, th = a.T
     if np.any(w <= 0):
         raise ValueError("atom weights must be positive")
@@ -113,24 +117,24 @@ def toeplitz_moment_matrix(c) -> np.ndarray:
     return m
 
 
-def _k2_psd(c1, c2, eig_tol: float):
-    """Whether the K=2 moment matrix has smallest eigenvalue >= -eig_tol.
+def _k2_psd(c1, c2):
+    """Whether the K=2 moment matrix has smallest eigenvalue >= -EIG_TOL.
 
     Closed form on scalars or arrays: |b - a^2| <= 1 - |a|^2 for the prefix
-    scaled by 1/(2(1+eig_tol)); False where an input is NaN or infinite.
+    scaled by 1/(2(1+EIG_TOL)); False where an input is NaN or infinite.
     """
-    s = 0.5 / (1.0 + eig_tol)
+    s = 0.5 / (1.0 + EIG_TOL)
     a = c1 * s
     return abs(c2 * s - a * a) <= 1.0 - (a.real * a.real + a.imag * a.imag)
 
 
-def is_admissible_prefix(c, mode: str = "toeplitz", eig_tol: float = EIG_TOL) -> str:
+def is_admissible_prefix(c) -> str:
     """Verdict for a coefficient prefix c_1..c_K: PASS or a failure reason.
 
-    The modulus condition |c_k| <= 2 + MODULUS_TOL is necessary; the Toeplitz
-    positivity check (the default) is the full prefix characterization and
+    The modulus condition |c_k| <= 2 + MODULUS_TOL is checked first; the
+    Toeplitz positivity check is the full prefix characterization and
     strictly tightens it.  The smallest moment-matrix eigenvalue may dip
-    eig_tol below 0.  For K = 2 this is decided by the closed form of the
+    EIG_TOL below 0.  For K = 2 this is decided by the closed form of the
     module docstring, for K > 2 by ``eigvalsh``.  A non-finite K = 2 prefix
     that passes the modulus check fails the Toeplitz check.
     """
@@ -139,27 +143,24 @@ def is_admissible_prefix(c, mode: str = "toeplitz", eig_tol: float = EIG_TOL) ->
         raise ValueError("need a 1-D prefix c_1..c_K with K >= 1")
     if np.any(np.abs(c) > 2.0 + MODULUS_TOL):
         return FAIL_MODULUS
-    if mode == "modulus":
-        return PASS
-    if mode != "toeplitz":
-        raise ValueError(f"unknown mode {mode!r}")
     if c.size == 2:
-        psd = _k2_psd(complex(c[0]), complex(c[1]), eig_tol)
+        psd = _k2_psd(complex(c[0]), complex(c[1]))
     else:
-        psd = np.linalg.eigvalsh(toeplitz_moment_matrix(c))[0] >= -eig_tol
+        psd = np.linalg.eigvalsh(toeplitz_moment_matrix(c))[0] >= -EIG_TOL
     return PASS if psd else FAIL_TOEPLITZ
 
 
-def admissibility_mask_k2(c1, c2, mode: str = "toeplitz", eig_tol: float = EIG_TOL):
+def admissibility_mask_k2(c1, c2, mode: str = "toeplitz"):
     """Vectorized K=2 admissibility for prefix arrays (c1[i], c2[i]).
 
     Returns boolean arrays (admissible, fail_modulus, fail_toeplitz); the two
     failure masks are disjoint, modulus (|c_k| <= 2 + MODULUS_TOL) checked
-    first.  The Toeplitz check is the closed form of the module docstring
-    with eig_tol mapped exactly, so it agrees with ``eigvalsh`` of the moment
-    matrix wherever the smallest eigenvalue is not within rounding of
-    -eig_tol; non-finite prefixes that pass the modulus check fail it.
-    Agrees entrywise with :func:`is_admissible_prefix`.
+    first.  mode="modulus" stops there (the campaigns' ``--filter modulus``);
+    mode="toeplitz" adds the closed form of the module docstring with EIG_TOL
+    mapped exactly, so it agrees with ``eigvalsh`` of the moment matrix
+    wherever the smallest eigenvalue is not within rounding of -EIG_TOL;
+    non-finite prefixes that pass the modulus check fail it.  In that mode it
+    agrees entrywise with :func:`is_admissible_prefix`.
     """
     c1 = np.asarray(c1, dtype=complex)
     c2 = np.asarray(c2, dtype=complex)
@@ -168,5 +169,5 @@ def admissibility_mask_k2(c1, c2, mode: str = "toeplitz", eig_tol: float = EIG_T
         return ~fail_mod, fail_mod, np.zeros_like(fail_mod)
     if mode != "toeplitz":
         raise ValueError(f"unknown mode {mode!r}")
-    psd = _k2_psd(c1, c2, eig_tol)
+    psd = _k2_psd(c1, c2)
     return ~fail_mod & psd, fail_mod, ~(fail_mod | psd)

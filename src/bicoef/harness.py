@@ -33,6 +33,7 @@ __all__ = [
 
 VIOLATION_TOL = 1e-9
 HIST_BINS = 20
+HIST_KEYS = ("edges", "counts", "underflow")
 
 CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
               "p1_re", "p1_im", "p2_re", "p2_im",
@@ -65,8 +66,9 @@ class CampaignSummary:
     max_a3_abs: float | None
     min_a2_margin: float | None
     min_a3_margin: float | None
-    a2_margin_hist: tuple[tuple[float, ...], tuple[int, ...]]   # (edges, counts)
-    a3_margin_hist: tuple[tuple[float, ...], tuple[int, ...]]
+    # (edges, counts, underflow): counts over [0, bound], underflow below 0
+    a2_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
+    a3_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
     _arrays: dict = field(repr=False, compare=False, default_factory=dict)
 
     def csv_lines(self) -> Iterator[str]:
@@ -118,16 +120,16 @@ class CampaignSummary:
             "max_a3_abs": self.max_a3_abs,
             "min_a2_margin": self.min_a2_margin,
             "min_a3_margin": self.min_a3_margin,
-            "a2_margin_hist": {"edges": list(self.a2_margin_hist[0]),
-                               "counts": list(self.a2_margin_hist[1])},
-            "a3_margin_hist": {"edges": list(self.a3_margin_hist[0]),
-                               "counts": list(self.a3_margin_hist[1])},
+            "a2_margin_hist": dict(zip(HIST_KEYS, self.a2_margin_hist)),
+            "a3_margin_hist": dict(zip(HIST_KEYS, self.a3_margin_hist)),
         }
 
 
 def _margin_hist(margins: np.ndarray, bound: float):
+    """(edges, counts, underflow); no overflow bin, as margin <= bound."""
     counts, edges = np.histogram(margins, bins=HIST_BINS, range=(0.0, bound))
-    return tuple(float(e) for e in edges), tuple(int(c) for c in counts)
+    return (tuple(float(e) for e in edges), tuple(int(c) for c in counts),
+            int((margins < 0.0).sum()))
 
 
 def falsify(params, n_samples: int, seed: int, *,

@@ -15,7 +15,6 @@ __all__ = [
     "compose",
     "revert",
     "inverse_coeffs_closed",
-    "identity_series",
 ]
 
 
@@ -60,10 +59,6 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order) + 1
         return TruncatedSeries(self._c[:n] + other._c[:n])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order) + 1
-        return TruncatedSeries(self._c[:n] - other._c[:n])
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -112,11 +107,6 @@ class TruncatedSeries:
             acc = acc * zs + ck
         return complex(acc) if acc.ndim == 0 else acc
 
-    def isclose(self, other: "TruncatedSeries", tol: float = 1e-10) -> bool:
-        """Per-coefficient absolute comparison over the common order."""
-        n = min(self.order, other.order) + 1
-        return bool(np.all(np.abs(self._c[:n] - other._c[:n]) <= tol))
-
 
 def _log_coeffs(c: np.ndarray) -> np.ndarray:
     """log of a series with c_0 = 1, via k*L_k = k*c_k - sum j*L_j*c_{k-j}."""
@@ -139,14 +129,6 @@ def _exp_coeffs(h: np.ndarray) -> np.ndarray:
             acc += j * h[j] * out[k - j]
         out[k] = acc / k
     return out
-
-
-def identity_series(order: int) -> TruncatedSeries:
-    """The series z truncated at the given order."""
-    c = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        c[1] = 1.0
-    return TruncatedSeries(c)
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -188,10 +170,6 @@ class NormalizedFunction:
     @property
     def order(self) -> int:
         return self._s.order
-
-    def coefficient(self, n: int) -> complex:
-        """The n-th Taylor coefficient (coefficient(1) == 1)."""
-        return self._s[n]
 
     @classmethod
     def from_tail(cls, tail, order: int | None = None) -> "NormalizedFunction":

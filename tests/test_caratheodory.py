@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicoef import caratheodory
 from bicoef.caratheodory import (FAIL_MODULUS, FAIL_TOEPLITZ, MODULUS_TOL, PASS,
                                  admissibility_mask_k2, herglotz,
                                  is_admissible_prefix, sample_batch,
@@ -38,6 +39,10 @@ def test_herglotz_rejects_bad_weights():
         herglotz([(-0.5, 0.0), (1.5, 1.0)], order=2)
     with pytest.raises(ValueError):
         herglotz([], order=2)
+    # rejected before any arithmetic, so no RuntimeWarning either
+    for atom in ((float("nan"), 0.0), (1.0, float("nan")), (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="must be finite"):
+            herglotz([atom], order=2)
 
 
 def test_herglotz_of_a_batch_row_is_that_row():
@@ -91,7 +96,8 @@ def test_constant_element_passes():
 def test_toeplitz_catches_infeasible_pair():
     # c1 = 2 forces the point mass at angle 0, hence c2 = 2
     assert is_admissible_prefix([2, -2]) == FAIL_TOEPLITZ
-    assert is_admissible_prefix([2, -2], mode="modulus") == PASS
+    adm, fmod, ftoe = admissibility_mask_k2([2], [-2], mode="modulus")
+    assert adm.tolist() == [True] and not fmod.any() and not ftoe.any()
 
 
 def test_moment_matrix_layout():
@@ -165,10 +171,11 @@ EDGE_OFFSETS = (0.0,) + tuple(sgn * 10.0 ** -k for k in range(6, 13) for sgn in 
 def _assert_matches_eigvalsh(c1, c2, eig_tol):
     """Check both K=2 paths against eigvalsh of the moment matrix.
 
-    Points whose smallest eigenvalue lies within 1e-12 of -eig_tol are left
-    out: there the verdict is decided by rounding.  The modulus check is the
-    same np.abs comparison as in the code, so it is not part of the oracle.
-    Returns how many points were checked.
+    Both run with caratheodory.EIG_TOL set to eig_tol.  Points whose
+    smallest eigenvalue lies within 1e-12 of -eig_tol are left out: there the
+    verdict is decided by rounding.  The modulus check is the same np.abs
+    comparison as in the code, so it is not part of the oracle.  Returns how
+    many points were checked.
     """
     c1 = np.asarray(c1, dtype=complex)
     c2 = np.asarray(c2, dtype=complex)
@@ -180,12 +187,15 @@ def _assert_matches_eigvalsh(c1, c2, eig_tol):
         else:
             want.append(PASS if lam >= -eig_tol else FAIL_TOEPLITZ)
         keep.append(want[-1] == FAIL_MODULUS or abs(lam + eig_tol) > 1e-12)
-    adm, fmod, ftoe = admissibility_mask_k2(c1, c2, eig_tol=eig_tol)
-    for i in np.flatnonzero(keep):
-        assert is_admissible_prefix([c1[i], c2[i]], eig_tol=eig_tol) == want[i]
-        assert adm[i] == (want[i] == PASS)
-        assert fmod[i] == (want[i] == FAIL_MODULUS)
-        assert ftoe[i] == (want[i] == FAIL_TOEPLITZ)
+    # a context, not the monkeypatch fixture: one caller is a hypothesis test
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(caratheodory, "EIG_TOL", eig_tol)
+        adm, fmod, ftoe = admissibility_mask_k2(c1, c2)
+        for i in np.flatnonzero(keep):
+            assert is_admissible_prefix([c1[i], c2[i]]) == want[i]
+            assert adm[i] == (want[i] == PASS)
+            assert fmod[i] == (want[i] == FAIL_MODULUS)
+            assert ftoe[i] == (want[i] == FAIL_TOEPLITZ)
     return int(np.sum(keep))
 
 

@@ -255,9 +255,13 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     ("falsify", "--family", "alpha", "--alpha", "0.5", "--lambda", "1e200",
      "-n", "10"),
     ("bound", "--family", "beta", "--beta", "0.5", "--lambda", "1e308"),
-], ids=["overflow", "underflow"])
+    # the smallest normal alpha: D overflows, though lambda and mu are 1
+    ("bound", "--family", "alpha", "--alpha", "2.2250738585072014e-308"),
+], ids=["overflow", "underflow", "tiny-alpha"])
 def test_huge_lambda_is_usage_error(capsys, argv):
-    assert "lambda" in assert_usage_error(capsys, *argv)
+    # the line names the shape parameter (argv[2]) as well as lambda and mu
+    line = assert_usage_error(capsys, *argv)
+    assert "lambda" in line and f"{argv[2]} = {argv[4]}" in line
 
 
 def test_huge_lambda_alpha_bound_does_not_cancel(capsys):

@@ -1,4 +1,5 @@
-"""The README's examples run, and every exported name exists."""
+"""The README's examples run, every exported name exists, and the package
+exports exactly the layer modules' lists."""
 
 import importlib
 import re
@@ -40,3 +41,12 @@ def test_readme_library_block_runs(capsys):
 def test_every_exported_name_exists(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_exports_the_layer_lists_in_order():
+    import bicoef
+    layers = [importlib.import_module(f"bicoef.{m}")
+              for m in ("series", "caratheodory", "operators", "bounds", "harness")]
+    assert bicoef.__all__ == [name for mod in layers for name in mod.__all__]
+    assert all(getattr(bicoef, name) is getattr(mod, name)
+               for mod in layers for name in mod.__all__)

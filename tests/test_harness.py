@@ -1,11 +1,14 @@
+import dataclasses
+import json
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from bicoef import caratheodory
+from bicoef import caratheodory, harness
 from bicoef.bounds import bounds_for
+from bicoef.cli import main
 from bicoef.harness import (CSV_HEADER, HIST_BINS, VIOLATION_TOL, EmpiricalExtremum,
                             _induce, extremal_search, falsify)
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
@@ -61,11 +64,68 @@ def test_campaign_counts_are_consistent():
 def test_margin_histograms_span_zero_to_the_bound(alpha):
     # tiny bounds included: the bins are bound / HIST_BINS wide, however small
     summary = falsify(AlphaParams(alpha, 1, 0), 500, seed=1)
-    for bound, (edges, counts) in ((summary.bounds.a2_bound, summary.a2_margin_hist),
-                                   (summary.bounds.a3_bound, summary.a3_margin_hist)):
+    for bound, (edges, counts, underflow) in (
+            (summary.bounds.a2_bound, summary.a2_margin_hist),
+            (summary.bounds.a3_bound, summary.a3_margin_hist)):
         assert edges[0] == 0.0 and edges[-1] == bound and len(counts) == HIST_BINS
-        assert sum(counts) == summary.n_admissible
+        assert sum(counts) + underflow == summary.n_admissible
         assert max(counts) < summary.n_admissible
+
+
+def _halved_bounds(params):
+    rep = bounds_for(params)
+    return dataclasses.replace(rep, a2_bound=rep.a2_bound / 2, a3_bound=rep.a3_bound / 2)
+
+
+def test_violations_against_halved_bounds(monkeypatch, capsys):
+    # both bounds are attained in the limit for beta = 0, lam = 1, mu = 0,
+    # so halving them makes samples violate each
+    monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
+    argv = ["falsify", "--family", "beta", "--beta", "0", "--lambda", "1",
+            "--mu", "0", "-n", "400", "--seed", "1"]
+    summary = falsify(BetaParams(0, 1, 0), 400, seed=1)
+    arrays = summary._arrays
+    bounds = {"a2": summary.bounds.a2_bound, "a3": summary.bounds.a3_bound}
+    want = sorted((int(i), c) for c in bounds for i in np.flatnonzero(
+        arrays["admissible"] & (arrays[f"{c}_margin"] < -VIOLATION_TOL)))
+    # ascending index, "a2" before "a3" at the same index, admissible rows only
+    assert [(i, c) for i, c, _ in summary.violations] == want
+    assert len({i for i, _ in want}) < len(want)   # some index violates both
+    for i, c, margin in summary.violations:
+        assert margin == bounds[c] - arrays[f"{c}_abs"][i]
+        assert margin < -VIOLATION_TOL
+    for _, counts, underflow in (summary.a2_margin_hist, summary.a3_margin_hist):
+        assert underflow > 0
+        assert sum(counts) + underflow == summary.n_admissible
+
+    assert main(argv + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["violations"] == [list(v) for v in summary.violations]
+    assert payload["a2_margin_hist"]["underflow"] == summary.a2_margin_hist[2]
+    assert payload["a3_margin_hist"]["underflow"] == summary.a3_margin_hist[2]
+    assert main(argv) == 1
+    assert f"violations {len(summary.violations)}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("edge", ["a2", "a3"])
+def test_a_margin_of_exactly_minus_the_tolerance_is_no_violation(monkeypatch, edge):
+    # a dyadic tolerance makes the margins bound - |a| below exact
+    tol = 2.0 ** -30
+    other = "a3" if edge == "a2" else "a2"
+    params = BetaParams(0, 1, 0)
+    arrays = falsify(params, 400, seed=1)._arrays
+    admissible = np.flatnonzero(arrays["admissible"])
+    j = int(admissible[np.argmax(arrays[f"{edge}_abs"][admissible])])
+    # sample j lies exactly tol beyond the edge bound, 2 tol beyond the other
+    bounds = {edge: arrays[f"{edge}_abs"][j] - tol, other: arrays[f"{other}_abs"][j] - 2 * tol}
+    rep = dataclasses.replace(bounds_for(params), a2_bound=float(bounds["a2"]),
+                              a3_bound=float(bounds["a3"]))
+    monkeypatch.setattr(harness, "VIOLATION_TOL", tol)
+    monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
+    summary = falsify(params, 400, seed=1)
+    assert getattr(summary, f"min_{edge}_margin") == -tol
+    assert (j, other) in [(i, c) for i, c, _ in summary.violations]
+    assert edge not in [c for _, c, _ in summary.violations]
 
 
 def test_toeplitz_filter_is_tighter_than_modulus():

@@ -9,7 +9,7 @@ from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
                               MembershipGrid, apply_operator, induce_q_alpha,
                               induce_q_beta, lift, membership,
                               operator_coeffs_closed)
-from bicoef.series import NormalizedFunction, identity_series, revert
+from bicoef.series import NormalizedFunction, revert
 
 
 # ------------------------------------------------------------------- params
@@ -40,7 +40,7 @@ def test_params_accept_boundaries():
 # ----------------------------------------------------------------- operator
 
 def test_operator_on_identity_is_one():
-    f = NormalizedFunction(identity_series(4))
+    f = NormalizedFunction.from_tail([], order=4)
     for lam, mu in [(1, 0), (2, 3), (1.5, 0.5)]:
         out = apply_operator(f, lam, mu)
         assert np.allclose(out.coeffs, [1, 0, 0, 0], atol=1e-14, rtol=0)
@@ -102,7 +102,7 @@ def test_quadratic_term_vanishes_at_mu_one():
 # --------------------------------------------------------------- membership
 
 def test_membership_identity_function_passes_everywhere():
-    f = NormalizedFunction(identity_series(4))
+    f = NormalizedFunction.from_tail([], order=4)
     rng = np.random.default_rng(2)
     for _ in range(10):
         ap = AlphaParams(rng.uniform(0.05, 1), rng.uniform(1, 3), rng.uniform(0, 3))
