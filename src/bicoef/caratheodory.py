@@ -4,12 +4,13 @@ Every element built here is a convex combination of Moebius atoms
 (1 + e^{i*theta} z) / (1 - e^{i*theta} z), each of which has positive real
 part on the disk, so class membership is exact by construction.  An element
 is its coefficient array c_1..c_K (p(0) = 1 is implied): :func:`herglotz`
-gives it for one atom mixture, :func:`sample_batch` for a batch of random
-ones, with c_k = 2 sum_i t_i e^{i k theta_i}.  The
-admissibility test for bare coefficient prefixes combines the modulus
-condition |c_k| <= 2 with positive semidefiniteness of the Toeplitz moment
-matrix.  The batch mask :func:`admissibility_mask_k2` also has a "modulus"
-mode that applies the modulus condition alone.
+gives it for one atom mixture, :func:`sample_batch` for the next batch of
+random ones from the generator pair :func:`streams` of a seed, with
+c_k = 2 sum_i t_i e^{i k theta_i}.  The admissibility test for bare
+coefficient prefixes combines the modulus condition |c_k| <= 2 with positive
+semidefiniteness of the Toeplitz moment matrix.  The batch mask
+:func:`admissibility_mask_k2` also has a "modulus" mode that applies the
+modulus condition alone.
 
 For K = 2 the moment matrix is PSD iff |c1| <= 2 and
 |c2 - c1^2/2| <= 2 - |c1|^2/2 (the Caratheodory-Toeplitz criterion; see
@@ -28,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "herglotz",
+    "streams",
     "sample_batch",
     "is_admissible_prefix",
     "admissibility_mask_k2",
@@ -50,10 +52,20 @@ WEIGHT_TOL = 1e-12   # atom weights must sum to 1 within this
 
 
 def _mixture_coeffs(weights, angles, order: int) -> np.ndarray:
-    """(count, order) array of c_1..c_order, c_k = 2 sum_i t_i e^{ik th_i}."""
-    k = np.arange(1, order + 1)
-    phases = np.exp(1j * angles[:, :, None] * k)          # (count, m, order)
-    return 2.0 * (weights[:, :, None] * phases).sum(axis=1)
+    """(count, order) array of c_1..c_order, c_k = 2 sum_i t_i e^{ik th_i}.
+
+    One exp per atom; the higher powers are repeated products, so c_k
+    carries k roundings of e^{i th}, not one of k*th.  The powers are held
+    k-major, (order, count, m), and summed over the atoms in one reduction.
+    """
+    powers = np.empty((order,) + angles.shape, dtype=complex)
+    z = powers[0]
+    z.real = 0.0      # i*theta set in place: 1j * angles would cast, which
+    z.imag = angles   # costs more than the exp on a one-row call
+    np.exp(z, out=z)
+    for k in range(1, order):
+        np.multiply(powers[k - 1], z, out=powers[k])
+    return 2.0 * np.einsum("kcm,cm->ck", powers, weights)
 
 
 def herglotz(atoms, order: int) -> np.ndarray:
@@ -76,25 +88,27 @@ def herglotz(atoms, order: int) -> np.ndarray:
     return _mixture_coeffs(w[None, :], th[None, :], order)[0]
 
 
-def _spawn_streams(seed: int):
+def streams(seed: int):
+    """The (weights, angles) generator pair of a seed, for :func:`sample_batch`."""
     ws, ts = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(ws), np.random.default_rng(ts)
 
 
-def sample_batch(seed: int, count: int, atom_count: int, order: int = 2):
-    """Vectorized atom sampling, deterministic per seed.
+def sample_batch(rngs, count: int, atom_count: int, order: int = 2):
+    """The next count random atom mixtures drawn from rngs = streams(seed).
 
     Returns (weights, angles, coeffs) with shapes (count, m), (count, m) and
     (count, order); coeffs[:, k-1] holds c_k.  Weights come from the uniform
     distribution on the simplex (normalized exponentials), angles are uniform
-    on [0, 2*pi).  Row i depends only on (seed, i), never on count, so a
-    longer batch extends a shorter one.
+    on [0, 2*pi).  Each call continues the pair's streams, so batches of
+    n1, n2, ... rows drawn in turn equal one batch of n1 + n2 + ... rows,
+    bit for bit: row i depends only on (seed, i).
     """
     if atom_count < 1:
         raise ValueError("atom_count must be >= 1")
     if count < 0:
         raise ValueError("count must be >= 0")
-    wrng, arng = _spawn_streams(seed)
+    wrng, arng = rngs
     w = wrng.standard_exponential((count, atom_count))
     t = w / w.sum(axis=1, keepdims=True)
     theta = arng.uniform(0.0, 2.0 * np.pi, (count, atom_count))

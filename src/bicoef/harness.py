@@ -7,12 +7,15 @@ beyond VIOLATION_TOL would falsify either the implementation or the bound
 transcription, so the default campaigns must report none.
 
 Campaigns are deterministic per (seed, n_samples): sample i depends only on
-the seed and i, never on n_samples, and CSV rows appear in index order.
+the seed and i, never on n_samples, and CSV rows appear in index order.  A
+campaign runs in chunks of CHUNK samples and folds each chunk into its
+summary, so its memory is flat in n_samples.  The CSV is not kept: the
+summary replays the same chunks from its own fields when it writes the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -32,8 +35,12 @@ __all__ = [
 ]
 
 VIOLATION_TOL = 1e-9
+NEAR_BOUNDARY = 10   # an admissible margin <= NEAR_BOUNDARY * VIOLATION_TOL is near the bound
 HIST_BINS = 20
 HIST_KEYS = ("edges", "counts", "underflow")
+# Samples per chunk.  Measured from 2^13 to 2^17: up to 2^15 a campaign ran
+# equally fast, larger chunks ran slower, and peak RSS grows with the chunk.
+CHUNK = 1 << 14
 
 CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
               "p1_re", "p1_im", "p2_re", "p2_im",
@@ -48,9 +55,32 @@ def _induce(params, p1, p2):
     return induce(p1, p2, params)
 
 
+def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
+                     filter_mode: str, atom_count: int):
+    """(start, arrays) for each chunk of at most CHUNK samples, in order.
+
+    Row j of each array in arrays is sample start + j.  The one kernel of
+    both falsify and the CSV replay.
+    """
+    rngs = caratheodory.streams(seed)
+    for start in range(0, n_samples, CHUNK):
+        _, _, coeffs = caratheodory.sample_batch(
+            rngs, min(CHUNK, n_samples - start), atom_count, order=2)
+        p1, p2 = coeffs[:, 0], coeffs[:, 1]
+        a2, a3, q1, q2 = _induce(params, p1, p2)
+        admissible, fail_mod, fail_toe = caratheodory.admissibility_mask_k2(
+            q1, q2, mode=filter_mode)
+        a2_abs, a3_abs = np.abs(a2), np.abs(a3)
+        yield start, {"p1": p1, "p2": p2, "q1": q1, "q2": q2,
+                      "admissible": admissible, "fail_modulus": fail_mod,
+                      "fail_toeplitz": fail_toe, "a2_abs": a2_abs, "a3_abs": a3_abs,
+                      "a2_margin": bounds.a2_bound - a2_abs,
+                      "a3_margin": bounds.a3_bound - a3_abs}
+
+
 @dataclass(frozen=True)
 class CampaignSummary:
-    """Aggregate result of one campaign; per-sample data stays in arrays."""
+    """Aggregate result of one campaign; csv_lines replays its samples."""
 
     params: AlphaParams | BetaParams
     n_samples: int
@@ -69,32 +99,39 @@ class CampaignSummary:
     # (edges, counts, underflow): counts over [0, bound], underflow below 0
     a2_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
     a3_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
-    _arrays: dict = field(repr=False, compare=False, default_factory=dict)
+    # admissible samples with margin <= NEAR_BOUNDARY * VIOLATION_TOL
+    a2_near_boundary: int
+    a3_near_boundary: int
 
     def csv_lines(self) -> Iterator[str]:
-        """CSV rows in index order; floats use shortest round-trip form."""
+        """CSV rows in index order; floats use shortest round-trip form.
+
+        The rows are recomputed, chunk by chunk, from the summary's params,
+        bounds, seed, n_samples, filter_mode and atom_count.
+        """
         yield ",".join(CSV_HEADER)
         fam = self.params.family
         alpha = repr(self.params.alpha) if fam == "alpha" else ""
         beta = repr(self.params.beta) if fam == "beta" else ""
         prefix = f"{fam},{self.seed},"
         mid = f",{alpha},{beta},{self.params.lam!r},{self.params.mu!r},"
-        a = self._arrays
-        # .tolist() hands back Python scalars; numpy scalar reprs are not CSV-safe
-        p1, p2 = a["p1"].tolist(), a["p2"].tolist()
-        q1, q2 = a["q1"].tolist(), a["q2"].tolist()
-        a2a, a3a = a["a2_abs"].tolist(), a["a3_abs"].tolist()
-        m2, m3 = a["a2_margin"].tolist(), a["a3_margin"].tolist()
-        adm = a["admissible"].tolist()
-        fmod, ftoe = a["fail_modulus"].tolist(), a["fail_toeplitz"].tolist()
         b2, b3 = repr(self.bounds.a2_bound), repr(self.bounds.a3_bound)
-        for i in range(self.n_samples):
-            reason = "modulus" if fmod[i] else "toeplitz" if ftoe[i] else ""
-            yield (f"{prefix}{i}{mid}"
-                   f"{p1[i].real!r},{p1[i].imag!r},{p2[i].real!r},{p2[i].imag!r},"
-                   f"{q1[i].real!r},{q1[i].imag!r},{q2[i].real!r},{q2[i].imag!r},"
-                   f"{'true' if adm[i] else 'false'},{reason},"
-                   f"{a2a[i]!r},{a3a[i]!r},{b2},{b3},{m2[i]!r},{m3[i]!r}")
+        for start, a in _campaign_chunks(self.params, self.bounds, self.n_samples,
+                                         self.seed, self.filter_mode, self.atom_count):
+            # .tolist() hands back Python scalars; numpy scalar reprs are not CSV-safe
+            p1, p2 = a["p1"].tolist(), a["p2"].tolist()
+            q1, q2 = a["q1"].tolist(), a["q2"].tolist()
+            a2a, a3a = a["a2_abs"].tolist(), a["a3_abs"].tolist()
+            m2, m3 = a["a2_margin"].tolist(), a["a3_margin"].tolist()
+            adm = a["admissible"].tolist()
+            fmod, ftoe = a["fail_modulus"].tolist(), a["fail_toeplitz"].tolist()
+            for i in range(len(adm)):
+                reason = "modulus" if fmod[i] else "toeplitz" if ftoe[i] else ""
+                yield (f"{prefix}{start + i}{mid}"
+                       f"{p1[i].real!r},{p1[i].imag!r},{p2[i].real!r},{p2[i].imag!r},"
+                       f"{q1[i].real!r},{q1[i].imag!r},{q2[i].real!r},{q2[i].imag!r},"
+                       f"{'true' if adm[i] else 'false'},{reason},"
+                       f"{a2a[i]!r},{a3a[i]!r},{b2},{b3},{m2[i]!r},{m3[i]!r}")
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -122,14 +159,11 @@ class CampaignSummary:
             "min_a3_margin": self.min_a3_margin,
             "a2_margin_hist": dict(zip(HIST_KEYS, self.a2_margin_hist)),
             "a3_margin_hist": dict(zip(HIST_KEYS, self.a3_margin_hist)),
+            "near_boundary": {"a2": self.a2_near_boundary, "a3": self.a3_near_boundary},
+            "tolerances": {"violation_tol": VIOLATION_TOL,
+                           "modulus_tol": caratheodory.MODULUS_TOL,
+                           "eig_tol": caratheodory.EIG_TOL},
         }
-
-
-def _margin_hist(margins: np.ndarray, bound: float):
-    """(edges, counts, underflow); no overflow bin, as margin <= bound."""
-    counts, edges = np.histogram(margins, bins=HIST_BINS, range=(0.0, bound))
-    return (tuple(float(e) for e in edges), tuple(int(c) for c in counts),
-            int((margins < 0.0).sum()))
 
 
 def falsify(params, n_samples: int, seed: int, *,
@@ -140,50 +174,58 @@ def falsify(params, n_samples: int, seed: int, *,
     samples whose induced (q1, q2) prefix is inadmissible, and compares
     survivors' |a2|, |a3| against the closed-form bounds.  The violation list
     must come back empty if the bounds (and this transcription) are correct.
+    Each chunk of CHUNK samples is folded into the counts, extrema,
+    histograms and violations before the next is drawn.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rep = bounds_for(params)
-    _, _, coeffs = caratheodory.sample_batch(seed, n_samples, atom_count, order=2)
-    p1, p2 = coeffs[:, 0], coeffs[:, 1]
-    a2, a3, q1, q2 = _induce(params, p1, p2)
-    admissible, fail_mod, fail_toe = caratheodory.admissibility_mask_k2(
-        q1, q2, mode=filter_mode)
-    a2_abs, a3_abs = np.abs(a2), np.abs(a3)
-    a2_margin = rep.a2_bound - a2_abs
-    a3_margin = rep.a3_bound - a3_abs
-
+    bounds = {"a2": rep.a2_bound, "a3": rep.a3_bound}
+    near = NEAR_BOUNDARY * VIOLATION_TOL
+    n_adm = n_mod = n_toe = 0
     violations = []
-    bad = admissible & ((a2_margin < -VIOLATION_TOL) | (a3_margin < -VIOLATION_TOL))
-    for i in np.flatnonzero(bad):
-        if a2_margin[i] < -VIOLATION_TOL:
-            violations.append((int(i), "a2", float(a2_margin[i])))
-        if a3_margin[i] < -VIOLATION_TOL:
-            violations.append((int(i), "a3", float(a3_margin[i])))
+    top = {c: -np.inf for c in bounds}
+    low = {c: np.inf for c in bounds}
+    hist = {c: np.zeros(HIST_BINS, dtype=np.int64) for c in bounds}
+    edges, underflow, n_near = {}, dict.fromkeys(bounds, 0), dict.fromkeys(bounds, 0)
+    for start, a in _campaign_chunks(params, rep, n_samples, seed, filter_mode,
+                                     atom_count):
+        admissible = a["admissible"]
+        n_adm += int(admissible.sum())
+        n_mod += int(a["fail_modulus"].sum())
+        n_toe += int(a["fail_toeplitz"].sum())
+        bad = admissible & ((a["a2_margin"] < -VIOLATION_TOL)
+                            | (a["a3_margin"] < -VIOLATION_TOL))
+        for i in np.flatnonzero(bad):
+            for c in bounds:
+                if a[f"{c}_margin"][i] < -VIOLATION_TOL:
+                    violations.append((start + int(i), c, float(a[f"{c}_margin"][i])))
+        for c, bound in bounds.items():
+            margin = a[f"{c}_margin"][admissible]
+            if margin.size:
+                top[c] = np.maximum(top[c], a[f"{c}_abs"][admissible].max())
+                low[c] = np.minimum(low[c], margin.min())
+            # no overflow bin, as margin <= bound
+            counts, edges[c] = np.histogram(margin, bins=HIST_BINS, range=(0.0, bound))
+            hist[c] += counts
+            underflow[c] += int((margin < 0.0).sum())
+            n_near[c] += int((margin <= near).sum())
 
-    n_adm = int(admissible.sum())
-    if n_adm:
-        max_a2 = float(a2_abs[admissible].max())
-        max_a3 = float(a3_abs[admissible].max())
-        min_m2 = float(a2_margin[admissible].min())
-        min_m3 = float(a3_margin[admissible].min())
-    else:
-        max_a2 = max_a3 = min_m2 = min_m3 = None
-    h2 = _margin_hist(a2_margin[admissible], rep.a2_bound)
-    h3 = _margin_hist(a3_margin[admissible], rep.a3_bound)
+    def extremum(value):
+        return float(value) if n_adm else None
 
-    arrays = {"p1": p1, "p2": p2, "q1": q1, "q2": q2,
-              "admissible": admissible, "fail_modulus": fail_mod,
-              "fail_toeplitz": fail_toe, "a2_abs": a2_abs, "a3_abs": a3_abs,
-              "a2_margin": a2_margin, "a3_margin": a3_margin}
+    def margin_hist(c):
+        return (tuple(edges[c].tolist()), tuple(hist[c].tolist()), underflow[c])
+
     return CampaignSummary(
         params=params, n_samples=n_samples, seed=seed,
         filter_mode=filter_mode, atom_count=atom_count, bounds=rep,
-        n_admissible=n_adm, n_fail_modulus=int(fail_mod.sum()),
-        n_fail_toeplitz=int(fail_toe.sum()), violations=tuple(violations),
-        max_a2_abs=max_a2, max_a3_abs=max_a3,
-        min_a2_margin=min_m2, min_a3_margin=min_m3,
-        a2_margin_hist=h2, a3_margin_hist=h3, _arrays=arrays)
+        n_admissible=n_adm, n_fail_modulus=n_mod, n_fail_toeplitz=n_toe,
+        violations=tuple(violations),
+        max_a2_abs=extremum(top["a2"]), max_a3_abs=extremum(top["a3"]),
+        min_a2_margin=extremum(low["a2"]), min_a3_margin=extremum(low["a3"]),
+        a2_margin_hist=margin_hist("a2"), a3_margin_hist=margin_hist("a3"),
+        a2_near_boundary=n_near["a2"], a3_near_boundary=n_near["a3"])
 
 
 def _search_points(rng, atom_count: int):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from bicoef import caratheodory, harness
 from bicoef.bounds import bounds_for
 from bicoef.cli import main
-from bicoef.harness import (CSV_HEADER, HIST_BINS, VIOLATION_TOL, EmpiricalExtremum,
+from bicoef.harness import (CHUNK, CSV_HEADER, HIST_BINS, VIOLATION_TOL,
+                            CampaignSummary, EmpiricalExtremum, _campaign_chunks,
                             _induce, extremal_search, falsify)
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 
@@ -72,6 +74,14 @@ def test_margin_histograms_span_zero_to_the_bound(alpha):
         assert max(counts) < summary.n_admissible
 
 
+def _kernel_arrays(summary):
+    """The per-sample arrays of a campaign, its chunks joined."""
+    chunks = [a for _, a in _campaign_chunks(
+        summary.params, summary.bounds, summary.n_samples, summary.seed,
+        summary.filter_mode, summary.atom_count)]
+    return {key: np.concatenate([a[key] for a in chunks]) for key in chunks[0]}
+
+
 def _halved_bounds(params):
     rep = bounds_for(params)
     return dataclasses.replace(rep, a2_bound=rep.a2_bound / 2, a3_bound=rep.a3_bound / 2)
@@ -84,7 +94,7 @@ def test_violations_against_halved_bounds(monkeypatch, capsys):
     argv = ["falsify", "--family", "beta", "--beta", "0", "--lambda", "1",
             "--mu", "0", "-n", "400", "--seed", "1"]
     summary = falsify(BetaParams(0, 1, 0), 400, seed=1)
-    arrays = summary._arrays
+    arrays = _kernel_arrays(summary)
     bounds = {"a2": summary.bounds.a2_bound, "a3": summary.bounds.a3_bound}
     want = sorted((int(i), c) for c in bounds for i in np.flatnonzero(
         arrays["admissible"] & (arrays[f"{c}_margin"] < -VIOLATION_TOL)))
@@ -103,8 +113,88 @@ def test_violations_against_halved_bounds(monkeypatch, capsys):
     assert payload["violations"] == [list(v) for v in summary.violations]
     assert payload["a2_margin_hist"]["underflow"] == summary.a2_margin_hist[2]
     assert payload["a3_margin_hist"]["underflow"] == summary.a3_margin_hist[2]
+    # near the bound: admissible margins <= 10 VIOLATION_TOL, the violations too
+    assert payload["near_boundary"] == {c: int(np.sum(
+        arrays["admissible"] & (arrays[f"{c}_margin"] <= 10 * VIOLATION_TOL))) for c in bounds}
+    assert payload["near_boundary"]["a2"] >= sum(c == "a2" for _, c, _ in summary.violations)
+    assert payload["tolerances"] == {"violation_tol": VIOLATION_TOL,
+                                     "modulus_tol": caratheodory.MODULUS_TOL,
+                                     "eig_tol": caratheodory.EIG_TOL}
     assert main(argv) == 1
     assert f"violations {len(summary.violations)}" in capsys.readouterr().out.splitlines()
+
+
+def _unchunked_summary(params, n_samples, seed):
+    """The summary falsify should give, reduced from one batch of all n_samples."""
+    rep = harness.bounds_for(params)
+    _, _, coeffs = caratheodory.sample_batch(caratheodory.streams(seed), n_samples, 3)
+    a2, a3, q1, q2 = _induce(params, coeffs[:, 0], coeffs[:, 1])
+    admissible, fail_mod, fail_toe = caratheodory.admissibility_mask_k2(q1, q2)
+    fields, violations = {}, []
+    for c, a, bound in (("a2", a2, rep.a2_bound), ("a3", a3, rep.a3_bound)):
+        margin = bound - np.abs(a)
+        violations += [(int(i), c, float(margin[i])) for i in np.flatnonzero(
+            admissible & (margin < -VIOLATION_TOL))]
+        kept = margin[admissible]
+        counts, edges = np.histogram(kept, bins=HIST_BINS, range=(0.0, bound))
+        fields.update({
+            f"max_{c}_abs": float(np.abs(a)[admissible].max()) if kept.size else None,
+            f"min_{c}_margin": float(kept.min()) if kept.size else None,
+            f"{c}_margin_hist": (tuple(edges.tolist()), tuple(counts.tolist()),
+                                 int((kept < 0).sum())),
+            f"{c}_near_boundary": int((kept <= 10 * VIOLATION_TOL).sum())})
+    return CampaignSummary(
+        params=params, n_samples=n_samples, seed=seed, filter_mode="toeplitz",
+        atom_count=3, bounds=rep, n_admissible=int(admissible.sum()),
+        n_fail_modulus=int(fail_mod.sum()), n_fail_toeplitz=int(fail_toe.sum()),
+        violations=tuple(sorted(violations)), **fields)
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+def test_chunked_campaign_equals_one_unchunked_batch(monkeypatch, n):
+    monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
+    params = BetaParams(0, 1, 0)
+    summary = falsify(params, n, seed=3)
+    assert summary == _unchunked_summary(params, n, seed=3)
+    indices = [i for i, _, _ in summary.violations]
+    if n > 2 * CHUNK:   # violations on both sides of a chunk boundary
+        assert min(indices) < CHUNK <= max(indices)
+
+
+def test_csv_rows_do_not_depend_on_the_chunking(monkeypatch):
+    monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
+    params = BetaParams(0, 1, 0)
+    short = list(falsify(params, CHUNK + 1, seed=3).csv_lines())
+    long = list(falsify(params, 2 * CHUNK + 7, seed=3).csv_lines())
+    assert len(short) == CHUNK + 2 and len(long) == 2 * CHUNK + 8
+    assert long[:len(short)] == short
+    index = CSV_HEADER.index("index")
+    assert [row.split(",")[index] for row in long[1:]] == [str(i) for i in range(2 * CHUNK + 7)]
+
+
+def _peak_bytes(fn):
+    """Peak traced memory while fn runs; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_campaign_memory_is_flat_in_n():
+    params = BetaParams(0.5, 2, 0.5)
+    small, large = (_peak_bytes(lambda: falsify(params, k * CHUNK, seed=1)) for k in (2, 8))
+    assert large <= 1.25 * small
+
+
+def test_csv_memory_is_flat_in_n(monkeypatch, tmp_path):
+    # smaller chunks: under tracemalloc the writer runs about 8 times slower
+    monkeypatch.setattr(harness, "CHUNK", 1024)
+    params = BetaParams(0.5, 2, 0.5)
+    summaries = [falsify(params, k * 1024, seed=1) for k in (2, 8)]
+    small, large = (_peak_bytes(lambda: s.write_csv(tmp_path / "x.csv")) for s in summaries)
+    assert large <= 1.25 * small
 
 
 @pytest.mark.parametrize("edge", ["a2", "a3"])
@@ -113,7 +203,7 @@ def test_a_margin_of_exactly_minus_the_tolerance_is_no_violation(monkeypatch, ed
     tol = 2.0 ** -30
     other = "a3" if edge == "a2" else "a2"
     params = BetaParams(0, 1, 0)
-    arrays = falsify(params, 400, seed=1)._arrays
+    arrays = _kernel_arrays(falsify(params, 400, seed=1))
     admissible = np.flatnonzero(arrays["admissible"])
     j = int(admissible[np.argmax(arrays[f"{edge}_abs"][admissible])])
     # sample j lies exactly tol beyond the edge bound, 2 tol beyond the other
@@ -126,6 +216,21 @@ def test_a_margin_of_exactly_minus_the_tolerance_is_no_violation(monkeypatch, ed
     assert getattr(summary, f"min_{edge}_margin") == -tol
     assert (j, other) in [(i, c) for i, c, _ in summary.violations]
     assert edge not in [c for _, c, _ in summary.violations]
+
+
+def test_a_margin_of_exactly_ten_tolerances_is_near_the_boundary(monkeypatch):
+    # dyadic again: each bound is the largest admissible |a| plus exactly 10 tol
+    tol = 2.0 ** -30
+    params = BetaParams(0, 1, 0)
+    arrays = _kernel_arrays(falsify(params, 400, seed=1))
+    top = {c: float(arrays[f"{c}_abs"][arrays["admissible"]].max()) for c in ("a2", "a3")}
+    rep = dataclasses.replace(bounds_for(params), a2_bound=top["a2"] + 10 * tol,
+                              a3_bound=top["a3"] + 10 * tol)
+    monkeypatch.setattr(harness, "VIOLATION_TOL", tol)
+    monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
+    summary = falsify(params, 400, seed=1)
+    assert summary.min_a2_margin == summary.min_a3_margin == 10 * tol
+    assert summary.a2_near_boundary == summary.a3_near_boundary == 1
 
 
 def test_toeplitz_filter_is_tighter_than_modulus():
