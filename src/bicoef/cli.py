@@ -3,7 +3,8 @@
 Subcommands: bound, invert, operator, member, falsify, extremal,
 corollary-check.  Exit codes: 0 success, 1 violated invariant (a
 falsification violation, a failed corollary identity, or a negative search
-gap), 2 usage error.
+gap), 2 usage error, 141 (128 + SIGPIPE) when the reader of stdout closed it
+before the output was written, with nothing on stderr.
 
 An optional config file (``--config``) holds ``key = value`` lines whose keys
 are the subcommand's long flag names.  Each line is read as the token
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -396,10 +398,18 @@ def _with_config(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
-        return args.func(args)
-    except SystemExit as exc:  # -h and --version
-        return exc.code
+        try:
+            args = build_parser().parse_args(_with_config(argv))
+            code = args.func(args)
+        except SystemExit as exc:  # -h and --version
+            code = exc.code
+        sys.stdout.flush()   # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone, which is no usage error; stdout now points at
+        # devnull, so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (_UsageError, ValueError, OSError) as exc:
         print(f"bicoef: {exc}", file=sys.stderr)
         return 2

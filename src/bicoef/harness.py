@@ -65,7 +65,7 @@ def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
     rngs = caratheodory.streams(seed)
     for start in range(0, n_samples, CHUNK):
         _, _, coeffs = caratheodory.sample_batch(
-            rngs, min(CHUNK, n_samples - start), atom_count, order=2)
+            rngs, min(CHUNK, n_samples - start), atom_count)
         p1, p2 = coeffs[:, 0], coeffs[:, 1]
         a2, a3, q1, q2 = _induce(params, p1, p2)
         admissible, fail_mod, fail_toe = caratheodory.admissibility_mask_k2(
@@ -300,16 +300,17 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         w = np.exp(v - v.max())
         t = w / w.sum()
         atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
-        c = caratheodory.herglotz(atoms, order=2)
-        a2, a3, q1, q2 = _induce(params, c[0], c[1])
-        tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
+        p1, p2 = caratheodory.herglotz(atoms)
+        a2, a3, q1, q2 = _induce(params, p1, p2)
         val = None
         if caratheodory.is_admissible_prefix([q1, q2]) == caratheodory.PASS:
             val = float(abs(a2) if objective == "a2" else abs(a3))
-            if best_val is None or val > best_val:
-                best_val, best_tuple, best_atoms = val, tup, atoms
-        elif best_tuple is None:   # the first tuple, until an evaluation passes
-            best_tuple = tup
+        improved = val is not None and (best_val is None or val > best_val)
+        if improved:
+            best_val, best_atoms = val, atoms
+        if improved or best_tuple is None:   # the first tuple, until one passes
+            best_tuple = CoefficientTuple(complex(p1), complex(p2),
+                                          complex(q1), complex(q2))
         x = points.send(val)
     achieved = best_val if best_val is not None else 0.0
     return EmpiricalExtremum(

@@ -1,14 +1,10 @@
 """The class operator, membership grids, and the coefficient-equating systems.
 
 The operator L[f] = (1-lam)*(f/z)^mu + lam*f'(z)*(f/z)^(mu-1) maps a
-normalized function to a unit-constant series.  Its first two coefficients
-admit closed forms in (a2, a3, lam, mu); matching them against the series
-route is the module's core identity.  The induce/lift pair implements the
-forward and inverse coefficient-equating systems used to derive the bounds:
-``induce_q_*`` solves for (a2, a3) and the second positive-real-part element
-from a given first one, :func:`lift` recovers the coefficient functionals from
-a full tuple.  Both classes share one system, written in the (phi1, phi2) and
-the denominator ``sum_denominator`` that the params objects state, and one
+normalized function to a unit-constant series.  ``induce_q_*`` solves the
+coefficient-equating system used to derive the bounds: (a2, a3) and the
+second positive-real-part element from a given first one.  Both classes share
+one system, written in the (phi1, phi2) that the params objects state, and one
 grid membership test of the region ``phi(U)`` that they state as ``region``.
 
 All scalar formulas are plain arithmetic, so they broadcast over numpy
@@ -33,26 +29,19 @@ __all__ = [
     "MembershipGrid",
     "MembershipReport",
     "apply_operator",
-    "operator_coeffs_closed",
     "membership",
-    "lift",
-    "Lift",
     "induce_q_alpha",
     "induce_q_beta",
-    "CONSISTENCY_TOL",
 ]
-
-CONSISTENCY_TOL = 1e-9
-
 
 class _ClassParams:
     """Checks and shape shared by the two classes.
 
     Both classes are ``L[f] = phi(p)`` for a positive-real-part ``p``, with
     ``L1 = phi1 p1`` and ``L2 = phi1 p2 + phi2 p1^2`` (the Ma-Minda form);
-    ``phi`` is ``(phi1, phi2)``, ``sum_denominator`` is the ``D`` that
-    :func:`lift` and every bound arm use, and ``region`` is the region
-    ``phi(U)`` that ``L[f]`` must map into, as ``(test, threshold)``.
+    ``phi`` is ``(phi1, phi2)``, ``sum_denominator`` is the ``D`` that every
+    bound arm uses, and ``region`` is the region ``phi(U)`` that ``L[f]``
+    must map into, as ``(test, threshold)``.
     ``family`` names the class and its shape field.
     """
 
@@ -154,17 +143,6 @@ def apply_operator(f: NormalizedFunction, lam: float, mu: float) -> TruncatedSer
     return (1.0 - lam) * h.pow_real(mu) + lam * (df * h.pow_real(mu - 1.0))
 
 
-def operator_coeffs_closed(a2, a3, lam, mu):
-    """Closed forms of the operator's first two coefficients.
-
-    l1 = (lam+mu)*a2 and l2 = (2*lam+mu)*a3 + (mu-1)*(lam+mu/2)*a2^2; matches
-    the series route of :func:`apply_operator` coefficient by coefficient.
-    """
-    l1 = (lam + mu) * a2
-    l2 = (2.0 * lam + mu) * a3 + (mu - 1.0) * (lam + mu / 2.0) * a2 * a2
-    return l1, l2
-
-
 @dataclass(frozen=True)
 class MembershipGrid:
     """Evaluation grid for the disk: circles of the given radii."""
@@ -238,43 +216,6 @@ def membership(f: NormalizedFunction, params: AlphaParams | BetaParams,
                             margin, point, side, grid.tol)
 
 
-def _check_first_coeff_consistency(p1, q1):
-    # The coefficient systems force q1 = -p1; everything downstream uses only
-    # the squares, so the sign-mirrored tuple is accepted as well.
-    if abs(p1 * p1 - q1 * q1) > CONSISTENCY_TOL:
-        raise ValueError(f"inconsistent tuple: p1^2 != q1^2 ({p1!r}, {q1!r})")
-
-
-@dataclass(frozen=True)
-class Lift:
-    """Functionals of a tuple, from the equations L[f] = phi(p), L[g] = phi(q).
-
-    The two a2^2 candidates come from the first-coefficient equations and
-    from the sum of the second-coefficient equations; each a3 route adds
-    phi1 (p2-q2) / (2 (2 lam+mu)), from their difference, to its a2^2.  For
-    tuples produced by ``induce_q_*`` all four agree pairwise.
-    """
-
-    a2sq_from_p1q1: complex
-    a2sq_from_p2q2: complex
-    a3_primary: complex
-    a3_alternate: complex
-
-
-def lift(t: CoefficientTuple, params: AlphaParams | BetaParams) -> Lift:
-    """The :class:`Lift` of a coefficient tuple for the class of ``params``.
-
-    a2^2 = phi1^2 (p1^2+q1^2) / (2 (lam+mu)^2) or phi1 (p2+q2) / D with
-    D = ``params.sum_denominator``.
-    """
-    _check_first_coeff_consistency(t.p1, t.q1)
-    phi1, lam, mu = params.phi[0], params.lam, params.mu
-    sq_1 = phi1 * phi1 * (t.p1 * t.p1 + t.q1 * t.q1) / (2.0 * (lam + mu) ** 2)
-    sq_2 = phi1 * (t.p2 + t.q2) / params.sum_denominator
-    half_diff = phi1 * (t.p2 - t.q2) / (2.0 * (2.0 * lam + mu))
-    return Lift(sq_1, sq_2, sq_1 + half_diff, sq_2 + half_diff)
-
-
 def _induce_q(p1, p2, params):
     """Forward-solve (a2, a3) from (p1, p2), then back-solve (q1, q2).
 
@@ -298,8 +239,7 @@ def _induce_q(p1, p2, params):
 def induce_q_alpha(p1, p2, params: AlphaParams):
     """(a2, a3, q1, q2) of the angular class from (p1, p2).
 
-    Scalar or broadcasting array inputs.  Feeding the resulting tuple into
-    :func:`lift` reproduces (a2^2, a3) on every route.
+    Scalar or broadcasting array inputs.
     """
     return _induce_q(p1, p2, params)
 

@@ -1,0 +1,84 @@
+"""Oracles the tests hold the package to; nothing in ``bicoef`` uses them.
+
+* :func:`toeplitz_moment_matrix`, whose smallest ``eigvalsh`` eigenvalue
+  decides admissibility by definition: the K=2 closed form of
+  ``caratheodory.admissibility_mask_k2`` must agree with it.
+* :func:`operator_coeffs_closed`, the operator's first two coefficients in
+  closed form, against the series route of ``operators.apply_operator``.
+* :func:`lift`, the inverse of ``operators.induce_q_*``: it recovers ``a2^2``
+  and ``a3`` from a full coefficient tuple, by two routes each.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
+
+CONSISTENCY_TOL = 1e-9
+
+
+def toeplitz_moment_matrix(c) -> np.ndarray:
+    """Hermitian (K+1)x(K+1) moment matrix of the prefix c_1..c_K.
+
+    Unit diagonal, entry (i, j) = c_{j-i}/2 above it, conjugates below.
+    Positive semidefiniteness characterizes admissible prefixes.
+    """
+    c = np.asarray(c, dtype=complex)
+    k = c.size
+    m = np.eye(k + 1, dtype=complex)
+    for d in range(1, k + 1):
+        for i in range(k + 1 - d):
+            m[i, i + d] = c[d - 1] / 2.0
+            m[i + d, i] = np.conj(c[d - 1]) / 2.0
+    return m
+
+
+def operator_coeffs_closed(a2, a3, lam, mu):
+    """Closed forms of the operator's first two coefficients.
+
+    l1 = (lam+mu)*a2 and l2 = (2*lam+mu)*a3 + (mu-1)*(lam+mu/2)*a2^2; matches
+    the series route of ``apply_operator`` coefficient by coefficient.
+    """
+    l1 = (lam + mu) * a2
+    l2 = (2.0 * lam + mu) * a3 + (mu - 1.0) * (lam + mu / 2.0) * a2 * a2
+    return l1, l2
+
+
+def _check_first_coeff_consistency(p1, q1):
+    # The coefficient systems force q1 = -p1; everything downstream uses only
+    # the squares, so the sign-mirrored tuple is accepted as well.
+    if abs(p1 * p1 - q1 * q1) > CONSISTENCY_TOL:
+        raise ValueError(f"inconsistent tuple: p1^2 != q1^2 ({p1!r}, {q1!r})")
+
+
+@dataclass(frozen=True)
+class Lift:
+    """Functionals of a tuple, from the equations L[f] = phi(p), L[g] = phi(q).
+
+    The two a2^2 candidates come from the first-coefficient equations and
+    from the sum of the second-coefficient equations; each a3 route adds
+    phi1 (p2-q2) / (2 (2 lam+mu)), from their difference, to its a2^2.  For
+    tuples produced by ``induce_q_*`` all four agree pairwise.
+    """
+
+    a2sq_from_p1q1: complex
+    a2sq_from_p2q2: complex
+    a3_primary: complex
+    a3_alternate: complex
+
+
+def lift(t: CoefficientTuple, params: AlphaParams | BetaParams) -> Lift:
+    """The :class:`Lift` of a coefficient tuple for the class of ``params``.
+
+    a2^2 = phi1^2 (p1^2+q1^2) / (2 (lam+mu)^2) or phi1 (p2+q2) / D with
+    D = ``params.sum_denominator``.
+    """
+    _check_first_coeff_consistency(t.p1, t.q1)
+    phi1, lam, mu = params.phi[0], params.lam, params.mu
+    sq_1 = phi1 * phi1 * (t.p1 * t.p1 + t.q1 * t.q1) / (2.0 * (lam + mu) ** 2)
+    sq_2 = phi1 * (t.p2 + t.q2) / params.sum_denominator
+    half_diff = phi1 * (t.p2 - t.q2) / (2.0 * (2.0 * lam + mu))
+    return Lift(sq_1, sq_2, sq_1 + half_diff, sq_2 + half_diff)

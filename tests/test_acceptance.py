@@ -12,9 +12,9 @@ from bicoef.bounds import COROLLARY_IDS, bounds_for, corollary_check
 from bicoef.cli import main
 from bicoef.harness import falsify
 from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
-                              apply_operator, induce_q_alpha, induce_q_beta,
-                              lift, operator_coeffs_closed)
+                              apply_operator, induce_q_alpha, induce_q_beta)
 from bicoef.series import NormalizedFunction, inverse_coeffs_closed, revert
+from oracles import lift, operator_coeffs_closed
 
 
 def _verdict(n: int, ok: bool, desc: str) -> None:

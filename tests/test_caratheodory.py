@@ -1,5 +1,4 @@
 import cmath
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,41 +8,39 @@ from hypothesis import strategies as st
 from bicoef import caratheodory
 from bicoef.caratheodory import (FAIL_MODULUS, FAIL_TOEPLITZ, MODULUS_TOL, PASS,
                                  admissibility_mask_k2, herglotz,
-                                 is_admissible_prefix, sample_batch, streams,
-                                 toeplitz_moment_matrix)
+                                 is_admissible_prefix, sample_batch, streams)
+from oracles import toeplitz_moment_matrix
 
 
 # ----------------------------------------------------------------- herglotz
 
 def test_single_atom_at_zero_is_extremal():
-    assert np.allclose(herglotz([(1.0, 0.0)], order=6), 2.0, atol=1e-14, rtol=0)
+    assert np.allclose(herglotz([(1.0, 0.0)]), 2.0, atol=1e-14, rtol=0)
 
 
 def test_two_symmetric_atoms():
-    # (1+z^2)/(1-z^2): odd coefficients vanish, even ones are 2
-    c = herglotz([(0.5, 0.0), (0.5, np.pi)], order=6)
-    want = [1 + (-1) ** k for k in range(1, 7)]
-    assert c.shape == (6,)
-    assert np.allclose(c, want, atol=1e-13, rtol=0)
+    # (1+z^2)/(1-z^2): c1 vanishes, c2 is 2
+    c = herglotz([(0.5, 0.0), (0.5, np.pi)])
+    assert c.shape == (2,)
+    assert np.allclose(c, [0.0, 2.0], atol=1e-13, rtol=0)
 
 
 def test_single_atom_at_pi_alternates():
-    want = [2 * (-1) ** k for k in range(1, 6)]
-    assert np.allclose(herglotz([(1.0, np.pi)], order=5), want, atol=1e-13, rtol=0)
+    assert np.allclose(herglotz([(1.0, np.pi)]), [-2.0, 2.0], atol=1e-13, rtol=0)
 
 
 def test_herglotz_rejects_bad_weights():
     # the sum prints as a Python float, not as np.float64(...)
     with pytest.raises(ValueError, match=r"must sum to 1, got 0\.9$"):
-        herglotz([(0.5, 0.0), (0.4, 1.0)], order=2)
+        herglotz([(0.5, 0.0), (0.4, 1.0)])
     with pytest.raises(ValueError):
-        herglotz([(-0.5, 0.0), (1.5, 1.0)], order=2)
+        herglotz([(-0.5, 0.0), (1.5, 1.0)])
     with pytest.raises(ValueError):
-        herglotz([], order=2)
+        herglotz([])
     # rejected before any arithmetic, so no RuntimeWarning either
     for atom in ((float("nan"), 0.0), (1.0, float("nan")), (1.0, float("inf"))):
         with pytest.raises(ValueError, match="must be finite"):
-            herglotz([atom], order=2)
+            herglotz([atom])
 
 
 def test_herglotz_of_a_batch_row_is_that_row():
@@ -51,65 +48,55 @@ def test_herglotz_of_a_batch_row_is_that_row():
     # those a second chunk of a campaign draws
     rngs = streams(42)
     for _ in range(2):
-        t, theta, coeffs = sample_batch(rngs, 50, 3, order=4)
+        t, theta, coeffs = sample_batch(rngs, 50, 3)
         for i in (0, 1, 17, 49):
             atoms = list(zip(t[i].tolist(), theta[i].tolist()))
-            assert np.array_equal(herglotz(atoms, order=4), coeffs[i])
+            assert np.array_equal(herglotz(atoms), coeffs[i])
 
 
-def _direct_coeffs(atoms, order):
-    """2 sum_i t_i e^{i k theta_i}, with k*theta_i carried exactly: the float
-    product k*theta rounds by up to 3.6e-15 for k <= 8, the coefficients
-    themselves only by a few 1e-16."""
-    out = []
-    for k in range(1, order + 1):
-        total = 0j
-        for t, theta in atoms:
-            hi = k * theta
-            lo = float(k * Fraction(theta) - Fraction(hi))
-            total += t * cmath.exp(1j * hi) * complex(1.0, lo)   # e^{i lo} to O(lo^2)
-        out.append(2.0 * total)
-    return np.array(out)
+def _direct_coeffs(atoms):
+    """2 sum_i t_i e^{i k theta_i} for k = 1, 2; k*theta_i is exact for both."""
+    return np.array([2.0 * sum(t * cmath.exp(1j * k * theta) for t, theta in atoms)
+                     for k in (1, 2)])
 
 
 @pytest.mark.parametrize("atom_count", [1, 2, 3, 5])
 def test_herglotz_matches_the_direct_sum_within_k_roundings(atom_count):
-    # c_k is a (k-1)-fold product of e^{i theta}: its error grows with k
-    order = 8
-    tol = 4e-16 * np.arange(1, order + 1)
-    t, theta, _ = sample_batch(streams(atom_count), 400, atom_count, order=1)
+    # c2 is the square of e^{i theta}: one rounding more than c1
+    tol = 4e-16 * np.arange(1, 3)
+    t, theta, _ = sample_batch(streams(atom_count), 400, atom_count)
     for i in range(len(t)):
         atoms = list(zip(t[i].tolist(), theta[i].tolist()))
-        assert (np.abs(herglotz(atoms, order) - _direct_coeffs(atoms, order)) <= tol).all()
+        assert (np.abs(herglotz(atoms) - _direct_coeffs(atoms)) <= tol).all()
 
 
 # ------------------------------------------------------------------ sampler
 
 def test_sampler_is_deterministic():
-    a = sample_batch(streams(123), 5, 3, order=8)
-    b = sample_batch(streams(123), 5, 3, order=8)
+    a = sample_batch(streams(123), 5, 3)
+    b = sample_batch(streams(123), 5, 3)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
 
 def test_single_atom_draws_have_extremal_moduli():
     for seed in range(5):
-        _, _, coeffs = sample_batch(streams(seed), 4, 1, order=8)
+        _, _, coeffs = sample_batch(streams(seed), 4, 1)
         assert np.allclose(np.abs(coeffs), 2.0, atol=1e-12, rtol=0)
 
 
 def test_batch_never_violates_modulus_condition():
-    _, _, coeffs = sample_batch(streams(7), 10_000, 4, order=2)
+    _, _, coeffs = sample_batch(streams(7), 10_000, 4)
     assert np.abs(coeffs).max() <= 2.0 + 1e-12
 
 
 def test_batch_rows_are_prefix_stable():
     # a longer batch extends a shorter one, and batches drawn in turn from
     # one stream pair are one batch, bit for bit
-    one = sample_batch(streams(9), 500, 3, order=3)
+    one = sample_batch(streams(9), 500, 3)
     for sizes in ((20,), (1, 499), (300, 200), (0, 7, 493)):
         rngs = streams(9)
-        parts = [sample_batch(rngs, n, 3, order=3) for n in sizes]
+        parts = [sample_batch(rngs, n, 3) for n in sizes]
         for whole, pieces in zip(one, zip(*parts)):
             assert np.array_equal(whole[:sum(sizes)], np.concatenate(pieces))
 
@@ -136,6 +123,12 @@ def test_toeplitz_catches_infeasible_pair():
     assert adm.tolist() == [True] and not fmod.any() and not ftoe.any()
 
 
+@pytest.mark.parametrize("c", [[], [1], [1, 1, 1], [[1, 1]], 1])
+def test_prefix_of_other_than_two_terms_is_rejected(c):
+    with pytest.raises(ValueError, match="two terms"):
+        is_admissible_prefix(c)
+
+
 def test_moment_matrix_layout():
     m = toeplitz_moment_matrix([2j, -2])
     assert m.shape == (3, 3)
@@ -144,21 +137,20 @@ def test_moment_matrix_layout():
     assert np.allclose(m, m.conj().T)
 
 
-def test_herglotz_outputs_are_admissible_at_every_prefix_length():
+def test_herglotz_outputs_are_admissible():
     rng = np.random.default_rng(5)
     for _ in range(20):
         m = int(rng.integers(1, 5))
-        _, _, coeffs = sample_batch(streams(int(rng.integers(1e6))), 3, m, order=6)
+        _, _, coeffs = sample_batch(streams(int(rng.integers(1e6))), 3, m)
         for c in coeffs:
-            for k in range(1, 7):
-                assert is_admissible_prefix(c[:k]) == PASS
+            assert is_admissible_prefix(c) == PASS
 
 
 def test_convex_combination_of_admissible_prefixes_is_admissible():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        a = sample_batch(streams(int(rng.integers(1e6))), 1, 3, order=4)[2][0]
-        b = sample_batch(streams(int(rng.integers(1e6))), 1, 2, order=4)[2][0]
+        a = sample_batch(streams(int(rng.integers(1e6))), 1, 3)[2][0]
+        b = sample_batch(streams(int(rng.integers(1e6))), 1, 2)[2][0]
         t = rng.random()
         assert is_admissible_prefix(t * a + (1 - t) * b) == PASS
 
@@ -283,28 +275,6 @@ def test_extremal_tuples_against_eigvalsh():
     assert _assert_matches_eigvalsh(c1, c2, 1e-9) == len(c1)
     adm, _, _ = admissibility_mask_k2(c1, c2)
     assert adm.all()
-
-
-# boundary prefixes for K = 3 and K = 4: m < K + 1 atoms make the moment
-# matrix singular, with smallest eigenvalue 0
-EDGE_MIXTURES = (([(0.5, 0.3), (0.5, 2.0)], 3), ([(0.2, 1.0), (0.3, 4.0), (0.5, 5.5)], 3),
-                 ([(0.5, 0.3), (0.5, 2.0)], 4), ([(0.2, 1.0), (0.3, 4.0), (0.5, 5.5)], 4))
-
-
-@pytest.mark.parametrize("eig_tol", EIG_TOLS)
-@pytest.mark.parametrize("atoms, order", EDGE_MIXTURES)
-def test_eigvalsh_path_admits_exactly_eig_tol_beyond_the_edge(atoms, order, eig_tol):
-    # T(s c) = (1 - s) I + s T(c), so scaling a boundary prefix by
-    # s = 1 + eig_tol + d puts the smallest eigenvalue at -eig_tol - d
-    c = herglotz(atoms, order)
-    assert np.abs(c).max() < 1.99   # the scaled prefixes pass the modulus check
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(caratheodory, "EIG_TOL", eig_tol)
-        for d, want in ((-1e-12, PASS), (1e-12, FAIL_TOEPLITZ)):
-            scaled = c * (1.0 + eig_tol + d)
-            lam = np.linalg.eigvalsh(toeplitz_moment_matrix(scaled))[0]
-            assert (lam >= -eig_tol) == (want == PASS)   # the oracle agrees
-            assert is_admissible_prefix(scaled) == want
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -4,8 +4,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +371,23 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
 def test_help_and_version_exit_zero(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and out and not err
+
+
+def test_closed_stdout_exits_141_with_empty_stderr():
+    # the reader of stdout is gone before the CLI writes, as with `| head -c 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = [str(Path(__file__).resolve().parents[1] / "src"),
+            *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bicoef.cli", "corollary-check",
+                               "--json"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

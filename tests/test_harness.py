@@ -359,7 +359,7 @@ def _reference_search(params, objective, budget, seed, atom_count, restarts):
         w = np.exp(v - v.max())
         t = w / w.sum()
         atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
-        c = caratheodory.herglotz(atoms, order=2)
+        c = caratheodory.herglotz(atoms)
         a2, a3, q1, q2 = _induce(params, c[0], c[1])
         tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
         if first_tuple is None:
@@ -415,9 +415,9 @@ def _search_with_points(monkeypatch, search, *args, **kwargs):
     """search's result and the atoms of every point it evaluated, in order."""
     points, herglotz = [], caratheodory.herglotz
 
-    def recording(atoms, order):
+    def recording(atoms):
         points.append(atoms)
-        return herglotz(atoms, order=order)
+        return herglotz(atoms)
 
     with monkeypatch.context() as m:
         m.setattr(caratheodory, "herglotz", recording)
