@@ -267,6 +267,31 @@ def test_k2_closed_form_matches_eigvalsh_on_a_boundary_grid(eig_tol):
     assert checked > len(c1) // 2
 
 
+# boundary prefixes: m = 2 < K + 1 atoms make the 3x3 moment matrix
+# singular, with smallest eigenvalue 0; no c_k is extremal
+EDGE_MIXTURES = ([(0.5, 0.3), (0.5, 2.0)], [(0.2, 1.0), (0.8, 4.0)],
+                 [(0.3, 0.0), (0.7, 2.5)], [(0.6, 5.0), (0.4, 1.2)])
+
+
+@pytest.mark.parametrize("eig_tol", EIG_TOLS)
+@pytest.mark.parametrize("atoms", EDGE_MIXTURES)
+def test_k2_closed_form_admits_exactly_eig_tol_beyond_the_edge(atoms, eig_tol):
+    # T(s c) = (1 - s) I + s T(c), so scaling a boundary prefix by
+    # s = 1 + eig_tol + d puts the smallest eigenvalue at -eig_tol - d
+    c = herglotz(atoms)
+    assert np.abs(c).max() < 1.99   # the scaled prefixes pass the modulus check
+    assert abs(np.linalg.eigvalsh(toeplitz_moment_matrix(c))[0]) < 1e-15
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(caratheodory, "EIG_TOL", eig_tol)
+        for d, want in ((-1e-12, PASS), (1e-12, FAIL_TOEPLITZ)):
+            scaled = c * (1.0 + eig_tol + d)
+            lam = np.linalg.eigvalsh(toeplitz_moment_matrix(scaled))[0]
+            assert (lam >= -eig_tol) == (want == PASS)   # the oracle agrees
+            assert is_admissible_prefix(scaled) == want
+            adm, fmod, ftoe = admissibility_mask_k2(scaled[:1], scaled[1:])
+            assert [adm[0], fmod[0], ftoe[0]] == [want == PASS, False, want != PASS]
+
+
 def test_extremal_tuples_against_eigvalsh():
     # (2 e^{i phi}, 2 e^{2 i phi}); phi = 0 is the tuple (2, 2)
     phis = np.linspace(0.0, 2 * np.pi, 13)
