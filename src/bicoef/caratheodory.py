@@ -5,9 +5,10 @@ Every element built here is a convex combination of Moebius atoms
 part on the disk, so class membership is exact by construction.  An element
 is its prefix (c1, c2) (p(0) = 1 is implied): the bounds on |a2| and |a3|
 read no further coefficient, so K = 2 is the whole scope.  :func:`herglotz`
-gives it for one atom mixture, :func:`sample_batch` for the next batch of
-random ones from the generator pair :func:`streams` of a seed, with
-c_k = 2 sum_i t_i e^{i k theta_i}.
+gives it for one atom mixture, c_k = 2 sum_i t_i e^{i k theta_i}, and
+:func:`sample_batch` draws the next batch of random mixtures from the
+generator pair :func:`streams` of a seed; the harness's scoring kernel maps
+such a batch to its prefixes with the same arithmetic.
 
 A bare prefix is admissible when it satisfies the modulus condition
 |c_k| <= 2 and its 3x3 Toeplitz moment matrix is positive semidefinite.
@@ -70,8 +71,9 @@ def herglotz(atoms) -> np.ndarray:
     """(c1, c2), as a (2,) array, of the atom mixture [(t_i, theta_i), ...].
 
     Weights and angles must be finite, and the weights positive with sum 1
-    within WEIGHT_TOL.  Equals the row of :func:`sample_batch` drawn with the
-    same atoms, bit for bit.
+    within WEIGHT_TOL.  The batched form behind it, which the harness's
+    scoring kernel runs, gives these bits for the same atoms in any row of
+    any batch.
     """
     a = np.array(atoms, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2 or not len(a):
@@ -95,12 +97,11 @@ def streams(seed: int):
 def sample_batch(rngs, count: int, atom_count: int):
     """The next count random atom mixtures drawn from rngs = streams(seed).
 
-    Returns (weights, angles, coeffs) with shapes (count, m), (count, m) and
-    (count, 2); coeffs[:, k-1] holds c_k.  Weights come from the uniform
-    distribution on the simplex (normalized exponentials), angles are uniform
-    on [0, 2*pi).  Each call continues the pair's streams, so batches of
-    n1, n2, ... rows drawn in turn equal one batch of n1 + n2 + ... rows,
-    bit for bit: row i depends only on (seed, i).
+    Returns (weights, angles), each of shape (count, m).  Weights come from
+    the uniform distribution on the simplex (normalized exponentials), angles
+    are uniform on [0, 2*pi).  Each call continues the pair's streams, so
+    batches of n1, n2, ... rows drawn in turn equal one batch of
+    n1 + n2 + ... rows, bit for bit: row i depends only on (seed, i).
     """
     if atom_count < 1:
         raise ValueError("atom_count must be >= 1")
@@ -110,7 +111,7 @@ def sample_batch(rngs, count: int, atom_count: int):
     w = wrng.standard_exponential((count, atom_count))
     t = w / w.sum(axis=1, keepdims=True)
     theta = arng.uniform(0.0, 2.0 * np.pi, (count, atom_count))
-    return t, theta, _mixture_coeffs(t, theta)
+    return t, theta
 
 
 def is_admissible_prefix(c) -> str:

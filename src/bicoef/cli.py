@@ -251,10 +251,15 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that raises its usage errors instead of exiting."""
+    """An ArgumentParser that raises its usage errors instead of exiting, and
+    the errors of its writes (-h, --version) instead of dropping them."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def _print_message(self, message, file=None):
+        if message:   # a closed stdout raises BrokenPipeError: main exits 141
+            (file or sys.stderr).write(message)
 
 
 def _add_common(sp) -> None:

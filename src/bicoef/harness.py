@@ -1,10 +1,13 @@
 """Randomized falsification campaigns and derivative-free extremal search.
 
-A campaign draws positive-real-part prefixes from the atom sampler, induces
-the paired element's coefficients, filters at the prefix level, and compares
-achieved |a2|, |a3| of survivors against the closed-form bounds.  Violations
-beyond VIOLATION_TOL would falsify either the implementation or the bound
-transcription, so the default campaigns must report none.
+Both run on one scoring kernel, ``_score``: rows of atom weights and angles
+go to their prefixes (p1, p2), the paired element's (q1, q2) and (a2, a3),
+the prefix-level filter, and |a2|, |a3|.  A campaign scores the atom
+sampler's batches and compares the |a2|, |a3| of survivors against the
+closed-form bounds.  Violations beyond VIOLATION_TOL would falsify either the
+implementation or the bound transcription, so the default campaigns must
+report none.  The extremal search scores the neighbours of its current point
+in batches of at most SEARCH_ROWS rows.
 
 Campaigns are deterministic per (seed, n_samples): sample i depends only on
 the seed and i, never on n_samples, and CSV rows appear in index order.  A
@@ -41,6 +44,12 @@ HIST_KEYS = ("edges", "counts", "underflow")
 # Samples per chunk.  Measured from 2^13 to 2^17: up to 2^15 a campaign ran
 # equally fast, larger chunks ran slower, and peak RSS grows with the chunk.
 CHUNK = 1 << 14
+# Rows per kernel call of the extremal search.  A sweep has 4m neighbours of
+# 2m coordinates, so an uncapped batch grows as m^2 in the atom count m.
+# Measured from 4 to 48 rows at m = 3 to 500 atoms: from 12 rows up the
+# search ran equally fast for m <= 20, 8 to 16 rows ran fastest at m = 50 and
+# 100, and at m = 500 each row scored past the first improvement costs more.
+SEARCH_ROWS = 16
 
 CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
               "p1_re", "p1_im", "p2_re", "p2_im",
@@ -55,27 +64,38 @@ def _induce(params, p1, p2):
     return induce(p1, p2, params)
 
 
+def _score(params, weights, angles, filter_mode: str = "toeplitz") -> dict:
+    """The scoring kernel of falsify and extremal_search.
+
+    Maps (count, m) arrays of atom weights and angles to count-row arrays:
+    the prefixes p1, p2, the paired q1, q2, the filter masks and |a2|, |a3|.
+    A row depends only on its own weights and angles, bit for bit, whatever
+    the batch it is scored in.
+    """
+    coeffs = caratheodory._mixture_coeffs(weights, angles)
+    p1, p2 = coeffs[:, 0], coeffs[:, 1]
+    a2, a3, q1, q2 = _induce(params, p1, p2)
+    admissible, fail_mod, fail_toe = caratheodory.admissibility_mask_k2(
+        q1, q2, mode=filter_mode)
+    return {"p1": p1, "p2": p2, "q1": q1, "q2": q2,
+            "admissible": admissible, "fail_modulus": fail_mod,
+            "fail_toeplitz": fail_toe, "a2_abs": np.abs(a2), "a3_abs": np.abs(a3)}
+
+
 def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
                      filter_mode: str, atom_count: int):
     """(start, arrays) for each chunk of at most CHUNK samples, in order.
 
-    Row j of each array in arrays is sample start + j.  The one kernel of
-    both falsify and the CSV replay.
+    Row j of each array in arrays is sample start + j: its _score row and
+    its margins.  The one source of both falsify and the CSV replay.
     """
     rngs = caratheodory.streams(seed)
     for start in range(0, n_samples, CHUNK):
-        _, _, coeffs = caratheodory.sample_batch(
-            rngs, min(CHUNK, n_samples - start), atom_count)
-        p1, p2 = coeffs[:, 0], coeffs[:, 1]
-        a2, a3, q1, q2 = _induce(params, p1, p2)
-        admissible, fail_mod, fail_toe = caratheodory.admissibility_mask_k2(
-            q1, q2, mode=filter_mode)
-        a2_abs, a3_abs = np.abs(a2), np.abs(a3)
-        yield start, {"p1": p1, "p2": p2, "q1": q1, "q2": q2,
-                      "admissible": admissible, "fail_modulus": fail_mod,
-                      "fail_toeplitz": fail_toe, "a2_abs": a2_abs, "a3_abs": a3_abs,
-                      "a2_margin": bounds.a2_bound - a2_abs,
-                      "a3_margin": bounds.a3_bound - a3_abs}
+        a = _score(params, *caratheodory.sample_batch(
+            rngs, min(CHUNK, n_samples - start), atom_count), filter_mode)
+        a["a2_margin"] = bounds.a2_bound - a["a2_abs"]
+        a["a3_margin"] = bounds.a3_bound - a["a3_abs"]
+        yield start, a
 
 
 @dataclass(frozen=True)
@@ -170,9 +190,10 @@ def falsify(params, n_samples: int, seed: int, *,
             filter_mode: str = "toeplitz", atom_count: int = 3) -> CampaignSummary:
     """Run one falsification campaign against the matching coefficient bound.
 
-    Draws prefixes via the atom sampler, induces the paired element, filters
-    samples whose induced (q1, q2) prefix is inadmissible, and compares
-    survivors' |a2|, |a3| against the closed-form bounds.  The violation list
+    Draws atom mixtures from the sampler and scores them with the kernel
+    that extremal_search shares: the paired element is induced, samples
+    whose (q1, q2) prefix is inadmissible are filtered out, and survivors'
+    |a2|, |a3| are compared against the closed-form bounds.  The violation list
     must come back empty if the bounds (and this transcription) are correct.
     Each chunk of CHUNK samples is folded into the counts, extrema,
     histograms and violations before the next is drawn.
@@ -228,31 +249,12 @@ def falsify(params, n_samples: int, seed: int, *,
         a2_near_boundary=n_near["a2"], a3_near_boundary=n_near["a3"])
 
 
-def _search_points(rng, atom_count: int):
-    """The points x = (v, theta) of the search, in order; send() each score.
-
-    A restart draws x from rng.  Each coordinate is tried at +step, then at
-    -step; the first improvement moves x, and the sweep goes on to the next
-    coordinate.  A sweep with none halves the step; once the step is <= 1e-3
-    the search restarts.  A score is None where x fails the filter.
-    """
-    while True:
-        x = np.concatenate([rng.normal(0.0, 1.0, atom_count),
-                            rng.uniform(0.0, 2.0 * np.pi, atom_count)])
-        cur = yield x
-        step = 0.6
-        while step > 1e-3:
-            improved = False
-            for j in range(x.size):
-                for sgn in (1.0, -1.0):
-                    x2 = x.copy()
-                    x2[j] += sgn * step
-                    val = yield x2
-                    if val is not None and (cur is None or val > cur):
-                        x, cur, improved = x2, val, True
-                        break
-            if not improved:
-                step *= 0.5
+def _mixtures(x, atom_count: int):
+    """(weights, angles) of the search points in the rows of x = (v, theta):
+    the softmax of the logits v and theta mod 2 pi, row by row."""
+    v, theta = x[:, :atom_count], x[:, atom_count:]
+    w = np.exp(v - v.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True), theta % (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,10 @@ class EmpiricalExtremum:
 
     ``achieved`` is an empirical lower bound on the class extremum; the gap
     must never be significantly negative, and the search asserts nothing
-    about how small it gets (no sharp extremal value is known).
+    about how small it gets (no sharp extremal value is known).  The search
+    scores its points with the kernel of falsify; this record is rebuilt
+    once, from the best point, through ``herglotz`` and
+    ``is_admissible_prefix``, which give that point's kernel row.
     """
 
     best_tuple: CoefficientTuple
@@ -278,11 +283,17 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
     """Maximize |a2| or |a3| over atom mixtures, subject to induced
     admissibility of the paired prefix.
 
-    Multi-start coordinate search: raw weight logits live on the simplex via
-    softmax, angles on the torus; each coordinate is nudged by a shrinking
-    step and the first improvement is taken.  The evaluation sequence for a
-    given seed is independent of the budget, so results are monotone
-    nondecreasing in it.
+    Multi-start coordinate search over points x = (v, theta): raw weight
+    logits live on the simplex via softmax, angles on the torus.  A restart
+    draws x from the seeded generator.  Each coordinate is tried at +step,
+    then at -step; the first improvement moves x, and the sweep goes on to
+    the next coordinate.  A sweep with none halves the step; once the step
+    is <= 1e-3 the search restarts.  A point that fails the filter scores
+    nothing.  The untried neighbours of x are scored in one batch of at most
+    SEARCH_ROWS rows by the scoring kernel of falsify; only the rows up to
+    and including the first improvement count as evaluations, so the
+    evaluation sequence for a given seed is that of one point at a time and
+    does not depend on the budget: results are monotone nondecreasing in it.
     """
     if objective not in ("a2", "a3"):
         raise ValueError(f"objective must be 'a2' or 'a3', got {objective!r}")
@@ -292,28 +303,53 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         raise ValueError("atom_count must be >= 1")
     rep = bounds_for(params)
     bound = rep.a2_bound if objective == "a2" else rep.a3_bound
-    points = _search_points(np.random.default_rng(seed), atom_count)
-    x = next(points)
-    best_val = best_tuple = best_atoms = None
-    for _ in range(budget):
-        v, theta = x[:atom_count], x[atom_count:]
-        w = np.exp(v - v.max())
-        t = w / w.sum()
-        atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
-        p1, p2 = caratheodory.herglotz(atoms)
-        a2, a3, q1, q2 = _induce(params, p1, p2)
-        val = None
-        if caratheodory.is_admissible_prefix([q1, q2]) == caratheodory.PASS:
-            val = float(abs(a2) if objective == "a2" else abs(a3))
-        improved = val is not None and (best_val is None or val > best_val)
-        if improved:
-            best_val, best_atoms = val, atoms
-        if improved or best_tuple is None:   # the first tuple, until one passes
-            best_tuple = CoefficientTuple(complex(p1), complex(p2),
-                                          complex(q1), complex(q2))
-        x = points.send(val)
-    achieved = best_val if best_val is not None else 0.0
+    m, key = atom_count, f"{objective}_abs"
+
+    def scores(x):
+        """|a2| or |a3| of each row of x; -inf where it fails the filter."""
+        a = _score(params, *_mixtures(x, m))
+        return np.where(a["admissible"], a[key], -np.inf)
+
+    rng = np.random.default_rng(seed)
+    evals, best, best_x = 0, -np.inf, None
+    while evals < budget:
+        x = np.concatenate([rng.normal(0.0, 1.0, m), rng.uniform(0.0, 2.0 * np.pi, m)])
+        cur = scores(x[None])[0]
+        evals += 1
+        if best_x is None or cur > best:   # the first point stands until one passes
+            best, best_x = cur, x
+        step = 0.6
+        while step > 1e-3 and evals < budget:
+            improved = False
+            pos = 0   # neighbour 2j is x + step e_j, neighbour 2j+1 is x - step e_j
+            while pos < 4 * m and evals < budget:
+                rows = np.arange(pos, min(4 * m, pos + SEARCH_ROWS, pos + budget - evals))
+                nbrs = np.repeat(x[None], rows.size, axis=0)
+                nbrs[np.arange(rows.size), rows // 2] += np.where(rows % 2, -step, step)
+                vals = scores(nbrs)
+                hits = np.flatnonzero(vals > cur)
+                if not hits.size:
+                    evals += rows.size
+                    pos += rows.size
+                    continue
+                k = hits[0]
+                evals += k + 1
+                x, cur, improved = nbrs[k].copy(), vals[k], True
+                if cur > best:
+                    best, best_x = cur, x
+                pos = 2 * (rows[k] // 2 + 1)   # on to the next coordinate
+            if not improved:
+                step *= 0.5
+    # the record, rebuilt through the public one-point functions, which
+    # perfbench's traced suite requires in every extremal run
+    weights, angles = _mixtures(best_x[None], m)
+    atoms = tuple(zip(weights[0].tolist(), angles[0].tolist()))
+    c = caratheodory.herglotz(atoms)
+    a2, a3, q1, q2 = _induce(params, c[:1], c[1:])   # one-row arrays: the kernel's bits
+    passed = caratheodory.is_admissible_prefix([q1[0], q2[0]]) == caratheodory.PASS
+    achieved = float(abs(a2 if objective == "a2" else a3)[0]) if passed else 0.0
     return EmpiricalExtremum(
-        best_tuple=best_tuple, achieved=achieved, bound=bound,
-        gap=bound - achieved, evaluations=budget, objective=objective,
-        best_atoms=best_atoms)
+        best_tuple=CoefficientTuple(complex(c[0]), complex(c[1]),
+                                    complex(q1[0]), complex(q2[0])),
+        achieved=achieved, bound=bound, gap=bound - achieved, evaluations=budget,
+        objective=objective, best_atoms=atoms if passed else None)

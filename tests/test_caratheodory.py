@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from bicoef import caratheodory
 from bicoef.caratheodory import (FAIL_MODULUS, FAIL_TOEPLITZ, MODULUS_TOL, PASS,
-                                 admissibility_mask_k2, herglotz,
+                                 _mixture_coeffs, admissibility_mask_k2, herglotz,
                                  is_admissible_prefix, sample_batch, streams)
 from oracles import toeplitz_moment_matrix
+
+
+def _prefixes(seed, count, atom_count):
+    """(count, 2) prefixes (c1, c2) of the sampler's first count mixtures."""
+    return _mixture_coeffs(*sample_batch(streams(seed), count, atom_count))
 
 
 # ----------------------------------------------------------------- herglotz
@@ -48,7 +53,8 @@ def test_herglotz_of_a_batch_row_is_that_row():
     # those a second chunk of a campaign draws
     rngs = streams(42)
     for _ in range(2):
-        t, theta, coeffs = sample_batch(rngs, 50, 3)
+        t, theta = sample_batch(rngs, 50, 3)
+        coeffs = _mixture_coeffs(t, theta)
         for i in (0, 1, 17, 49):
             atoms = list(zip(t[i].tolist(), theta[i].tolist()))
             assert np.array_equal(herglotz(atoms), coeffs[i])
@@ -64,7 +70,7 @@ def _direct_coeffs(atoms):
 def test_herglotz_matches_the_direct_sum_within_k_roundings(atom_count):
     # c2 is the square of e^{i theta}: one rounding more than c1
     tol = 4e-16 * np.arange(1, 3)
-    t, theta, _ = sample_batch(streams(atom_count), 400, atom_count)
+    t, theta = sample_batch(streams(atom_count), 400, atom_count)
     for i in range(len(t)):
         atoms = list(zip(t[i].tolist(), theta[i].tolist()))
         assert (np.abs(herglotz(atoms) - _direct_coeffs(atoms)) <= tol).all()
@@ -81,12 +87,12 @@ def test_sampler_is_deterministic():
 
 def test_single_atom_draws_have_extremal_moduli():
     for seed in range(5):
-        _, _, coeffs = sample_batch(streams(seed), 4, 1)
+        coeffs = _prefixes(seed, 4, 1)
         assert np.allclose(np.abs(coeffs), 2.0, atol=1e-12, rtol=0)
 
 
 def test_batch_never_violates_modulus_condition():
-    _, _, coeffs = sample_batch(streams(7), 10_000, 4)
+    coeffs = _prefixes(7, 10_000, 4)
     assert np.abs(coeffs).max() <= 2.0 + 1e-12
 
 
@@ -141,7 +147,7 @@ def test_herglotz_outputs_are_admissible():
     rng = np.random.default_rng(5)
     for _ in range(20):
         m = int(rng.integers(1, 5))
-        _, _, coeffs = sample_batch(streams(int(rng.integers(1e6))), 3, m)
+        coeffs = _prefixes(int(rng.integers(1e6)), 3, m)
         for c in coeffs:
             assert is_admissible_prefix(c) == PASS
 
@@ -149,8 +155,8 @@ def test_herglotz_outputs_are_admissible():
 def test_convex_combination_of_admissible_prefixes_is_admissible():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        a = sample_batch(streams(int(rng.integers(1e6))), 1, 3)[2][0]
-        b = sample_batch(streams(int(rng.integers(1e6))), 1, 2)[2][0]
+        a = _prefixes(int(rng.integers(1e6)), 1, 3)[0]
+        b = _prefixes(int(rng.integers(1e6)), 1, 2)[0]
         t = rng.random()
         assert is_admissible_prefix(t * a + (1 - t) * b) == PASS
 

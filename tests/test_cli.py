@@ -373,16 +373,18 @@ def test_help_and_version_exit_zero(capsys, argv):
     assert code == 0 and out and not err
 
 
-def test_closed_stdout_exits_141_with_empty_stderr():
-    # the reader of stdout is gone before the CLI writes, as with `| head -c 0`
+@pytest.mark.parametrize("argv", [["corollary-check", "--json"], ["--version"],
+                                  ["bound", "-h"]], ids=["json", "version", "help"])
+def test_closed_stdout_exits_141_with_empty_stderr(argv):
+    # the reader of stdout is gone before the CLI writes, as with `| head -c 0`;
+    # argparse writes -h and --version itself
     read_end, write_end = os.pipe()
     os.close(read_end)
     path = [str(Path(__file__).resolve().parents[1] / "src"),
             *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     try:
-        proc = subprocess.run([sys.executable, "-m", "bicoef.cli", "corollary-check",
-                               "--json"],
+        proc = subprocess.run([sys.executable, "-m", "bicoef.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE, env=env,
                               timeout=60)
     finally:

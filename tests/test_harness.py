@@ -12,7 +12,7 @@ from bicoef.bounds import bounds_for
 from bicoef.cli import main
 from bicoef.harness import (CHUNK, CSV_HEADER, HIST_BINS, VIOLATION_TOL,
                             CampaignSummary, EmpiricalExtremum, _campaign_chunks,
-                            _induce, extremal_search, falsify)
+                            _induce, _mixtures, _score, extremal_search, falsify)
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 
 
@@ -127,18 +127,17 @@ def test_violations_against_halved_bounds(monkeypatch, capsys):
 def _unchunked_summary(params, n_samples, seed):
     """The summary falsify should give, reduced from one batch of all n_samples."""
     rep = harness.bounds_for(params)
-    _, _, coeffs = caratheodory.sample_batch(caratheodory.streams(seed), n_samples, 3)
-    a2, a3, q1, q2 = _induce(params, coeffs[:, 0], coeffs[:, 1])
-    admissible, fail_mod, fail_toe = caratheodory.admissibility_mask_k2(q1, q2)
+    s = _score(params, *caratheodory.sample_batch(caratheodory.streams(seed), n_samples, 3))
+    admissible = s["admissible"]
     fields, violations = {}, []
-    for c, a, bound in (("a2", a2, rep.a2_bound), ("a3", a3, rep.a3_bound)):
-        margin = bound - np.abs(a)
+    for c, bound in (("a2", rep.a2_bound), ("a3", rep.a3_bound)):
+        margin = bound - s[f"{c}_abs"]
         violations += [(int(i), c, float(margin[i])) for i in np.flatnonzero(
             admissible & (margin < -VIOLATION_TOL))]
         kept = margin[admissible]
         counts, edges = np.histogram(kept, bins=HIST_BINS, range=(0.0, bound))
         fields.update({
-            f"max_{c}_abs": float(np.abs(a)[admissible].max()) if kept.size else None,
+            f"max_{c}_abs": float(s[f"{c}_abs"][admissible].max()) if kept.size else None,
             f"min_{c}_margin": float(kept.min()) if kept.size else None,
             f"{c}_margin_hist": (tuple(edges.tolist()), tuple(counts.tolist()),
                                  int((kept < 0).sum())),
@@ -146,7 +145,8 @@ def _unchunked_summary(params, n_samples, seed):
     return CampaignSummary(
         params=params, n_samples=n_samples, seed=seed, filter_mode="toeplitz",
         atom_count=3, bounds=rep, n_admissible=int(admissible.sum()),
-        n_fail_modulus=int(fail_mod.sum()), n_fail_toeplitz=int(fail_toe.sum()),
+        n_fail_modulus=int(s["fail_modulus"].sum()),
+        n_fail_toeplitz=int(s["fail_toeplitz"].sum()),
         violations=tuple(sorted(violations)), **fields)
 
 
@@ -337,12 +337,59 @@ def test_extremal_validates_arguments():
         extremal_search(AlphaParams(1, 1, 1), "a2", budget=0, seed=0)
 
 
-# ------------------------------------------- the search against its old loop
+# ------------------------------------------------- the kernel and the search
 
-def _reference_search(params, objective, budget, seed, atom_count, restarts):
-    """The two-closure loop of the earlier extremal_search, kept as the
-    reference for the generator that replaced it; it also appends the
-    evaluation count at each restart to ``restarts``."""
+@pytest.mark.parametrize("atom_count", [1, 3, 5])
+@pytest.mark.parametrize("params", [AlphaParams(0.5, 1, 1), BetaParams(0.5, 2, 0.5)],
+                         ids=["alpha", "beta"])
+def test_kernel_rows_do_not_depend_on_the_batch(params, atom_count):
+    # batches of search neighbours, from one row to a whole sweep and one
+    # more, across SEARCH_ROWS at five atoms; every column, |a2| and |a3|
+    # included, of each row equals a one-row call
+    m = atom_count
+    rng = np.random.default_rng(m)
+    x = np.concatenate([rng.normal(0.0, 1.0, m), rng.uniform(0.0, 2.0 * np.pi, m)])
+    for size in range(1, 4 * m + 2):
+        rows = np.arange(size)
+        nbrs = np.repeat(x[None], size, axis=0)
+        nbrs[rows, rows // 2 % (2 * m)] += np.where(rows % 2, -0.6, 0.6)
+        batch = _score(params, *_mixtures(nbrs, m))
+        for r in range(size):
+            one = _score(params, *_mixtures(nbrs[r:r + 1], m))
+            for key, column in batch.items():
+                assert np.array_equal(column[r:r + 1], one[key]), (size, r, key)
+
+
+def _kernel_point(params, objective, x, atom_count):
+    """(score, tuple, atoms) of one search point, scored by the kernel as a
+    one-row batch; the score is None where the point fails the filter."""
+    weights, angles = _mixtures(x[None], atom_count)
+    a = harness._score(params, weights, angles)
+    tup = CoefficientTuple(*(complex(a[k][0]) for k in ("p1", "p2", "q1", "q2")))
+    atoms = tuple(zip(weights[0].tolist(), angles[0].tolist()))
+    return (float(a[f"{objective}_abs"][0]) if a["admissible"][0] else None), tup, atoms
+
+
+def _scalar_point(params, objective, x, atom_count):
+    """_kernel_point on the scalar path of the earlier search: herglotz,
+    _induce on numpy scalars and is_admissible_prefix."""
+    v, theta = x[:atom_count], x[atom_count:]
+    w = np.exp(v - v.max())
+    t = w / w.sum()
+    atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
+    c = caratheodory.herglotz(atoms)
+    a2, a3, q1, q2 = _induce(params, c[0], c[1])
+    tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
+    if caratheodory.is_admissible_prefix([q1, q2]) != caratheodory.PASS:
+        return None, tup, atoms
+    return float(abs(a2) if objective == "a2" else abs(a3)), tup, atoms
+
+
+def _reference_search(params, objective, budget, seed, atom_count, restarts,
+                      point=_kernel_point):
+    """The two-closure loop of the earlier extremal_search, one point at a
+    time, each scored by point(params, objective, x, atom_count); it also
+    appends the evaluation count at each restart to ``restarts``."""
     rep = bounds_for(params)
     bound = rep.a2_bound if objective == "a2" else rep.a3_bound
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -353,22 +400,13 @@ def _reference_search(params, objective, budget, seed, atom_count, restarts):
     best_atoms = None
     first_tuple = None
 
-    def evaluate(v, theta):
+    def evaluate(x):
         nonlocal evals, first_tuple
         evals += 1
-        w = np.exp(v - v.max())
-        t = w / w.sum()
-        atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
-        c = caratheodory.herglotz(atoms)
-        a2, a3, q1, q2 = _induce(params, c[0], c[1])
-        tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
+        val, tup, atoms = point(params, objective, x, atom_count)
         if first_tuple is None:
             first_tuple = tup
-        verdict = caratheodory.is_admissible_prefix([q1, q2])
-        if verdict != caratheodory.PASS:
-            return None, tup, atoms
-        val = abs(a2) if objective == "a2" else abs(a3)
-        return float(val), tup, atoms
+        return val, tup, atoms
 
     def consider(val, tup, atoms):
         nonlocal best_val, best_tuple, best_atoms
@@ -377,9 +415,9 @@ def _reference_search(params, objective, budget, seed, atom_count, restarts):
 
     while evals < budget:
         restarts.append(evals)
-        v = rng.normal(0.0, 1.0, atom_count)
-        theta = rng.uniform(0.0, 2.0 * np.pi, atom_count)
-        cur_val, cur_tup, cur_atoms = evaluate(v, theta)
+        x = np.concatenate([rng.normal(0.0, 1.0, atom_count),
+                            rng.uniform(0.0, 2.0 * np.pi, atom_count)])
+        cur_val, cur_tup, cur_atoms = evaluate(x)
         consider(cur_val, cur_tup, cur_atoms)
         step = 0.6
         while step > 1e-3 and evals < budget:
@@ -388,15 +426,12 @@ def _reference_search(params, objective, budget, seed, atom_count, restarts):
                 for sgn in (1.0, -1.0):
                     if evals >= budget:
                         break
-                    v2, th2 = v.copy(), theta.copy()
-                    if j < atom_count:
-                        v2[j] += sgn * step
-                    else:
-                        th2[j - atom_count] += sgn * step
-                    val2, tup2, atoms2 = evaluate(v2, th2)
+                    x2 = x.copy()
+                    x2[j] += sgn * step
+                    val2, tup2, atoms2 = evaluate(x2)
                     consider(val2, tup2, atoms2)
                     if val2 is not None and (cur_val is None or val2 > cur_val):
-                        v, theta, cur_val = v2, th2, val2
+                        x, cur_val = x2, val2
                         improved = True
                         break
                 if evals >= budget:
@@ -411,17 +446,32 @@ def _reference_search(params, objective, budget, seed, atom_count, restarts):
         evaluations=evals, objective=objective, best_atoms=best_atoms)
 
 
-def _search_with_points(monkeypatch, search, *args, **kwargs):
-    """search's result and the atoms of every point it evaluated, in order."""
-    points, herglotz = [], caratheodory.herglotz
+def _search_with_batches(monkeypatch, search, *args, **kwargs):
+    """search's result and the rows of each kernel call it made, each row
+    its weights and angles side by side."""
+    batches, score = [], harness._score
 
-    def recording(atoms):
-        points.append(atoms)
-        return herglotz(atoms)
+    def recording(params, weights, angles, *rest):
+        batches.append(np.concatenate([weights, angles], axis=1))
+        return score(params, weights, angles, *rest)
 
     with monkeypatch.context() as m:
-        m.setattr(caratheodory, "herglotz", recording)
-        return search(*args, **kwargs), points
+        m.setattr(harness, "_score", recording)
+        return search(*args, **kwargs), batches
+
+
+def _counted_rows(batches, points):
+    """How many leading rows of each batch continue the sequence points."""
+    points = np.concatenate(points)
+    at, counts = 0, []
+    for batch in batches:
+        n = 0
+        while (n < len(batch) and at + n < len(points)
+               and np.array_equal(batch[n], points[at + n])):
+            n += 1
+        counts.append(n)
+        at += n
+    return counts
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -433,19 +483,51 @@ def test_search_matches_the_two_closure_loop(monkeypatch, params, objective,
                                              atom_count, seed):
     restarts = []
     # 450 ends mid-sweep for one atom (restarts every 41 evaluations)
-    expected = _search_with_points(monkeypatch, _reference_search, params, objective,
-                                   450, seed, atom_count, restarts)
-    assert _search_with_points(monkeypatch, extremal_search, params, objective, 450,
-                               seed, atom_count=atom_count) == expected
+    expected, points = _search_with_batches(monkeypatch, _reference_search, params,
+                                            objective, 450, seed, atom_count, restarts)
+    result, batches = _search_with_batches(monkeypatch, extremal_search, params,
+                                           objective, 450, seed, atom_count=atom_count)
+    assert result == expected
+    # the search counts a leading part of each batch, and these parts,
+    # joined, are the reference's points, one for one
+    counts = _counted_rows(batches, points)
+    assert min(counts) >= 1 and sum(counts) == len(points) == 450
     budgets = [1]
     if len(restarts) > 1:   # the last evaluation before the second restart, and at it
         budgets += [restarts[1], restarts[1] + 1]
     for budget in budgets:
         assert (extremal_search(params, objective, budget, seed, atom_count=atom_count)
                 == _reference_search(params, objective, budget, seed, atom_count, []))
+    # the scalar path rounds differently from the kernel, but counts the
+    # same evaluations and reaches the same |a2|
+    scalar = _reference_search(params, objective, 450, seed, atom_count, [], _scalar_point)
+    assert scalar.evaluations == result.evaluations
+    if objective == "a2":
+        assert result.achieved == pytest.approx(scalar.achieved, rel=1e-14, abs=0)
     if atom_count == 1:
         # a single atom's paired prefix never passes: the first tuple stands
-        result, points = expected
         assert result.best_atoms is None and result.achieved == 0.0
         first = extremal_search(params, objective, 1, seed, atom_count=1)
         assert result.best_tuple == first.best_tuple
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_search_under_a_smaller_row_cap_is_the_same_search(monkeypatch, rows):
+    # five atoms: each sweep's 20 neighbours split across several batches
+    params = BetaParams(0.5, 2, 0.5)
+    expected = _reference_search(params, "a3", 450, 2, 5, [])
+    monkeypatch.setattr(harness, "SEARCH_ROWS", rows)
+    result, batches = _search_with_batches(monkeypatch, extremal_search, params,
+                                           "a3", 450, 2, atom_count=5)
+    assert result == expected
+    assert max(len(b) for b in batches) == rows
+
+
+def test_search_memory_is_linear_in_the_atom_count():
+    # five points of m atoms, the record's atom tuples included, take about
+    # 280 B per atom; one batch of a whole sweep, 4m neighbours of 2m
+    # coordinates, would take 4m * 2m * 8 B = 12.8 GB at m = 20000
+    m = 20_000
+    peak = _peak_bytes(lambda: extremal_search(BetaParams(0.5, 2, 0.5), "a2", 5, 1,
+                                               atom_count=m))
+    assert peak <= 1000 * m

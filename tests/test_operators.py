@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from bicoef.caratheodory import sample_batch, streams
+from bicoef.caratheodory import _mixture_coeffs, sample_batch, streams
 from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
                               MembershipGrid, apply_operator, induce_q_alpha,
                               induce_q_beta, membership)
@@ -282,7 +282,7 @@ _ORACLES = {"alpha": (AlphaParams, induce_q_alpha, _reference_induce_q_alpha),
 def test_shared_kernel_matches_per_class_reference_exactly(family, shape, mu):
     cls, induce, reference = _ORACLES[family]
     params = cls(shape, 1.5, mu)
-    _, _, coeffs = sample_batch(streams(17), 10_000, 3)
+    coeffs = _mixture_coeffs(*sample_batch(streams(17), 10_000, 3))
     p1, p2 = coeffs[:, 0], coeffs[:, 1]
     for got, want in zip(induce(p1, p2, params), reference(p1, p2, params)):
         assert np.array_equal(got, want)
@@ -331,7 +331,7 @@ def test_lift_recovers_induced_tuples_on_every_route(family, shapes):
     # lam^2 > 2 lam + mu (lam = 5, mu = 0) is where the angular a2^2 denominator
     # differs most from (lam+mu)^2
     cls, induce, _ = _ORACLES[family]
-    _, _, coeffs = sample_batch(streams(5), 500, 3)
+    coeffs = _mixture_coeffs(*sample_batch(streams(5), 500, 3))
     for shape in shapes:
         for lam, mu in [(1.0, 0.0), (1.5, 0.5), (5.0, 0.0), (2.0, 3.0)]:
             params = cls(shape, lam, mu)
