@@ -135,12 +135,13 @@ class CoefficientTuple:
 def apply_operator(f: NormalizedFunction, lam: float, mu: float) -> TruncatedSeries:
     """The operator series (1-lam)*(f/z)^mu + lam*f'*(f/z)^(mu-1).
 
+    Computed as (f/z)^(mu-1) * ((1-lam)*f/z + lam*f'), one real power.
     f/z and f' are known only through order f.order - 1, which is the order
     of the result.  The constant term is exactly 1.
     """
     h = f.series.shift_down()
     df = f.series.derivative()
-    return (1.0 - lam) * h.pow_real(mu) + lam * (df * h.pow_real(mu - 1.0))
+    return h.pow_real(mu - 1.0) * ((1.0 - lam) * h + lam * df)
 
 
 @dataclass(frozen=True)

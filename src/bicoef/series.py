@@ -2,7 +2,8 @@
 
 A series is known only through its truncation order N; coefficients beyond
 index N are treated as unknown, never as zero.  Every binary operation
-truncates its result to the smaller operand order.
+truncates its result to the smaller operand order.  Real powers run the
+log/exp coefficient recurrences, and reversion is Lagrange inversion on them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import numpy as np
 __all__ = [
     "TruncatedSeries",
     "NormalizedFunction",
-    "compose",
     "revert",
     "inverse_coeffs_closed",
 ]
@@ -48,13 +48,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self._c)})"
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self._c[: order + 1])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order) + 1
@@ -131,24 +124,6 @@ def _exp_coeffs(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(z)) truncated to the smaller operand order.
-
-    The inner series must have zero constant term, otherwise the truncated
-    composition would depend on unknown coefficients of ``outer``.
-    """
-    if inner.coeffs[0] != 0:
-        raise ValueError("inner series must have zero constant term")
-    n = min(outer.order, inner.order)
-    oc = outer.coeffs[: n + 1]
-    inn = inner.truncate(n)
-    acc = TruncatedSeries(np.full(n + 1, oc[-1]))
-    for ck in oc[-2::-1]:
-        acc = acc * inn
-        acc = acc + TruncatedSeries(np.concatenate(([ck], np.zeros(n, dtype=complex))))
-    return acc
-
-
 class NormalizedFunction:
     """A series with c_0 = 0 and c_1 = 1 exactly (disk-normalized function)."""
 
@@ -195,17 +170,16 @@ class NormalizedFunction:
 def revert(f: NormalizedFunction) -> NormalizedFunction:
     """Compositional inverse g of f, with f(g(w)) = w through order N.
 
-    Solved coefficient by coefficient: with g known through degree n-1 and
-    g_n set to zero, the degree-n coefficient of f(g) equals g_n plus known
-    terms, so the correction is its negation.
+    Lagrange inversion: with h = z/f, g_k = [z^(k-1)] h^k / k.  h is one
+    pow_real(-1) and each power h^k is the previous one times h.
     """
-    n = f.order
-    fc = f.series
-    g = np.zeros(n + 1, dtype=complex)
+    h = f.series.shift_down().pow_real(-1.0)
+    g = np.zeros(f.order + 1, dtype=complex)
     g[1] = 1.0
-    for k in range(2, n + 1):
-        h = compose(fc.truncate(k), TruncatedSeries(g[: k + 1]))
-        g[k] = -h.coeffs[k]
+    hk = h
+    for k in range(2, f.order + 1):
+        hk = hk * h
+        g[k] = hk.coeffs[k - 1] / k
     return NormalizedFunction(TruncatedSeries(g))
 
 

@@ -7,6 +7,11 @@
   closed form, against the series route of ``operators.apply_operator``.
 * :func:`lift`, the inverse of ``operators.induce_q_*``: it recovers ``a2^2``
   and ``a3`` from a full coefficient tuple, by two routes each.
+* :func:`compose` and :func:`revert_by_composition`, series composition and
+  reversion solved coefficient by coefficient through it, against the
+  Lagrange inversion of ``series.revert``.
+* :func:`operator_by_two_powers`, the operator series with one real power per
+  term, against the single-power form of ``operators.apply_operator``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
+from bicoef.series import NormalizedFunction, TruncatedSeries
 
 CONSISTENCY_TOL = 1e-9
 
@@ -45,6 +51,48 @@ def operator_coeffs_closed(a2, a3, lam, mu):
     l1 = (lam + mu) * a2
     l2 = (2.0 * lam + mu) * a3 + (mu - 1.0) * (lam + mu / 2.0) * a2 * a2
     return l1, l2
+
+
+def operator_by_two_powers(f: NormalizedFunction, lam, mu) -> TruncatedSeries:
+    """(1-lam) h^mu + lam f' h^(mu-1) with h = f/z, each power taken apart."""
+    h = f.series.shift_down()
+    df = f.series.derivative()
+    return (1.0 - lam) * h.pow_real(mu) + lam * (df * h.pow_real(mu - 1.0))
+
+
+def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+    """outer(inner(z)) truncated to the smaller operand order, by Horner.
+
+    The inner series must have zero constant term, otherwise the truncated
+    composition would depend on unknown coefficients of ``outer``.
+    """
+    if inner.coeffs[0] != 0:
+        raise ValueError("inner series must have zero constant term")
+    n = min(outer.order, inner.order)
+    oc = outer.coeffs[: n + 1]
+    inn = TruncatedSeries(inner.coeffs[: n + 1])
+    acc = TruncatedSeries(np.full(n + 1, oc[-1]))
+    for ck in oc[-2::-1]:
+        acc = acc * inn
+        acc = acc + TruncatedSeries(np.concatenate(([ck], np.zeros(n, dtype=complex))))
+    return acc
+
+
+def revert_by_composition(f: NormalizedFunction) -> NormalizedFunction:
+    """Compositional inverse of f, solved coefficient by coefficient.
+
+    With g known through degree k-1 and g_k set to zero, the degree-k
+    coefficient of f(g) equals g_k plus known terms, so the correction is
+    its negation.
+    """
+    n = f.order
+    fc = f.series.coeffs
+    g = np.zeros(n + 1, dtype=complex)
+    g[1] = 1.0
+    for k in range(2, n + 1):
+        h = compose(TruncatedSeries(fc[: k + 1]), TruncatedSeries(g[: k + 1]))
+        g[k] = -h.coeffs[k]
+    return NormalizedFunction(TruncatedSeries(g))
 
 
 def _check_first_coeff_consistency(p1, q1):

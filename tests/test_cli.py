@@ -219,6 +219,22 @@ def test_coefficient_list_beyond_the_order_cap_is_usage_error(capsys, argv):
     assert run(capsys, *argv, "--coeffs", longest, "--order", "2")[0] == 0
 
 
+def _non_finite(token):
+    raise AssertionError(f"non-finite number in the output: {token}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("invert", "--coeffs", "0.1,0.05,-0.02"),
+    ("member", "--family", "beta", "--beta", "0.5", "--coeffs", "0.1,0.05,-0.02"),
+], ids=lambda argv: argv[0])
+def test_order_cap_is_served(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--order", "256", "--json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_non_finite)
+    if argv[0] == "invert":
+        assert len(payload["inverse_tail"]) == 255
+
+
 @pytest.mark.parametrize("flag,value,field", [
     ("--tol", "nan", "tol"), ("--tol", "-1", "tol"), ("--angles", "0", "--angles"),
     ("--radii", ",", "radii"), ("--radii", "1", "radii"),

@@ -9,7 +9,7 @@ from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
                               MembershipGrid, apply_operator, induce_q_alpha,
                               induce_q_beta, membership)
 from bicoef.series import NormalizedFunction, revert
-from oracles import lift, operator_coeffs_closed
+from oracles import lift, operator_by_two_powers, operator_coeffs_closed
 
 
 # ------------------------------------------------------------------- params
@@ -91,6 +91,19 @@ def test_closed_coeffs_match_series_route():
         l1, l2 = operator_coeffs_closed(a2, a3, lam, mu)
         assert abs(out[1] - l1) < 1e-10
         assert abs(out[2] - l2) < 1e-10
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 3.0])
+def test_single_power_matches_two_power_form(lam, mu):
+    rng = np.random.default_rng(2)
+    for order in range(1, 13):
+        tail = rng.uniform(-1, 1, order - 1) + 1j * rng.uniform(-1, 1, order - 1)
+        f = NormalizedFunction.from_tail(tail, order=order)
+        got = apply_operator(f, lam, mu).coeffs
+        want = operator_by_two_powers(f, lam, mu).coeffs
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12), order
 
 
 def test_quadratic_term_vanishes_at_mu_one():

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicoef.series import (NormalizedFunction, TruncatedSeries, compose,
+from bicoef.series import (NormalizedFunction, TruncatedSeries,
                            inverse_coeffs_closed, revert)
+from oracles import compose, revert_by_composition
 
 TOL = 1e-10
 
@@ -121,6 +122,16 @@ def test_compose_revert_is_identity():
         identity = NormalizedFunction.from_tail([], order=order).series
         assert np.allclose(compose(f.series, g.series).coeffs, identity.coeffs,
                            atol=TOL, rtol=0)
+
+
+def test_revert_matches_reversion_by_composition():
+    rng = np.random.default_rng(14)
+    for order in range(1, 65):
+        f = random_normalized(rng, order)
+        got = revert(f).series.coeffs
+        want = revert_by_composition(f).series.coeffs
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), order
 
 
 def test_revert_is_an_involution():
