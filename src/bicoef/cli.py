@@ -195,10 +195,13 @@ def _cmd_member(args) -> int:
 
 def _cmd_falsify(args) -> int:
     params = _params_from_args(args)
-    summary = falsify(params, args.n, args.seed,
-                      filter_mode=args.filter, atom_count=args.atoms)
-    if args.out:
-        summary.write_csv(args.out)
+    with contextlib.ExitStack() as stack:
+        # opened first, so that an unwritable PATH fails before the campaign runs
+        out = stack.enter_context(open(args.out, "wb")) if args.out else None
+        summary = falsify(params, args.n, args.seed,
+                          filter_mode=args.filter, atom_count=args.atoms)
+        if out is not None:
+            summary.write_csv(out)
     payload = summary.to_json_dict()
     lines = [
         f"samples    {summary.n_samples}",

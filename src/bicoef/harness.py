@@ -7,17 +7,28 @@ sampler's batches and compares the |a2|, |a3| of survivors against the
 closed-form bounds.  Violations beyond VIOLATION_TOL would falsify either the
 implementation or the bound transcription, so the default campaigns must
 report none.  The extremal search scores the neighbours of its current point
-in batches of at most SEARCH_ROWS rows.
+in batches of at most SEARCH_ROWS rows and SEARCH_CELLS rows x atoms.
 
 Campaigns are deterministic per (seed, n_samples): sample i depends only on
 the seed and i, never on n_samples, and CSV rows appear in index order.  A
 campaign runs in chunks of CHUNK samples and folds each chunk into its
 summary, so its memory is flat in n_samples.  The CSV is not kept: the
 summary replays the same chunks from its own fields when it writes the rows.
+The writer splits the rows into one contiguous range per CPU that the
+process may run on (at most one per CHUNK rows) and formats all but the
+first range in forked workers, each into an anonymous part file in TMPDIR,
+which together take up to the CSV's size there; the caller appends the
+parts in order, so the bytes equal those one process writes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -44,12 +55,18 @@ HIST_KEYS = ("edges", "counts", "underflow")
 # Samples per chunk.  Measured from 2^13 to 2^17: up to 2^15 a campaign ran
 # equally fast, larger chunks ran slower, and peak RSS grows with the chunk.
 CHUNK = 1 << 14
-# Rows per kernel call of the extremal search.  A sweep has 4m neighbours of
-# 2m coordinates, so an uncapped batch grows as m^2 in the atom count m.
-# Measured from 4 to 48 rows at m = 3 to 500 atoms: from 12 rows up the
-# search ran equally fast for m <= 20, 8 to 16 rows ran fastest at m = 50 and
-# 100, and at m = 500 each row scored past the first improvement costs more.
+# CSV rows per .tolist() call and per write; with a chunk's worth of Python
+# floats and complexes at once, a forked CSV worker outgrew the serial writer.
+SLICE = 1024
+# Rows per kernel call of the extremal search: at most SEARCH_ROWS, and at
+# most SEARCH_CELLS rows x atoms.  A sweep has 4m neighbours of 2m
+# coordinates, so an uncapped batch grows as m^2 in the atom count m, and the
+# rows scored past the first improvement are discarded, which costs more as
+# m grows.  Measured from 2 to 16 rows at m = 3 to 500 atoms: 12 to 16 rows
+# ran fastest up to m = 50, 6 to 10 at m = 100 and 150, and 2 at m = 300 and
+# 500, where 16 rows took four times as long per evaluation.
 SEARCH_ROWS = 16
+SEARCH_CELLS = 1000
 
 CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
               "p1_re", "p1_im", "p2_re", "p2_im",
@@ -123,12 +140,16 @@ class CampaignSummary:
     a2_near_boundary: int
     a3_near_boundary: int
 
-    def csv_lines(self) -> Iterator[str]:
-        """CSV rows in index order; floats use shortest round-trip form.
+    def csv_lines(self, start: int = 0, stop: int | None = None) -> Iterator[str]:
+        """The header, then the CSV rows of samples start to stop - 1 (stop
+        defaults to n_samples) in index order; floats use shortest
+        round-trip form.
 
         The rows are recomputed, chunk by chunk, from the summary's params,
-        bounds, seed, n_samples, filter_mode and atom_count.
+        bounds, seed, n_samples, filter_mode and atom_count; the chunks below
+        start are scored and skipped.
         """
+        stop = self.n_samples if stop is None else stop
         yield ",".join(CSV_HEADER)
         fam = self.params.family
         alpha = repr(self.params.alpha) if fam == "alpha" else ""
@@ -136,27 +157,77 @@ class CampaignSummary:
         prefix = f"{fam},{self.seed},"
         mid = f",{alpha},{beta},{self.params.lam!r},{self.params.mu!r},"
         b2, b3 = repr(self.bounds.a2_bound), repr(self.bounds.a3_bound)
-        for start, a in _campaign_chunks(self.params, self.bounds, self.n_samples,
+        for first, a in _campaign_chunks(self.params, self.bounds, self.n_samples,
                                          self.seed, self.filter_mode, self.atom_count):
-            # .tolist() hands back Python scalars; numpy scalar reprs are not CSV-safe
-            p1, p2 = a["p1"].tolist(), a["p2"].tolist()
-            q1, q2 = a["q1"].tolist(), a["q2"].tolist()
-            a2a, a3a = a["a2_abs"].tolist(), a["a3_abs"].tolist()
-            m2, m3 = a["a2_margin"].tolist(), a["a3_margin"].tolist()
-            adm = a["admissible"].tolist()
-            fmod, ftoe = a["fail_modulus"].tolist(), a["fail_toeplitz"].tolist()
-            for i in range(len(adm)):
-                reason = "modulus" if fmod[i] else "toeplitz" if ftoe[i] else ""
-                yield (f"{prefix}{start + i}{mid}"
-                       f"{p1[i].real!r},{p1[i].imag!r},{p2[i].real!r},{p2[i].imag!r},"
-                       f"{q1[i].real!r},{q1[i].imag!r},{q2[i].real!r},{q2[i].imag!r},"
-                       f"{'true' if adm[i] else 'false'},{reason},"
-                       f"{a2a[i]!r},{a3a[i]!r},{b2},{b3},{m2[i]!r},{m3[i]!r}")
+            if first >= stop:
+                break
+            end = min(stop - first, len(a["p1"]))
+            # .tolist() hands back Python scalars (numpy scalar reprs are not
+            # CSV-safe); SLICE rows at a time, as those objects outweigh the chunk
+            for lo in range(max(start - first, 0), end, SLICE):
+                r = slice(lo, min(lo + SLICE, end))
+                p1, p2 = a["p1"][r].tolist(), a["p2"][r].tolist()
+                q1, q2 = a["q1"][r].tolist(), a["q2"][r].tolist()
+                a2a, a3a = a["a2_abs"][r].tolist(), a["a3_abs"][r].tolist()
+                m2, m3 = a["a2_margin"][r].tolist(), a["a3_margin"][r].tolist()
+                adm = a["admissible"][r].tolist()
+                fmod, ftoe = a["fail_modulus"][r].tolist(), a["fail_toeplitz"][r].tolist()
+                base = first + lo
+                for i in range(len(adm)):
+                    reason = "modulus" if fmod[i] else "toeplitz" if ftoe[i] else ""
+                    yield (f"{prefix}{base + i}{mid}"
+                           f"{p1[i].real!r},{p1[i].imag!r},{p2[i].real!r},{p2[i].imag!r},"
+                           f"{q1[i].real!r},{q1[i].imag!r},{q2[i].real!r},{q2[i].imag!r},"
+                           f"{'true' if adm[i] else 'false'},{reason},"
+                           f"{a2a[i]!r},{a3a[i]!r},{b2},{b3},{m2[i]!r},{m3[i]!r}")
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in self.csv_lines():
-                fh.write(line + "\n")
+    def write_csv(self, fh) -> None:
+        """Write the header and every row of csv_lines to the binary file fh.
+
+        The rows 0 to n_samples - 1 are split into P contiguous ranges of
+        about equal size, P being the number of CPUs this process may run on
+        (sched_getaffinity), but at most one per CHUNK rows, and 1 where the
+        platform has no fork.  The caller writes range 0 into fh; for each
+        further range a forked worker writes it into an anonymous temporary
+        file in TMPDIR, which the caller then appends to fh in order.  So the
+        bytes are those of one process writing every row, and the part files
+        take up to the CSV's own size in TMPDIR while the call runs.  Raises
+        OSError when a worker fails.  Every worker is killed and reaped, and
+        every part file closed, before the call returns or raises.
+        """
+        n = self.n_samples
+        p = _csv_workers(n)
+        edges = [n * k // p for k in range(p + 1)]
+        me = os.getpid()
+        parts, pids = [], {}   # the part file of each range k >= 1; unreaped workers
+        try:
+            for k in range(1, p):
+                parts.append(tempfile.TemporaryFile())
+                # fork, not spawn: a worker starts with the summary and numpy in
+                # place, where a fresh interpreter takes ~0.2 s to import them
+                pid = os.fork()
+                if pid == 0:
+                    _run_worker(self, parts[-1], edges[k], edges[k + 1], me)
+                pids[k] = pid
+            _write_lines(fh, self.csv_lines(0, edges[1]))
+            for k, part in enumerate(parts, 1):
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
+                del pids[k]
+                if code != 0:
+                    # a worker that failed on its own left its error in its part
+                    detail = (os.pread(part.fileno(), 1000, 0).decode(errors="replace")
+                              if code == 1 else "")
+                    raise OSError(f"the CSV worker for rows {edges[k]} to {edges[k + 1] - 1} "
+                                  f"failed: {detail or f'exit status {code}'}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+        finally:
+            for pid in pids.values():
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            for part in parts:
+                part.close()
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,6 +255,44 @@ class CampaignSummary:
                            "modulus_tol": caratheodory.MODULUS_TOL,
                            "eig_tol": caratheodory.EIG_TOL},
         }
+
+
+def _csv_workers(n_rows: int) -> int:
+    """P of write_csv: the CPUs this process may run on, at most one per
+    CHUNK rows; 1 where the platform has no fork or no sched_getaffinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), -(-n_rows // CHUNK))
+
+
+def _write_lines(fh, lines: Iterator[str], parent: int | None = None) -> None:
+    """Write lines to the binary file fh, SLICE lines at a time; with parent
+    set, stop early once that process is no longer this one's parent."""
+    while block := list(itertools.islice(lines, SLICE)):
+        if parent is not None and os.getppid() != parent:
+            raise ChildProcessError(f"process {parent} is gone")
+        fh.write(("\n".join(block) + "\n").encode("utf-8"))
+
+
+def _run_worker(summary: CampaignSummary, part, start: int, stop: int,
+                parent: int) -> None:
+    """The forked CSV worker of write_csv: rows start to stop - 1 into the
+    binary file part.  Never returns: it leaves through os._exit, 0 on
+    success, 1 with the error's text in place of the rows on any exception
+    (an exit that skips the handlers and buffers it shares with its parent).
+    """
+    code = 1
+    try:
+        rows = itertools.islice(summary.csv_lines(start, stop), 1, None)   # no header
+        _write_lines(part, rows, parent)
+        part.flush()
+        code = 0
+    except BaseException as exc:
+        with contextlib.suppress(BaseException):
+            os.ftruncate(part.fileno(), 0)
+            os.pwrite(part.fileno(), (str(exc) or type(exc).__name__).encode(), 0)
+    finally:
+        os._exit(code)
 
 
 def falsify(params, n_samples: int, seed: int, *,
@@ -289,11 +398,12 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
     then at -step; the first improvement moves x, and the sweep goes on to
     the next coordinate.  A sweep with none halves the step; once the step
     is <= 1e-3 the search restarts.  A point that fails the filter scores
-    nothing.  The untried neighbours of x are scored in one batch of at most
-    SEARCH_ROWS rows by the scoring kernel of falsify; only the rows up to
-    and including the first improvement count as evaluations, so the
-    evaluation sequence for a given seed is that of one point at a time and
-    does not depend on the budget: results are monotone nondecreasing in it.
+    nothing.  The untried neighbours of x are scored in batches of at most
+    SEARCH_ROWS rows, and of at most SEARCH_CELLS rows x atoms, by the
+    scoring kernel of falsify; only the rows up to and including the first
+    improvement count as evaluations, so the evaluation sequence for a given
+    seed is that of one point at a time and does not depend on the budget:
+    results are monotone nondecreasing in it.
     """
     if objective not in ("a2", "a3"):
         raise ValueError(f"objective must be 'a2' or 'a3', got {objective!r}")
@@ -310,6 +420,7 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         a = _score(params, *_mixtures(x, m))
         return np.where(a["admissible"], a[key], -np.inf)
 
+    batch = max(1, min(SEARCH_ROWS, SEARCH_CELLS // m))
     rng = np.random.default_rng(seed)
     evals, best, best_x = 0, -np.inf, None
     while evals < budget:
@@ -323,7 +434,7 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
             improved = False
             pos = 0   # neighbour 2j is x + step e_j, neighbour 2j+1 is x - step e_j
             while pos < 4 * m and evals < budget:
-                rows = np.arange(pos, min(4 * m, pos + SEARCH_ROWS, pos + budget - evals))
+                rows = np.arange(pos, min(4 * m, pos + batch, pos + budget - evals))
                 nbrs = np.repeat(x[None], rows.size, axis=0)
                 nbrs[np.arange(rows.size), rows // 2] += np.where(rows % 2, -step, step)
                 vals = scores(nbrs)

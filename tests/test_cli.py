@@ -17,14 +17,25 @@ from hypothesis import strategies as st
 from bicoef import cli
 from bicoef.bounds import BoundReport, IdentityReport, a2sq_alpha_exact, a3_alpha_exact
 from bicoef.cli import main
-from bicoef.harness import EmpiricalExtremum
-from bicoef.operators import CoefficientTuple, MembershipReport
+from bicoef.harness import CHUNK, EmpiricalExtremum, falsify
+from bicoef.operators import AlphaParams, CoefficientTuple, MembershipReport
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _cli_argv(*argv):
+    return [sys.executable, "-m", "bicoef.cli", *argv]
+
+
+def _cli_env():
+    """The environment of a CLI child that imports this checkout's bicoef."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"),
+            *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 # -------------------------------------------------------------------- bound
@@ -126,6 +137,42 @@ def test_falsify_cli_is_bitwise_deterministic(tmp_path, capsys):
                          "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unwritable_out_fails_before_the_campaign(monkeypatch, tmp_path, capsys):
+    def campaign(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "falsify", campaign)
+    code, out, err = run(capsys, "falsify", "--family", "alpha", "--alpha", "0.5",
+                         "-n", "2000000", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("target", ["fifo", "/dev/stdout"])
+def test_falsify_writes_its_csv_to_a_fifo_or_stdout(tmp_path, target):
+    # two CSV workers wherever two CPUs are allowed; their part files live in
+    # TMPDIR, not next to PATH
+    n = 2 * CHUNK + 7
+    argv = _cli_argv("falsify", "--family", "alpha", "--alpha", "0.5", "-n", str(n),
+                     "--seed", "2", "--out", target)
+    summary = falsify(AlphaParams(0.5, 1.0, 1.0), n, 2)   # the flags as floats
+    expected = "".join(line + "\n" for line in summary.csv_lines()).encode()
+    if target == "fifo":
+        os.mkfifo(tmp_path / target)
+        with subprocess.Popen(argv, cwd=tmp_path, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, env=_cli_env()) as proc:
+            with open(tmp_path / target, "rb") as fh:
+                data = fh.read()
+            err = proc.communicate(timeout=120)[1]
+    else:
+        proc = subprocess.run(argv, capture_output=True, env=_cli_env(), timeout=120)
+        data, err = proc.stdout, proc.stderr
+        assert data[len(expected):].startswith(b"samples    %d\n" % n)
+        data = data[:len(expected)]
+    assert (proc.returncode, err) == (0, b"")
+    assert data == expected
 
 
 # ----------------------------------------------------------------- extremal
@@ -396,13 +443,9 @@ def test_closed_stdout_exits_141_with_empty_stderr(argv):
     # argparse writes -h and --version itself
     read_end, write_end = os.pipe()
     os.close(read_end)
-    path = [str(Path(__file__).resolve().parents[1] / "src"),
-            *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     try:
-        proc = subprocess.run([sys.executable, "-m", "bicoef.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env,
-                              timeout=60)
+        proc = subprocess.run(_cli_argv(*argv), stdout=write_end, stderr=subprocess.PIPE,
+                              env=_cli_env(), timeout=60)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")

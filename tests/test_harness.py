@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import select
+import signal
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -188,13 +192,124 @@ def test_campaign_memory_is_flat_in_n():
     assert large <= 1.25 * small
 
 
+def _write_csv(summary, path):
+    with open(path, "wb") as fh:
+        summary.write_csv(fh)
+
+
 def test_csv_memory_is_flat_in_n(monkeypatch, tmp_path):
-    # smaller chunks: under tracemalloc the writer runs about 8 times slower
+    # smaller chunks: under tracemalloc the writer runs about 8 times slower;
+    # one process, as tracemalloc sees no forked worker
     monkeypatch.setattr(harness, "CHUNK", 1024)
+    monkeypatch.setattr(harness, "_csv_workers", lambda n: 1)
     params = BetaParams(0.5, 2, 0.5)
     summaries = [falsify(params, k * 1024, seed=1) for k in (2, 8)]
-    small, large = (_peak_bytes(lambda: s.write_csv(tmp_path / "x.csv")) for s in summaries)
+    small, large = (_peak_bytes(lambda: _write_csv(s, tmp_path / "x.csv")) for s in summaries)
     assert large <= 1.25 * small
+
+
+@pytest.fixture(scope="module", params=[1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 7])
+def csv_case(request):
+    """A campaign and the bytes of its csv_lines, one per line."""
+    summary = falsify(AlphaParams(0.5, 1, 1), request.param, seed=5)
+    return summary, "".join(line + "\n" for line in summary.csv_lines()).encode()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_write_csv_is_csv_lines_whatever_the_workers(monkeypatch, tmp_path, csv_case,
+                                                     workers):
+    # ranges that split chunks and slices, and empty ones where workers > n
+    summary, expected = csv_case
+    monkeypatch.setattr(harness, "_csv_workers", lambda rows: workers)
+    _write_csv(summary, tmp_path / "x.csv")
+    assert (tmp_path / "x.csv").read_bytes() == expected
+
+
+def test_csv_lines_of_a_row_range_are_rows_of_the_whole():
+    summary = falsify(AlphaParams(0.5, 1, 1), CHUNK + 1, seed=5)
+    lines = list(summary.csv_lines())
+    for start, stop in [(0, 0), (0, 5), (3, 1030), (CHUNK - 2, CHUNK + 1), (CHUNK, CHUNK)]:
+        assert list(summary.csv_lines(start, stop)) == [lines[0], *lines[1 + start:1 + stop]]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def test_a_failed_csv_worker_is_one_usage_error(monkeypatch, tmp_path, capsys):
+    real = CampaignSummary.csv_lines
+
+    def lines(self, start=0, stop=None):
+        if start > 0:   # in a worker
+            raise OSError(28, "No space left on device")
+        return real(self, start, stop)
+
+    monkeypatch.setattr(CampaignSummary, "csv_lines", lines)
+    monkeypatch.setattr(harness, "_csv_workers", lambda rows: 3)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    code = main(["falsify", "--family", "beta", "--beta", "0.5", "-n", "3000",
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("bicoef: ")
+    assert "rows 1000 to 1999" in err and "No space left on device" in err
+    assert _no_child_left()
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+def test_an_interrupted_csv_writer_leaves_no_worker(monkeypatch, tmp_path, error):
+    real = CampaignSummary.csv_lines
+
+    def lines(self, start=0, stop=None):
+        for i, line in enumerate(real(self, start, stop)):
+            if start == 0 and i == 100:   # the caller's own range, with workers running
+                raise error
+            yield line
+
+    summary = falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1)
+    monkeypatch.setattr(CampaignSummary, "csv_lines", lines)
+    monkeypatch.setattr(harness, "_csv_workers", lambda rows: 3)
+    with pytest.raises(error):
+        _write_csv(summary, tmp_path / "x.csv")
+    assert _no_child_left()
+
+
+def test_an_orphaned_csv_worker_stops(monkeypatch):
+    # the writing process dies at once, as under SIGKILL, while its worker
+    # formats rows forever; the worker must notice and exit
+    read_end, write_end = os.pipe()
+    real = CampaignSummary.csv_lines
+
+    def lines(self, start=0, stop=None):
+        if start == 0:
+            os._exit(0)
+        os.write(write_end, b"%d\n" % os.getpid())
+        while True:
+            yield from real(self, start, stop)
+
+    summary = falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1)
+    monkeypatch.setattr(CampaignSummary, "csv_lines", lines)
+    monkeypatch.setattr(harness, "_csv_workers", lambda rows: 2)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            with open(os.devnull, "wb") as fh:
+                summary.write_csv(fh)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    with os.fdopen(read_end, "rb") as reader:
+        worker = int(reader.readline())
+        # the worker holds the write end until it exits
+        ready, _, _ = select.select([reader], [], [], 60)
+        if not ready:
+            os.kill(worker, signal.SIGKILL)
+        assert ready and reader.read() == b""
 
 
 @pytest.mark.parametrize("edge", ["a2", "a3"])
@@ -253,8 +368,8 @@ def test_margins_only_asserted_for_admissible_records():
 def test_csv_is_bitwise_deterministic(tmp_path):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    falsify(BetaParams(0.5, 2, 3), 800, seed=11).write_csv(p1)
-    falsify(BetaParams(0.5, 2, 3), 800, seed=11).write_csv(p2)
+    _write_csv(falsify(BetaParams(0.5, 2, 3), 800, seed=11), p1)
+    _write_csv(falsify(BetaParams(0.5, 2, 3), 800, seed=11), p2)
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     lines = b1.decode("utf-8").splitlines()
@@ -519,6 +634,17 @@ def test_search_under_a_smaller_row_cap_is_the_same_search(monkeypatch, rows):
     monkeypatch.setattr(harness, "SEARCH_ROWS", rows)
     result, batches = _search_with_batches(monkeypatch, extremal_search, params,
                                            "a3", 450, 2, atom_count=5)
+    assert result == expected
+    assert max(len(b) for b in batches) == rows
+
+
+@pytest.mark.parametrize(("atom_count", "rows"), [(250, 4), (1001, 1)])
+def test_search_batches_are_capped_in_rows_times_atoms(monkeypatch, atom_count, rows):
+    # SEARCH_CELLS = 1000 rows x atoms; at least one row whatever the atoms
+    params = BetaParams(0.5, 2, 0.5)
+    expected = _reference_search(params, "a2", 40, 1, atom_count, [])
+    result, batches = _search_with_batches(monkeypatch, extremal_search, params,
+                                           "a2", 40, 1, atom_count=atom_count)
     assert result == expected
     assert max(len(b) for b in batches) == rows
 
