@@ -1,10 +1,10 @@
 """Coefficient-bound toolkit for two families of bi-univalent functions.
 
-Provides truncated-series arithmetic with reversion, a positive-real-part
-atom sampler with prefix admissibility tests, the class operator and its
-coefficient-equating systems, closed-form |a2| and |a3| bounds with branch
-bookkeeping, corollary-reduction identity checks, and a randomized
-falsification harness with a CLI.
+Provides truncated series as coefficient arrays with reversion, a
+positive-real-part atom sampler with prefix admissibility tests, the class
+operator and its coefficient-equating systems, closed-form |a2| and |a3|
+bounds with branch bookkeeping, corollary-reduction identity checks, and a
+randomized falsification harness with a CLI.
 
 It exports each layer module's ``__all__``, the one list of its public names.
 """

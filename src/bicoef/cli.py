@@ -95,12 +95,28 @@ def _report(args, payload: dict, text_lines: list[str]) -> str:
     return "\n".join(text_lines)
 
 
+def _open_out(path):
+    """A context that yields --out PATH opened for binary writing, or None.
+
+    Where PATH is the file open on fd 1 (``--out /dev/stdout``) it yields
+    stdout's buffer: a second open of a regular file there would write from
+    offset 0, over what stdout writes.
+    """
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        on_stdout = os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        on_stdout = False
+    return contextlib.nullcontext(sys.stdout.buffer) if on_stdout else open(path, "wb")
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    out = _report(args, payload, text_lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    print(out)
+    report = _report(args, payload, text_lines)
+    with _open_out(args.out) as out:
+        if out is not None:
+            out.write((report + "\n").encode("utf-8"))
+    print(report)
 
 
 @contextlib.contextmanager
@@ -151,7 +167,7 @@ def _cmd_invert(args) -> int:
             raise ValueError(f"{' and '.join(given)} cannot be combined with --coeffs")
         f = NormalizedFunction.from_tail(args.coeffs, order=args.order)
         with _usage_error_on_overflow("--coeffs"):
-            tail = _finite(revert(f).series.coeffs[2:].tolist())
+            tail = _finite(revert(f).coeffs[2:].tolist())
         payload = {"inverse_tail": tail, "order": f.order}
         lines = [f"b{k + 2} = {c}" for k, c in enumerate(tail)]
     else:
@@ -169,7 +185,7 @@ def _cmd_invert(args) -> int:
 def _cmd_operator(args) -> int:
     f = NormalizedFunction.from_tail(args.coeffs, order=args.order)
     with _usage_error_on_overflow("--coeffs, --lambda and --mu"):
-        coeffs = _finite(apply_operator(f, args.lam, args.mu).coeffs.tolist())
+        coeffs = _finite(apply_operator(f, args.lam, args.mu).tolist())
     payload = {"coeffs": coeffs, "order": len(coeffs) - 1,
                "lambda": args.lam, "mu": args.mu}
     lines = [f"c{k} = {c}" for k, c in enumerate(coeffs)]
@@ -195,9 +211,8 @@ def _cmd_member(args) -> int:
 
 def _cmd_falsify(args) -> int:
     params = _params_from_args(args)
-    with contextlib.ExitStack() as stack:
-        # opened first, so that an unwritable PATH fails before the campaign runs
-        out = stack.enter_context(open(args.out, "wb")) if args.out else None
+    # opened first, so that an unwritable PATH fails before the campaign runs
+    with _open_out(args.out) as out:
         summary = falsify(params, args.n, args.seed,
                           filter_mode=args.filter, atom_count=args.atoms)
         if out is not None:
@@ -218,14 +233,19 @@ def _cmd_falsify(args) -> int:
 
 def _cmd_extremal(args) -> int:
     params = _params_from_args(args)
-    res = extremal_search(params, args.objective, args.budget, args.seed,
-                          atom_count=args.atoms)
-    lines = [f"objective |{res.objective}|",
-             f"achieved  {res.achieved!r}",
-             f"bound     {res.bound!r}",
-             f"gap       {res.gap!r}",
-             f"evals     {res.evaluations}"]
-    _emit(args, asdict(res), lines)
+    # opened first, so that an unwritable PATH fails before the search runs
+    with _open_out(args.out) as out:
+        res = extremal_search(params, args.objective, args.budget, args.seed,
+                              atom_count=args.atoms)
+        lines = [f"objective |{res.objective}|",
+                 f"achieved  {res.achieved!r}",
+                 f"bound     {res.bound!r}",
+                 f"gap       {res.gap!r}",
+                 f"evals     {res.evaluations}"]
+        report = _report(args, asdict(res), lines)
+        if out is not None:
+            out.write((report + "\n").encode("utf-8"))
+    print(report)
     return 1 if res.gap < -VIOLATION_TOL else 0
 
 

@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .series import NormalizedFunction, TruncatedSeries, revert
+from .series import NormalizedFunction, _mul, evaluate, pow_real, revert
 
 __all__ = [
     "AlphaParams",
@@ -132,16 +132,16 @@ class CoefficientTuple:
     q2: complex
 
 
-def apply_operator(f: NormalizedFunction, lam: float, mu: float) -> TruncatedSeries:
-    """The operator series (1-lam)*(f/z)^mu + lam*f'*(f/z)^(mu-1).
+def apply_operator(f: NormalizedFunction, lam: float, mu: float) -> np.ndarray:
+    """Coefficients of the operator series (1-lam)*(f/z)^mu + lam*f'*(f/z)^(mu-1).
 
     Computed as (f/z)^(mu-1) * ((1-lam)*f/z + lam*f'), one real power.
     f/z and f' are known only through order f.order - 1, which is the order
-    of the result.  The constant term is exactly 1.
+    of the returned array.  Its constant term is exactly 1.
     """
-    h = f.series.shift_down()
-    df = f.series.derivative()
-    return h.pow_real(mu - 1.0) * ((1.0 - lam) * h + lam * df)
+    h = f.coeffs[1:]
+    df = h * np.arange(1, f.order + 1)
+    return _mul(pow_real(h, mu - 1.0), (1.0 - lam) * h + lam * df)
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def membership(f: NormalizedFunction, params: AlphaParams | BetaParams,
     pts = grid.points()
     worst = None
     for side, fn in (("f", f), ("g", revert(f))):
-        values = apply_operator(fn, params.lam, params.mu).evaluate(pts)
+        values = evaluate(apply_operator(fn, params.lam, params.mu), pts)
         if not np.isfinite(values).all():
             raise OverflowError(f"operator values on side {side} are not finite")
         score = np.abs(np.angle(values)) if test == "arg" else -values.real

@@ -1,9 +1,10 @@
-"""Truncated complex power series: ring arithmetic, real powers, reversion.
+"""Truncated complex power series as coefficient arrays: real powers, reversion.
 
-A series is known only through its truncation order N; coefficients beyond
-index N are treated as unknown, never as zero.  Every binary operation
-truncates its result to the smaller operand order.  Real powers run the
-log/exp coefficient recurrences, and reversion is Lagrange inversion on them.
+A series c_0 + c_1 z + ... + c_N z^N is its complex coefficient array of
+length N + 1; coefficients beyond index N are unknown, never zero.  Every
+product in the package has operands of equal order and keeps that order.
+Real powers run the log/exp coefficient recurrences, and reversion is
+Lagrange inversion on them.
 """
 
 from __future__ import annotations
@@ -11,94 +12,43 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "TruncatedSeries",
     "NormalizedFunction",
+    "pow_real",
+    "evaluate",
     "revert",
     "inverse_coeffs_closed",
 ]
 
 
-class TruncatedSeries:
-    """Power series c_0 + c_1 z + ... + c_N z^N known through order N.
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two series of equal order, truncated to that order."""
+    return np.convolve(a, b)[:len(a)]
 
-    Immutable value type: the coefficient array is read-only and all
-    operations return fresh instances.
+
+def pow_real(c, exponent: float) -> np.ndarray:
+    """Principal-branch real power of a series with constant term exactly 1.
+
+    Computed as exp(exponent * log(c)) via the standard coefficient
+    recurrences, so non-integer exponents cost the same as integer ones.
     """
+    c = np.asarray(c, dtype=complex)
+    if c[0] != 1:
+        raise ValueError("pow_real requires constant term exactly 1")
+    return _exp_coeffs(exponent * _log_coeffs(c))
 
-    __slots__ = ("_c",)
 
-    def __init__(self, coeffs):
-        c = np.array(coeffs, dtype=complex)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must form a non-empty 1-D sequence")
-        c.flags.writeable = False
-        self._c = c
+def evaluate(c, z):
+    """Horner evaluation of the truncated polynomial c at |z| < 1.
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        """Read-only coefficient vector c_0..c_N."""
-        return self._c
-
-    @property
-    def order(self) -> int:
-        return self._c.size - 1
-
-    def __getitem__(self, k: int) -> complex:
-        return complex(self._c[k])
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self._c)})"
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order) + 1
-        return TruncatedSeries(self._c[:n] + other._c[:n])
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order) + 1
-            return TruncatedSeries(np.convolve(self._c[:n], other._c[:n])[:n])
-        return TruncatedSeries(self._c * complex(other))
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "TruncatedSeries":
-        """Term-by-term derivative: c_k -> k*c_k, shifted down one degree."""
-        if self.order == 0:
-            return TruncatedSeries([0.0])
-        k = np.arange(1, self.order + 1)
-        return TruncatedSeries(self._c[1:] * k)
-
-    def shift_down(self) -> "TruncatedSeries":
-        """Divide by z, requiring c_0 = 0; the result has order N-1."""
-        if self._c[0] != 0:
-            raise ValueError("cannot divide by z: constant term is nonzero")
-        if self.order == 0:
-            raise ValueError("cannot divide by z: order 0")
-        return TruncatedSeries(self._c[1:])
-
-    def pow_real(self, exponent: float) -> "TruncatedSeries":
-        """Principal-branch real power of a unit-constant series.
-
-        Computed as exp(exponent * log(self)) via the standard coefficient
-        recurrences, so non-integer exponents cost the same as integer ones.
-        Requires c_0 = 1 exactly.
-        """
-        if self._c[0] != 1:
-            raise ValueError("pow_real requires constant term exactly 1")
-        return TruncatedSeries(_exp_coeffs(exponent * _log_coeffs(self._c)))
-
-    def evaluate(self, z):
-        """Horner evaluation of the truncated polynomial at |z| < 1.
-
-        Accepts a scalar or an ndarray of points; shape is preserved.
-        """
-        zs = np.asarray(z, dtype=complex)
-        if np.any(np.abs(zs) >= 1):
-            raise ValueError("evaluation points must satisfy |z| < 1")
-        acc = np.full_like(zs, self._c[-1])
-        for ck in self._c[-2::-1]:
-            acc = acc * zs + ck
-        return complex(acc) if acc.ndim == 0 else acc
+    Accepts a scalar or an ndarray of points; shape is preserved.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if np.any(np.abs(zs) >= 1):
+        raise ValueError("evaluation points must satisfy |z| < 1")
+    acc = np.full_like(zs, c[-1])
+    for ck in c[-2::-1]:
+        acc = acc * zs + ck
+    return complex(acc) if acc.ndim == 0 else acc
 
 
 def _log_coeffs(c: np.ndarray) -> np.ndarray:
@@ -125,26 +75,30 @@ def _exp_coeffs(h: np.ndarray) -> np.ndarray:
 
 
 class NormalizedFunction:
-    """A series with c_0 = 0 and c_1 = 1 exactly (disk-normalized function)."""
+    """A series with c_0 = 0 and c_1 = 1 exactly (disk-normalized function).
 
-    __slots__ = ("_s",)
+    Holds its coefficients as a read-only array.
+    """
 
-    def __init__(self, series):
-        if not isinstance(series, TruncatedSeries):
-            series = TruncatedSeries(series)
-        if series.order < 1:
-            raise ValueError("normalized function needs order >= 1")
-        if series.coeffs[0] != 0 or series.coeffs[1] != 1:
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs):
+        c = np.array(coeffs, dtype=complex)
+        if c.ndim != 1 or c.size < 2:
+            raise ValueError("normalized function needs a 1-D sequence of order >= 1")
+        if c[0] != 0 or c[1] != 1:
             raise ValueError("normalization requires c_0 = 0 and c_1 = 1 exactly")
-        self._s = series
+        c.flags.writeable = False
+        self._c = c
 
     @property
-    def series(self) -> TruncatedSeries:
-        return self._s
+    def coeffs(self) -> np.ndarray:
+        """Read-only coefficient vector c_0..c_N."""
+        return self._c
 
     @property
     def order(self) -> int:
-        return self._s.order
+        return self._c.size - 1
 
     @classmethod
     def from_tail(cls, tail, order: int | None = None) -> "NormalizedFunction":
@@ -159,28 +113,24 @@ class NormalizedFunction:
             raise ValueError(f"order must be >= 1, got {n}")
         c = np.zeros(n + 1, dtype=complex)
         c[1] = 1.0
-        m = min(tail.size, n - 1)
-        c[2 : 2 + m] = tail[:m]
-        return cls(TruncatedSeries(c))
-
-    def __repr__(self) -> str:
-        return f"NormalizedFunction({list(self._s.coeffs)})"
+        c[2 : 2 + tail.size] = tail[: n - 1]
+        return cls(c)
 
 
 def revert(f: NormalizedFunction) -> NormalizedFunction:
     """Compositional inverse g of f, with f(g(w)) = w through order N.
 
     Lagrange inversion: with h = z/f, g_k = [z^(k-1)] h^k / k.  h is one
-    pow_real(-1) and each power h^k is the previous one times h.
+    pow_real(-1) of f/z, and each power h^k is the previous one times h.
     """
-    h = f.series.shift_down().pow_real(-1.0)
+    h = pow_real(f.coeffs[1:], -1.0)
     g = np.zeros(f.order + 1, dtype=complex)
     g[1] = 1.0
     hk = h
     for k in range(2, f.order + 1):
-        hk = hk * h
-        g[k] = hk.coeffs[k - 1] / k
-    return NormalizedFunction(TruncatedSeries(g))
+        hk = _mul(hk, h)
+        g[k] = hk[k - 1] / k
+    return NormalizedFunction(g)
 
 
 def inverse_coeffs_closed(a2: complex, a3: complex, a4: complex):

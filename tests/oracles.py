@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
-from bicoef.series import NormalizedFunction, TruncatedSeries
+from bicoef.series import NormalizedFunction, pow_real
 
 CONSISTENCY_TOL = 1e-9
 
@@ -53,28 +53,33 @@ def operator_coeffs_closed(a2, a3, lam, mu):
     return l1, l2
 
 
-def operator_by_two_powers(f: NormalizedFunction, lam, mu) -> TruncatedSeries:
+def _mul(a, b):
+    """Product of two coefficient arrays of equal length, truncated to it."""
+    return np.convolve(a, b)[:len(a)]
+
+
+def operator_by_two_powers(f: NormalizedFunction, lam, mu) -> np.ndarray:
     """(1-lam) h^mu + lam f' h^(mu-1) with h = f/z, each power taken apart."""
-    h = f.series.shift_down()
-    df = f.series.derivative()
-    return (1.0 - lam) * h.pow_real(mu) + lam * (df * h.pow_real(mu - 1.0))
+    h = f.coeffs[1:]
+    df = h * np.arange(1, h.size + 1)
+    return (1.0 - lam) * pow_real(h, mu) + lam * _mul(df, pow_real(h, mu - 1.0))
 
 
-def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+def compose(outer, inner) -> np.ndarray:
     """outer(inner(z)) truncated to the smaller operand order, by Horner.
 
-    The inner series must have zero constant term, otherwise the truncated
-    composition would depend on unknown coefficients of ``outer``.
+    Both are coefficient arrays.  The inner series must have zero constant
+    term, otherwise the truncated composition would depend on unknown
+    coefficients of ``outer``.
     """
-    if inner.coeffs[0] != 0:
+    if inner[0] != 0:
         raise ValueError("inner series must have zero constant term")
-    n = min(outer.order, inner.order)
-    oc = outer.coeffs[: n + 1]
-    inn = TruncatedSeries(inner.coeffs[: n + 1])
-    acc = TruncatedSeries(np.full(n + 1, oc[-1]))
+    n = min(len(outer), len(inner))
+    oc = outer[:n]
+    acc = np.full(n, oc[-1])
     for ck in oc[-2::-1]:
-        acc = acc * inn
-        acc = acc + TruncatedSeries(np.concatenate(([ck], np.zeros(n, dtype=complex))))
+        acc = _mul(acc, inner[:n])
+        acc[0] += ck
     return acc
 
 
@@ -86,13 +91,11 @@ def revert_by_composition(f: NormalizedFunction) -> NormalizedFunction:
     its negation.
     """
     n = f.order
-    fc = f.series.coeffs
     g = np.zeros(n + 1, dtype=complex)
     g[1] = 1.0
     for k in range(2, n + 1):
-        h = compose(TruncatedSeries(fc[: k + 1]), TruncatedSeries(g[: k + 1]))
-        g[k] = -h.coeffs[k]
-    return NormalizedFunction(TruncatedSeries(g))
+        g[k] = -compose(f.coeffs[: k + 1], g[: k + 1])[k]
+    return NormalizedFunction(g)
 
 
 def _check_first_coeff_consistency(p1, q1):

@@ -54,11 +54,11 @@ def test_criterion_3_inverse_series_formula():
     ok = True
     for _ in range(1000):
         a = rng.uniform(-3, 3, 3) + 1j * rng.uniform(-3, 3, 3)
-        got = revert(NormalizedFunction.from_tail(a)).series.coeffs[2:5]
+        got = revert(NormalizedFunction.from_tail(a)).coeffs[2:5]
         want = np.array(inverse_coeffs_closed(*a))
         ok &= bool(np.all(np.abs(got - want) < 1e-10))
     koebe = revert(NormalizedFunction.from_tail([2, 3, 4]))
-    ok &= list(koebe.series.coeffs[2:5]) == [-2, 5, -14]
+    ok &= list(koebe.coeffs[2:5]) == [-2, 5, -14]
     _verdict(3, ok,
              "closed-form inverse coefficients match series reversion on "
              "1000 random inputs within 1e-10; Koebe prefix gives "

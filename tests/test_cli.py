@@ -150,13 +150,35 @@ def test_unwritable_out_fails_before_the_campaign(monkeypatch, tmp_path, capsys)
     assert err.count("\n") == 1 and "No such file or directory" in err
 
 
-@pytest.mark.parametrize("target", ["fifo", "/dev/stdout"])
+def test_unwritable_out_fails_before_the_search(monkeypatch, tmp_path, capsys):
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "extremal_search", search)
+    code, out, err = run(capsys, "extremal", "--family", "beta", "--beta", "0.5",
+                         "--budget", "100000", "--out", str(tmp_path / "missing" / "x.json"))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "falsify", "extremal"])
+def test_usage_error_neither_creates_nor_truncates_out(tmp_path, capsys, command):
+    # no --alpha for --family alpha
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for path in (new, old):
+        assert_usage_error(capsys, command, "--family", "alpha", "--out", str(path))
+    assert not new.exists() and old.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("target", ["fifo", "/dev/stdout", "file"])
 def test_falsify_writes_its_csv_to_a_fifo_or_stdout(tmp_path, target):
     # two CSV workers wherever two CPUs are allowed; their part files live in
-    # TMPDIR, not next to PATH
+    # TMPDIR, not next to PATH.  "file" is --out /dev/stdout with stdout a
+    # regular file, which must hold the CSV and then the report, as a pipe does
     n = 2 * CHUNK + 7
     argv = _cli_argv("falsify", "--family", "alpha", "--alpha", "0.5", "-n", str(n),
-                     "--seed", "2", "--out", target)
+                     "--seed", "2", "--out", "fifo" if target == "fifo" else "/dev/stdout")
     summary = falsify(AlphaParams(0.5, 1.0, 1.0), n, 2)   # the flags as floats
     expected = "".join(line + "\n" for line in summary.csv_lines()).encode()
     if target == "fifo":
@@ -167,12 +189,29 @@ def test_falsify_writes_its_csv_to_a_fifo_or_stdout(tmp_path, target):
                 data = fh.read()
             err = proc.communicate(timeout=120)[1]
     else:
-        proc = subprocess.run(argv, capture_output=True, env=_cli_env(), timeout=120)
-        data, err = proc.stdout, proc.stderr
-        assert data[len(expected):].startswith(b"samples    %d\n" % n)
+        with open(tmp_path / "stdout", "w+b") as fh:
+            proc = subprocess.run(argv, stdout=fh if target == "file" else subprocess.PIPE,
+                                  stderr=subprocess.PIPE, env=_cli_env(), timeout=120)
+            fh.seek(0)
+            data, err = proc.stdout or fh.read(), proc.stderr
+        report = data[len(expected):]
+        assert report.startswith(b"samples    %d\n" % n) and report.endswith(b"violations 0\n")
         data = data[:len(expected)]
     assert (proc.returncode, err) == (0, b"")
     assert data == expected
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_report_out_to_stdout_is_written_twice(tmp_path, stdout):
+    argv = _cli_argv("bound", "--family", "beta", "--beta", "0.5", "--out", "/dev/stdout")
+    with open(tmp_path / "stdout", "w+b") as fh:
+        proc = subprocess.run(argv, stdout=fh if stdout == "file" else subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=_cli_env(), timeout=60)
+        fh.seek(0)
+        data = proc.stdout or fh.read()
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    half = len(data) // 2
+    assert data[:half] == data[half:] and data.startswith(b"a2_bound = ")
 
 
 # ----------------------------------------------------------------- extremal
@@ -270,16 +309,31 @@ def _non_finite(token):
     raise AssertionError(f"non-finite number in the output: {token}")
 
 
-@pytest.mark.parametrize("argv", [
-    ("invert", "--coeffs", "0.1,0.05,-0.02"),
-    ("member", "--family", "beta", "--beta", "0.5", "--coeffs", "0.1,0.05,-0.02"),
-], ids=lambda argv: argv[0])
-def test_order_cap_is_served(capsys, argv):
+# Values at the order cap, recorded before the series layer moved from a ring
+# class to plain arrays; a list is pinned by index, its last entry included.
+# They hold to 1e-12 relative, which leaves room for convolve's last bits on
+# other platforms: reversion by composition and the two-power operator agree
+# with them to 7e-14.  A scale of max(1, |x|) would not see b256 ~ 5e-32.
+@pytest.mark.parametrize("argv,key,pinned", [
+    (("invert", "--coeffs", "0.1,0.05,-0.02"), "inverse_tail",   # b2..b6, b256
+     {0: -0.1, 1: -0.02999999999999999, 2: 0.03999999999999999,
+      3: -0.013599999999999996, 4: -0.004619999999999997, 254: -5.475538886312213e-32}),
+    (("operator", "--lambda", "2", "--mu", "0.5", "--coeffs", "0.1,0.05,-0.02"),
+     "coeffs",   # c0..c4, c255
+     {0: 1.0, 1: 0.25000000000000006, 2: 0.21375000000000005, 3: -0.14543750000000003,
+      4: 0.004714843749999999, 255: 3.985268997165148e-126}),
+    (("member", "--family", "beta", "--beta", "0.5", "--coeffs", "0.1,0.05,-0.02"),
+     None, {"worst_value": 0.7663490977479791, "margin": 0.2663490977479791}),
+], ids=["invert", "operator", "member"])
+def test_order_cap_is_served(capsys, argv, key, pinned):
     code, out, _ = run(capsys, *argv, "--order", "256", "--json")
     assert code == 0
     payload = json.loads(out, parse_constant=_non_finite)
-    if argv[0] == "invert":
-        assert len(payload["inverse_tail"]) == 255
+    if key is not None:
+        assert len(payload[key]) == max(pinned) + 1
+        payload = {k: complex(*z) for k, z in enumerate(payload[key])}
+    for k, want in pinned.items():
+        assert abs(payload[k] - want) <= 1e-12 * abs(want), k
 
 
 @pytest.mark.parametrize("flag,value,field", [

@@ -8,7 +8,7 @@ from bicoef.caratheodory import _mixture_coeffs, sample_batch, streams
 from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
                               MembershipGrid, apply_operator, induce_q_alpha,
                               induce_q_beta, membership)
-from bicoef.series import NormalizedFunction, revert
+from bicoef.series import NormalizedFunction, evaluate, revert
 from oracles import lift, operator_by_two_powers, operator_coeffs_closed
 
 
@@ -43,19 +43,19 @@ def test_operator_on_identity_is_one():
     f = NormalizedFunction.from_tail([], order=4)
     for lam, mu in [(1, 0), (2, 3), (1.5, 0.5)]:
         out = apply_operator(f, lam, mu)
-        assert np.allclose(out.coeffs, [1, 0, 0, 0], atol=1e-14, rtol=0)
+        assert np.allclose(out, [1, 0, 0, 0], atol=1e-14, rtol=0)
 
 
 def test_operator_reduces_to_derivative():
     f = NormalizedFunction.from_tail([0.3, -0.2])
     out = apply_operator(f, 1.0, 1.0)
-    assert np.allclose(out.coeffs, [1, 0.6, -0.6], atol=1e-14, rtol=0)
+    assert np.allclose(out, [1, 0.6, -0.6], atol=1e-14, rtol=0)
 
 
 def test_operator_frozen_example():
     f = NormalizedFunction.from_tail([0.5, 0.25])
     out = apply_operator(f, 2.0, 3.0)
-    assert np.allclose(out.coeffs, [1, 2.5, 3.5], atol=1e-12, rtol=0)
+    assert np.allclose(out, [1, 2.5, 3.5], atol=1e-12, rtol=0)
     assert operator_coeffs_closed(0.5, 0.25, 2.0, 3.0) == (2.5, 3.5)
 
 
@@ -71,7 +71,7 @@ def test_operator_order_cap():
     # f/z and f' are known through order f.order - 1, and so is the result
     for order in (1, 2, 5):
         f = NormalizedFunction.from_tail([0.5, 0.25], order=order + 1)
-        assert apply_operator(f, 1.5, 2.5).order == order
+        assert apply_operator(f, 1.5, 2.5).size == order + 1
 
 
 def test_closed_coeffs_trivial_cases():
@@ -100,8 +100,8 @@ def test_single_power_matches_two_power_form(lam, mu):
     for order in range(1, 13):
         tail = rng.uniform(-1, 1, order - 1) + 1j * rng.uniform(-1, 1, order - 1)
         f = NormalizedFunction.from_tail(tail, order=order)
-        got = apply_operator(f, lam, mu).coeffs
-        want = operator_by_two_powers(f, lam, mu).coeffs
+        got = apply_operator(f, lam, mu)
+        want = operator_by_two_powers(f, lam, mu)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12), order
 
@@ -157,7 +157,7 @@ def _reference_membership(f, params, grid):
     pts = grid.points()
     worst = None
     for side, fn in (("f", f), ("g", revert(f))):
-        values = apply_operator(fn, params.lam, params.mu).evaluate(pts)
+        values = evaluate(apply_operator(fn, params.lam, params.mu), pts)
         if params.family == "alpha":
             v = np.abs(np.angle(values))
             i = int(np.argmax(v))
