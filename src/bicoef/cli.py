@@ -2,7 +2,7 @@
 
 Subcommands: bound, invert, operator, member, falsify, extremal,
 corollary-check.  Exit codes: 0 success, 1 violated invariant (a
-falsification violation, a failed corollary identity, or a negative search
+falsification violation, a failed corollary identity, or a negative extremal
 gap), 2 usage error, 141 (128 + SIGPIPE) when the reader of stdout closed it
 before the output was written, with nothing on stderr.
 
@@ -233,7 +233,7 @@ def _cmd_falsify(args) -> int:
 
 def _cmd_extremal(args) -> int:
     params = _params_from_args(args)
-    # opened first, so that an unwritable PATH fails before the search runs
+    # opened first, so that an unwritable PATH fails before the campaign runs
     with _open_out(args.out) as out:
         res = extremal_search(params, args.objective, args.budget, args.seed,
                               atom_count=args.atoms)
@@ -241,7 +241,8 @@ def _cmd_extremal(args) -> int:
                  f"achieved  {res.achieved!r}",
                  f"bound     {res.bound!r}",
                  f"gap       {res.gap!r}",
-                 f"evals     {res.evaluations}"]
+                 f"evals     {res.evaluations}",
+                 f"sample    {res.best_index}"]
         report = _report(args, asdict(res), lines)
         if out is not None:
             out.write((report + "\n").encode("utf-8"))
@@ -363,7 +364,7 @@ def build_parser():
     _add_common(sp)
     sp.set_defaults(func=_cmd_falsify)
 
-    sp = sub.add_parser("extremal", help="derivative-free extremal search")
+    sp = sub.add_parser("extremal", help="largest admissible |a2| or |a3| of a campaign")
     _add_family(sp)
     sp.add_argument("--objective", choices=("a2", "a3"), default="a2")
     sp.add_argument("--budget", type=_count, default=10000)

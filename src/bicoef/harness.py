@@ -1,4 +1,4 @@
-"""Randomized falsification campaigns and derivative-free extremal search.
+"""Randomized falsification campaigns and their largest admissible |a2|, |a3|.
 
 Both run on one scoring kernel, ``_score``: rows of atom weights and angles
 go to their prefixes (p1, p2), the paired element's (q1, q2) and (a2, a3),
@@ -6,19 +6,20 @@ the prefix-level filter, and |a2|, |a3|.  A campaign scores the atom
 sampler's batches and compares the |a2|, |a3| of survivors against the
 closed-form bounds.  Violations beyond VIOLATION_TOL would falsify either the
 implementation or the bound transcription, so the default campaigns must
-report none.  The extremal search scores the neighbours of its current point
-in batches of at most SEARCH_ROWS rows and SEARCH_CELLS rows x atoms.
+report none.  The extremal record is the campaign's first admissible sample
+of largest |a2| or |a3|, found in one scan of the same chunks.
 
 Campaigns are deterministic per (seed, n_samples): sample i depends only on
 the seed and i, never on n_samples, and CSV rows appear in index order.  A
 campaign runs in chunks of CHUNK samples and folds each chunk into its
-summary, so its memory is flat in n_samples.  The CSV is not kept: the
-summary replays the same chunks from its own fields when it writes the rows.
-The writer splits the rows into one contiguous range per CPU that the
-process may run on (at most one per CHUNK rows) and formats all but the
-first range in forked workers, each into an anonymous part file in TMPDIR,
-which together take up to the CSV's size there; the caller appends the
-parts in order, so the bytes equal those one process writes.
+summary, so its memory is CHUNK x atoms, flat in n_samples; so is the
+extremal scan's.  The CSV is not kept: the summary replays the same chunks
+from its own fields when it writes the rows.  The writer splits the rows
+into one contiguous range per CPU that the process may run on (at most one
+per CHUNK rows) and formats all but the first range in forked workers, each
+into an anonymous part file in TMPDIR, which together take up to the CSV's
+size there; the caller appends the parts in order, so the bytes equal those
+one process writes.
 """
 
 from __future__ import annotations
@@ -52,21 +53,16 @@ VIOLATION_TOL = 1e-9
 NEAR_BOUNDARY = 10   # an admissible margin <= NEAR_BOUNDARY * VIOLATION_TOL is near the bound
 HIST_BINS = 20
 HIST_KEYS = ("edges", "counts", "underflow")
-# Samples per chunk.  Measured from 2^13 to 2^17: up to 2^15 a campaign ran
-# equally fast, larger chunks ran slower, and peak RSS grows with the chunk.
-CHUNK = 1 << 14
+# Samples per chunk, of falsify and extremal_search alike, whose memory is
+# CHUNK x atoms.  Peak RSS grows with the chunk: at 2^12 the benchmark's
+# campaigns peaked 5 MB (11%) lower than at 2^14 and ran up to 3% slower,
+# and a 1e4-sample extremal run peaked 1.1 MB above a one-sample run, where
+# at 2^14, as one chunk, it peaked 2.3 MB (6%) above.  Above 2^15 campaigns
+# ran slower.
+CHUNK = 1 << 12
 # CSV rows per .tolist() call and per write; with a chunk's worth of Python
 # floats and complexes at once, a forked CSV worker outgrew the serial writer.
 SLICE = 1024
-# Rows per kernel call of the extremal search: at most SEARCH_ROWS, and at
-# most SEARCH_CELLS rows x atoms.  A sweep has 4m neighbours of 2m
-# coordinates, so an uncapped batch grows as m^2 in the atom count m, and the
-# rows scored past the first improvement are discarded, which costs more as
-# m grows.  Measured from 2 to 16 rows at m = 3 to 500 atoms: 12 to 16 rows
-# ran fastest up to m = 50, 6 to 10 at m = 100 and 150, and 2 at m = 300 and
-# 500, where 16 rows took four times as long per evaluation.
-SEARCH_ROWS = 16
-SEARCH_CELLS = 1000
 
 CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
               "p1_re", "p1_im", "p2_re", "p2_im",
@@ -103,13 +99,16 @@ def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
                      filter_mode: str, atom_count: int):
     """(start, arrays) for each chunk of at most CHUNK samples, in order.
 
-    Row j of each array in arrays is sample start + j: its _score row and
-    its margins.  The one source of both falsify and the CSV replay.
+    Row j of each array in arrays is sample start + j: its atom weights and
+    angles, its _score row and its margins.  The one source of falsify,
+    extremal_search and the CSV replay.
     """
     rngs = caratheodory.streams(seed)
     for start in range(0, n_samples, CHUNK):
-        a = _score(params, *caratheodory.sample_batch(
-            rngs, min(CHUNK, n_samples - start), atom_count), filter_mode)
+        weights, angles = caratheodory.sample_batch(
+            rngs, min(CHUNK, n_samples - start), atom_count)
+        a = _score(params, weights, angles, filter_mode)
+        a["weights"], a["angles"] = weights, angles
         a["a2_margin"] = bounds.a2_bound - a["a2_abs"]
         a["a3_margin"] = bounds.a3_bound - a["a3_abs"]
         yield start, a
@@ -358,24 +357,21 @@ def falsify(params, n_samples: int, seed: int, *,
         a2_near_boundary=n_near["a2"], a3_near_boundary=n_near["a3"])
 
 
-def _mixtures(x, atom_count: int):
-    """(weights, angles) of the search points in the rows of x = (v, theta):
-    the softmax of the logits v and theta mod 2 pi, row by row."""
-    v, theta = x[:, :atom_count], x[:, atom_count:]
-    w = np.exp(v - v.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True), theta % (2.0 * np.pi)
-
-
 @dataclass(frozen=True)
 class EmpiricalExtremum:
-    """Best admissible sample found by the search, with its gap to the bound.
+    """The campaign's first admissible sample of largest |a2| or |a3|, with
+    its gap to the bound.
 
     ``achieved`` is an empirical lower bound on the class extremum; the gap
-    must never be significantly negative, and the search asserts nothing
-    about how small it gets (no sharp extremal value is known).  The search
-    scores its points with the kernel of falsify; this record is rebuilt
-    once, from the best point, through ``herglotz`` and
-    ``is_admissible_prefix``, which give that point's kernel row.
+    must never be significantly negative, and nothing is asserted about how
+    small it gets.  ``best_index`` is the sample's index in the campaign of
+    the same params, seed, atom count and ``evaluations`` samples, so
+    ``best_tuple`` is the p1..q2 of that campaign's CSV row ``best_index``
+    and ``achieved`` its ``max_a2_abs`` or ``max_a3_abs``.  Where no sample
+    passes the filter, the record is sample 0, with ``achieved`` 0.0 and
+    ``best_atoms`` None.  The record is rebuilt once, from the sample's
+    atoms, through ``herglotz`` and ``is_admissible_prefix``, which give its
+    kernel row.
     """
 
     best_tuple: CoefficientTuple
@@ -385,25 +381,19 @@ class EmpiricalExtremum:
     evaluations: int
     objective: str
     best_atoms: tuple[tuple[float, float], ...] | None
+    best_index: int
 
 
 def extremal_search(params, objective: str, budget: int, seed: int, *,
                     atom_count: int = 3) -> EmpiricalExtremum:
-    """Maximize |a2| or |a3| over atom mixtures, subject to induced
-    admissibility of the paired prefix.
+    """Largest |a2| or |a3| over the admissible samples of the "toeplitz"
+    campaign of budget samples at seed and atom_count.
 
-    Multi-start coordinate search over points x = (v, theta): raw weight
-    logits live on the simplex via softmax, angles on the torus.  A restart
-    draws x from the seeded generator.  Each coordinate is tried at +step,
-    then at -step; the first improvement moves x, and the sweep goes on to
-    the next coordinate.  A sweep with none halves the step; once the step
-    is <= 1e-3 the search restarts.  A point that fails the filter scores
-    nothing.  The untried neighbours of x are scored in batches of at most
-    SEARCH_ROWS rows, and of at most SEARCH_CELLS rows x atoms, by the
-    scoring kernel of falsify; only the rows up to and including the first
-    improvement count as evaluations, so the evaluation sequence for a given
-    seed is that of one point at a time and does not depend on the budget:
-    results are monotone nondecreasing in it.
+    One scan of the campaign's chunks: np.argmax within a chunk, then a
+    strict > across chunks, keeps the first index of the largest value; a
+    sample that fails the filter scores nothing.  Sample i depends only on
+    (seed, i), so the result is monotone nondecreasing in the budget, and
+    its memory is CHUNK x atoms, as in falsify.
     """
     if objective not in ("a2", "a3"):
         raise ValueError(f"objective must be 'a2' or 'a3', got {objective!r}")
@@ -413,48 +403,14 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         raise ValueError("atom_count must be >= 1")
     rep = bounds_for(params)
     bound = rep.a2_bound if objective == "a2" else rep.a3_bound
-    m, key = atom_count, f"{objective}_abs"
-
-    def scores(x):
-        """|a2| or |a3| of each row of x; -inf where it fails the filter."""
-        a = _score(params, *_mixtures(x, m))
-        return np.where(a["admissible"], a[key], -np.inf)
-
-    batch = max(1, min(SEARCH_ROWS, SEARCH_CELLS // m))
-    rng = np.random.default_rng(seed)
-    evals, best, best_x = 0, -np.inf, None
-    while evals < budget:
-        x = np.concatenate([rng.normal(0.0, 1.0, m), rng.uniform(0.0, 2.0 * np.pi, m)])
-        cur = scores(x[None])[0]
-        evals += 1
-        if best_x is None or cur > best:   # the first point stands until one passes
-            best, best_x = cur, x
-        step = 0.6
-        while step > 1e-3 and evals < budget:
-            improved = False
-            pos = 0   # neighbour 2j is x + step e_j, neighbour 2j+1 is x - step e_j
-            while pos < 4 * m and evals < budget:
-                rows = np.arange(pos, min(4 * m, pos + batch, pos + budget - evals))
-                nbrs = np.repeat(x[None], rows.size, axis=0)
-                nbrs[np.arange(rows.size), rows // 2] += np.where(rows % 2, -step, step)
-                vals = scores(nbrs)
-                hits = np.flatnonzero(vals > cur)
-                if not hits.size:
-                    evals += rows.size
-                    pos += rows.size
-                    continue
-                k = hits[0]
-                evals += k + 1
-                x, cur, improved = nbrs[k].copy(), vals[k], True
-                if cur > best:
-                    best, best_x = cur, x
-                pos = 2 * (rows[k] // 2 + 1)   # on to the next coordinate
-            if not improved:
-                step *= 0.5
+    for start, a in _campaign_chunks(params, rep, budget, seed, "toeplitz", atom_count):
+        scores = np.where(a["admissible"], a[f"{objective}_abs"], -np.inf)
+        j = int(np.argmax(scores))
+        if start == 0 or scores[j] > best:   # sample 0 stands until one passes
+            best, index = scores[j], start + j
+            atoms = tuple(zip(a["weights"][j].tolist(), a["angles"][j].tolist()))
     # the record, rebuilt through the public one-point functions, which
     # perfbench's traced suite requires in every extremal run
-    weights, angles = _mixtures(best_x[None], m)
-    atoms = tuple(zip(weights[0].tolist(), angles[0].tolist()))
     c = caratheodory.herglotz(atoms)
     a2, a3, q1, q2 = _induce(params, c[:1], c[1:])   # one-row arrays: the kernel's bits
     passed = caratheodory.is_admissible_prefix([q1[0], q2[0]]) == caratheodory.PASS
@@ -463,4 +419,4 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         best_tuple=CoefficientTuple(complex(c[0]), complex(c[1]),
                                     complex(q1[0]), complex(q2[0])),
         achieved=achieved, bound=bound, gap=bound - achieved, evaluations=budget,
-        objective=objective, best_atoms=atoms if passed else None)
+        objective=objective, best_atoms=atoms if passed else None, best_index=index)

@@ -16,7 +16,7 @@ from bicoef.bounds import bounds_for
 from bicoef.cli import main
 from bicoef.harness import (CHUNK, CSV_HEADER, HIST_BINS, VIOLATION_TOL,
                             CampaignSummary, EmpiricalExtremum, _campaign_chunks,
-                            _induce, _mixtures, _score, extremal_search, falsify)
+                            _score, extremal_search, falsify)
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 
 
@@ -438,7 +438,7 @@ def test_extremal_objective_a3():
 
 def test_extremal_monotone_in_budget():
     prev = 0.0
-    for budget in (50, 200, 800, 3200):
+    for budget in (50, 200, 800, 3200, CHUNK + 1):
         res = extremal_search(AlphaParams(1, 1, 1), "a2", budget=budget, seed=5)
         assert res.achieved >= prev - 1e-15
         assert res.evaluations == budget
@@ -452,207 +452,73 @@ def test_extremal_validates_arguments():
         extremal_search(AlphaParams(1, 1, 1), "a2", budget=0, seed=0)
 
 
-# ------------------------------------------------- the kernel and the search
+# ---------------------------------------- the kernel and the extremal scan
+
+@pytest.mark.parametrize("budget", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("atom_count", [1, 3])
+@pytest.mark.parametrize("objective", ["a2", "a3"])
+@pytest.mark.parametrize("params", [AlphaParams(0.5, 1, 1), BetaParams(0.5, 2, 0.5)],
+                         ids=["alpha", "beta"])
+def test_extremal_is_the_maximum_of_falsify(params, objective, atom_count, budget):
+    res = extremal_search(params, objective, budget, 3, atom_count=atom_count)
+    summary = falsify(params, budget, 3, atom_count=atom_count)
+    assert res.evaluations == budget
+    if summary.n_admissible:
+        assert res.achieved == getattr(summary, f"max_{objective}_abs")
+        assert res.best_atoms is not None
+    else:   # a single atom's paired prefix never passes: sample 0 stands
+        assert res.achieved == 0.0 and res.best_atoms is None and res.best_index == 0
+    # the first index of the largest admissible value, and that sample's
+    # CSV row and atoms
+    arrays = _kernel_arrays(summary)
+    scores = np.where(arrays["admissible"], arrays[f"{objective}_abs"], -np.inf)
+    assert res.best_index == int(np.argmax(scores))
+    line = list(summary.csv_lines(res.best_index, res.best_index + 1))[1]
+    row = dict(zip(CSV_HEADER, line.split(",")))
+    assert row["index"] == str(res.best_index)
+    assert res.best_tuple == CoefficientTuple(*(
+        complex(float(row[f"{k}_re"]), float(row[f"{k}_im"])) for k in ("p1", "p2", "q1", "q2")))
+    if res.best_atoms is not None:
+        assert row["admissible"] == "true" and float(row[f"{objective}_abs"]) == res.achieved
+        i = res.best_index
+        assert res.best_atoms == tuple(zip(arrays["weights"][i].tolist(),
+                                           arrays["angles"][i].tolist()))
+
+
+@pytest.mark.parametrize("atom_count", [1, 3])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_extremal_does_not_depend_on_the_chunking(monkeypatch, chunk, atom_count):
+    # one sample per chunk puts every comparison across chunks
+    params = AlphaParams(1, 1, 1)
+    expected = [extremal_search(params, objective, 300, 4, atom_count=atom_count)
+                for objective in ("a2", "a3")]
+    monkeypatch.setattr(harness, "CHUNK", chunk)
+    assert [extremal_search(params, objective, 300, 4, atom_count=atom_count)
+            for objective in ("a2", "a3")] == expected
+
 
 @pytest.mark.parametrize("atom_count", [1, 3, 5])
 @pytest.mark.parametrize("params", [AlphaParams(0.5, 1, 1), BetaParams(0.5, 2, 0.5)],
                          ids=["alpha", "beta"])
 def test_kernel_rows_do_not_depend_on_the_batch(params, atom_count):
-    # batches of search neighbours, from one row to a whole sweep and one
-    # more, across SEARCH_ROWS at five atoms; every column, |a2| and |a3|
-    # included, of each row equals a one-row call
-    m = atom_count
-    rng = np.random.default_rng(m)
-    x = np.concatenate([rng.normal(0.0, 1.0, m), rng.uniform(0.0, 2.0 * np.pi, m)])
-    for size in range(1, 4 * m + 2):
-        rows = np.arange(size)
-        nbrs = np.repeat(x[None], size, axis=0)
-        nbrs[rows, rows // 2 % (2 * m)] += np.where(rows % 2, -0.6, 0.6)
-        batch = _score(params, *_mixtures(nbrs, m))
-        for r in range(size):
-            one = _score(params, *_mixtures(nbrs[r:r + 1], m))
-            for key, column in batch.items():
-                assert np.array_equal(column[r:r + 1], one[key]), (size, r, key)
-
-
-def _kernel_point(params, objective, x, atom_count):
-    """(score, tuple, atoms) of one search point, scored by the kernel as a
-    one-row batch; the score is None where the point fails the filter."""
-    weights, angles = _mixtures(x[None], atom_count)
-    a = harness._score(params, weights, angles)
-    tup = CoefficientTuple(*(complex(a[k][0]) for k in ("p1", "p2", "q1", "q2")))
-    atoms = tuple(zip(weights[0].tolist(), angles[0].tolist()))
-    return (float(a[f"{objective}_abs"][0]) if a["admissible"][0] else None), tup, atoms
-
-
-def _scalar_point(params, objective, x, atom_count):
-    """_kernel_point on the scalar path of the earlier search: herglotz,
-    _induce on numpy scalars and is_admissible_prefix."""
-    v, theta = x[:atom_count], x[atom_count:]
-    w = np.exp(v - v.max())
-    t = w / w.sum()
-    atoms = tuple(zip(t.tolist(), (theta % (2.0 * np.pi)).tolist()))
-    c = caratheodory.herglotz(atoms)
-    a2, a3, q1, q2 = _induce(params, c[0], c[1])
-    tup = CoefficientTuple(complex(c[0]), complex(c[1]), complex(q1), complex(q2))
-    if caratheodory.is_admissible_prefix([q1, q2]) != caratheodory.PASS:
-        return None, tup, atoms
-    return float(abs(a2) if objective == "a2" else abs(a3)), tup, atoms
-
-
-def _reference_search(params, objective, budget, seed, atom_count, restarts,
-                      point=_kernel_point):
-    """The two-closure loop of the earlier extremal_search, one point at a
-    time, each scored by point(params, objective, x, atom_count); it also
-    appends the evaluation count at each restart to ``restarts``."""
-    rep = bounds_for(params)
-    bound = rep.a2_bound if objective == "a2" else rep.a3_bound
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    evals = 0
-    best_val = None
-    best_tuple = None
-    best_atoms = None
-    first_tuple = None
-
-    def evaluate(x):
-        nonlocal evals, first_tuple
-        evals += 1
-        val, tup, atoms = point(params, objective, x, atom_count)
-        if first_tuple is None:
-            first_tuple = tup
-        return val, tup, atoms
-
-    def consider(val, tup, atoms):
-        nonlocal best_val, best_tuple, best_atoms
-        if val is not None and (best_val is None or val > best_val):
-            best_val, best_tuple, best_atoms = val, tup, atoms
-
-    while evals < budget:
-        restarts.append(evals)
-        x = np.concatenate([rng.normal(0.0, 1.0, atom_count),
-                            rng.uniform(0.0, 2.0 * np.pi, atom_count)])
-        cur_val, cur_tup, cur_atoms = evaluate(x)
-        consider(cur_val, cur_tup, cur_atoms)
-        step = 0.6
-        while step > 1e-3 and evals < budget:
-            improved = False
-            for j in range(2 * atom_count):
-                for sgn in (1.0, -1.0):
-                    if evals >= budget:
-                        break
-                    x2 = x.copy()
-                    x2[j] += sgn * step
-                    val2, tup2, atoms2 = evaluate(x2)
-                    consider(val2, tup2, atoms2)
-                    if val2 is not None and (cur_val is None or val2 > cur_val):
-                        x, cur_val = x2, val2
-                        improved = True
-                        break
-                if evals >= budget:
-                    break
-            if not improved:
-                step *= 0.5
-
-    achieved = best_val if best_val is not None else 0.0
-    return EmpiricalExtremum(
-        best_tuple=best_tuple if best_tuple is not None else first_tuple,
-        achieved=achieved, bound=bound, gap=bound - achieved,
-        evaluations=evals, objective=objective, best_atoms=best_atoms)
-
-
-def _search_with_batches(monkeypatch, search, *args, **kwargs):
-    """search's result and the rows of each kernel call it made, each row
-    its weights and angles side by side."""
-    batches, score = [], harness._score
-
-    def recording(params, weights, angles, *rest):
-        batches.append(np.concatenate([weights, angles], axis=1))
-        return score(params, weights, angles, *rest)
-
-    with monkeypatch.context() as m:
-        m.setattr(harness, "_score", recording)
-        return search(*args, **kwargs), batches
-
-
-def _counted_rows(batches, points):
-    """How many leading rows of each batch continue the sequence points."""
-    points = np.concatenate(points)
-    at, counts = 0, []
-    for batch in batches:
-        n = 0
-        while (n < len(batch) and at + n < len(points)
-               and np.array_equal(batch[n], points[at + n])):
-            n += 1
-        counts.append(n)
-        at += n
-    return counts
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("atom_count", [1, 3])
-@pytest.mark.parametrize("objective", ["a2", "a3"])
-@pytest.mark.parametrize("params", [AlphaParams(0.5, 1, 1), BetaParams(0.5, 2, 0.5)],
-                         ids=["alpha", "beta"])
-def test_search_matches_the_two_closure_loop(monkeypatch, params, objective,
-                                             atom_count, seed):
-    restarts = []
-    # 450 ends mid-sweep for one atom (restarts every 41 evaluations)
-    expected, points = _search_with_batches(monkeypatch, _reference_search, params,
-                                            objective, 450, seed, atom_count, restarts)
-    result, batches = _search_with_batches(monkeypatch, extremal_search, params,
-                                           objective, 450, seed, atom_count=atom_count)
-    assert result == expected
-    # the search counts a leading part of each batch, and these parts,
-    # joined, are the reference's points, one for one
-    counts = _counted_rows(batches, points)
-    assert min(counts) >= 1 and sum(counts) == len(points) == 450
-    budgets = [1]
-    if len(restarts) > 1:   # the last evaluation before the second restart, and at it
-        budgets += [restarts[1], restarts[1] + 1]
-    for budget in budgets:
-        assert (extremal_search(params, objective, budget, seed, atom_count=atom_count)
-                == _reference_search(params, objective, budget, seed, atom_count, []))
-    # the scalar path rounds differently from the kernel, but counts the
-    # same evaluations and reaches the same |a2|
-    scalar = _reference_search(params, objective, 450, seed, atom_count, [], _scalar_point)
-    assert scalar.evaluations == result.evaluations
-    if objective == "a2":
-        assert result.achieved == pytest.approx(scalar.achieved, rel=1e-14, abs=0)
-    if atom_count == 1:
-        # a single atom's paired prefix never passes: the first tuple stands
-        assert result.best_atoms is None and result.achieved == 0.0
-        first = extremal_search(params, objective, 1, seed, atom_count=1)
-        assert result.best_tuple == first.best_tuple
-
-
-@pytest.mark.parametrize("rows", [1, 2, 5])
-def test_search_under_a_smaller_row_cap_is_the_same_search(monkeypatch, rows):
-    # five atoms: each sweep's 20 neighbours split across several batches
-    params = BetaParams(0.5, 2, 0.5)
-    expected = _reference_search(params, "a3", 450, 2, 5, [])
-    monkeypatch.setattr(harness, "SEARCH_ROWS", rows)
-    result, batches = _search_with_batches(monkeypatch, extremal_search, params,
-                                           "a3", 450, 2, atom_count=5)
-    assert result == expected
-    assert max(len(b) for b in batches) == rows
-
-
-@pytest.mark.parametrize(("atom_count", "rows"), [(250, 4), (1001, 1)])
-def test_search_batches_are_capped_in_rows_times_atoms(monkeypatch, atom_count, rows):
-    # SEARCH_CELLS = 1000 rows x atoms; at least one row whatever the atoms
-    params = BetaParams(0.5, 2, 0.5)
-    expected = _reference_search(params, "a2", 40, 1, atom_count, [])
-    result, batches = _search_with_batches(monkeypatch, extremal_search, params,
-                                           "a2", 40, 1, atom_count=atom_count)
-    assert result == expected
-    assert max(len(b) for b in batches) == rows
+    # campaign rows scored in batches from one row to a whole chunk and one
+    # more, as the chunking and the extremal record's one-row rebuild score
+    # them; every column, |a2| and |a3| included, of each row equals the
+    # row of one whole batch
+    n = CHUNK + 1
+    weights, angles = caratheodory.sample_batch(caratheodory.streams(atom_count), n, atom_count)
+    whole = _score(params, weights, angles)
+    for size in (1, 2, 3, 64, CHUNK - 1, CHUNK):
+        parts = [_score(params, weights[lo:lo + size], angles[lo:lo + size])
+                 for lo in range(0, n, size)]
+        for key, column in whole.items():
+            assert np.array_equal(np.concatenate([p[key] for p in parts]), column), (size, key)
 
 
 def test_search_memory_is_linear_in_the_atom_count():
-    # five points of m atoms, the record's atom tuples included, take about
-    # 280 B per atom; one batch of a whole sweep, 4m neighbours of 2m
-    # coordinates, would take 4m * 2m * 8 B = 12.8 GB at m = 20000
+    # extremal scores its budget in falsify's chunks, so its memory is
+    # CHUNK x atoms, here five samples of m atoms: with the record's atom
+    # tuples, about 300 B per atom
     m = 20_000
     peak = _peak_bytes(lambda: extremal_search(BetaParams(0.5, 2, 0.5), "a2", 5, 1,
                                                atom_count=m))
