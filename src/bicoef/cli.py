@@ -211,6 +211,7 @@ def _cmd_member(args) -> int:
 
 def _cmd_falsify(args) -> int:
     params = _params_from_args(args)
+    bounds_for(params)   # a usage error here leaves --out untouched
     # opened first, so that an unwritable PATH fails before the campaign runs
     with _open_out(args.out) as out:
         summary = falsify(params, args.n, args.seed,
@@ -233,6 +234,7 @@ def _cmd_falsify(args) -> int:
 
 def _cmd_extremal(args) -> int:
     params = _params_from_args(args)
+    bounds_for(params)   # a usage error here leaves --out untouched
     # opened first, so that an unwritable PATH fails before the campaign runs
     with _open_out(args.out) as out:
         res = extremal_search(params, args.objective, args.budget, args.seed,

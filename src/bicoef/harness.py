@@ -1,25 +1,25 @@
 """Randomized falsification campaigns and their largest admissible |a2|, |a3|.
 
-Both run on one scoring kernel, ``_score``: rows of atom weights and angles
-go to their prefixes (p1, p2), the paired element's (q1, q2) and (a2, a3),
-the prefix-level filter, and |a2|, |a3|.  A campaign scores the atom
-sampler's batches and compares the |a2|, |a3| of survivors against the
-closed-form bounds.  Violations beyond VIOLATION_TOL would falsify either the
-implementation or the bound transcription, so the default campaigns must
-report none.  The extremal record is the campaign's first admissible sample
-of largest |a2| or |a3|, found in one scan of the same chunks.
+A campaign scores the atom sampler's batches in its chunk generator, the one
+scoring kernel: rows of atom weights and angles go to their prefixes (p1,
+p2), the paired element's (q1, q2) and (a2, a3), the prefix-level filter,
+and |a2|, |a3| with their margins to the closed-form bounds.  Violations
+beyond VIOLATION_TOL would falsify either the implementation or the bound
+transcription, so the default campaigns must report none.  falsify's fold
+is the one reduction over a campaign; with the counts, histograms and
+violations it keeps the first admissible sample of largest |a2| and of
+largest |a3|, the argmax that extremal_search reads its record from.
 
 Campaigns are deterministic per (seed, n_samples): sample i depends only on
 the seed and i, never on n_samples, and CSV rows appear in index order.  A
 campaign runs in chunks of CHUNK samples and folds each chunk into its
-summary, so its memory is CHUNK x atoms, flat in n_samples; so is the
-extremal scan's.  The CSV is not kept: the summary replays the same chunks
-from its own fields when it writes the rows.  The writer splits the rows
-into one contiguous range per CPU that the process may run on (at most one
-per CHUNK rows) and formats all but the first range in forked workers, each
-into an anonymous part file in TMPDIR, which together take up to the CSV's
-size there; the caller appends the parts in order, so the bytes equal those
-one process writes.
+summary, so its memory is CHUNK x atoms, flat in n_samples.  The CSV is not
+kept: the summary replays the same chunks from its own fields when it
+writes the rows.  The writer splits the rows into one contiguous range per
+CPU that the process may run on (at most one per CHUNK rows) and formats all
+but the first range in forked workers, each into an anonymous part file in
+TMPDIR, which together take up to the CSV's size there; the caller appends
+the parts in order, so the bytes equal those one process writes.
 """
 
 from __future__ import annotations
@@ -77,41 +77,30 @@ def _induce(params, p1, p2):
     return induce(p1, p2, params)
 
 
-def _score(params, weights, angles, filter_mode: str = "toeplitz") -> dict:
-    """The scoring kernel of falsify and extremal_search.
-
-    Maps (count, m) arrays of atom weights and angles to count-row arrays:
-    the prefixes p1, p2, the paired q1, q2, the filter masks and |a2|, |a3|.
-    A row depends only on its own weights and angles, bit for bit, whatever
-    the batch it is scored in.
-    """
-    coeffs = caratheodory._mixture_coeffs(weights, angles)
-    p1, p2 = coeffs[:, 0], coeffs[:, 1]
-    a2, a3, q1, q2 = _induce(params, p1, p2)
-    admissible, fail_mod, fail_toe = caratheodory.admissibility_mask_k2(
-        q1, q2, mode=filter_mode)
-    return {"p1": p1, "p2": p2, "q1": q1, "q2": q2,
-            "admissible": admissible, "fail_modulus": fail_mod,
-            "fail_toeplitz": fail_toe, "a2_abs": np.abs(a2), "a3_abs": np.abs(a3)}
-
-
 def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
                      filter_mode: str, atom_count: int):
-    """(start, arrays) for each chunk of at most CHUNK samples, in order.
+    """The scoring kernel: (start, arrays) for each chunk of at most CHUNK
+    samples, in order; the one source of falsify and csv_lines.
 
-    Row j of each array in arrays is sample start + j: its atom weights and
-    angles, its _score row and its margins.  The one source of falsify,
-    extremal_search and the CSV replay.
+    Row j of each array is sample start + j: its atom weights and angles,
+    prefixes p1, p2, paired q1, q2, filter masks, |a2|, |a3| and margins,
+    bit for bit the same whatever the chunk it is scored in.
     """
     rngs = caratheodory.streams(seed)
     for start in range(0, n_samples, CHUNK):
         weights, angles = caratheodory.sample_batch(
             rngs, min(CHUNK, n_samples - start), atom_count)
-        a = _score(params, weights, angles, filter_mode)
-        a["weights"], a["angles"] = weights, angles
-        a["a2_margin"] = bounds.a2_bound - a["a2_abs"]
-        a["a3_margin"] = bounds.a3_bound - a["a3_abs"]
-        yield start, a
+        coeffs = caratheodory._mixture_coeffs(weights, angles)
+        p1, p2 = coeffs[:, 0], coeffs[:, 1]
+        a2, a3, q1, q2 = _induce(params, p1, p2)
+        admissible, fail_mod, fail_toe = caratheodory.admissibility_mask_k2(
+            q1, q2, mode=filter_mode)
+        a2, a3 = np.abs(a2), np.abs(a3)   # the complex arrays are not kept
+        yield start, {"weights": weights, "angles": angles, "p1": p1, "p2": p2,
+                      "q1": q1, "q2": q2, "admissible": admissible,
+                      "fail_modulus": fail_mod, "fail_toeplitz": fail_toe,
+                      "a2_abs": a2, "a3_abs": a3,
+                      "a2_margin": bounds.a2_bound - a2, "a3_margin": bounds.a3_bound - a3}
 
 
 @dataclass(frozen=True)
@@ -132,6 +121,11 @@ class CampaignSummary:
     max_a3_abs: float | None
     min_a2_margin: float | None
     min_a3_margin: float | None
+    # (index, ((weight, angle), ...)) of the first admissible sample of largest
+    # |a2| or |a3|, whose CSV row holds max_a2_abs or max_a3_abs; all four None
+    # where no sample passed
+    a2_argmax: tuple[int, tuple[tuple[float, float], ...]] | None
+    a3_argmax: tuple[int, tuple[tuple[float, float], ...]] | None
     # (edges, counts, underflow): counts over [0, bound], underflow below 0
     a2_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
     a3_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
@@ -247,6 +241,8 @@ class CampaignSummary:
             "max_a3_abs": self.max_a3_abs,
             "min_a2_margin": self.min_a2_margin,
             "min_a3_margin": self.min_a3_margin,
+            "argmax": {"a2": self.a2_argmax and self.a2_argmax[0],
+                       "a3": self.a3_argmax and self.a3_argmax[0]},
             "a2_margin_hist": dict(zip(HIST_KEYS, self.a2_margin_hist)),
             "a3_margin_hist": dict(zip(HIST_KEYS, self.a3_margin_hist)),
             "near_boundary": {"a2": self.a2_near_boundary, "a3": self.a3_near_boundary},
@@ -298,13 +294,15 @@ def falsify(params, n_samples: int, seed: int, *,
             filter_mode: str = "toeplitz", atom_count: int = 3) -> CampaignSummary:
     """Run one falsification campaign against the matching coefficient bound.
 
-    Draws atom mixtures from the sampler and scores them with the kernel
-    that extremal_search shares: the paired element is induced, samples
-    whose (q1, q2) prefix is inadmissible are filtered out, and survivors'
-    |a2|, |a3| are compared against the closed-form bounds.  The violation list
-    must come back empty if the bounds (and this transcription) are correct.
-    Each chunk of CHUNK samples is folded into the counts, extrema,
-    histograms and violations before the next is drawn.
+    Scores the sampler's atom mixtures in the campaign's chunks: the paired
+    element is induced, samples whose (q1, q2) prefix is inadmissible are
+    filtered out, and survivors' |a2|, |a3| are compared against the
+    closed-form bounds.  The violation list must come back empty if the
+    bounds (and this transcription) are correct.  Each chunk is folded into
+    the counts, histograms, violations and argmax before the next is drawn:
+    np.argmax within a chunk, then a strict > across chunks, keeps the first
+    admissible sample of largest |a2| and of largest |a3|.  The least margin
+    is the bound less that value, as fl(b - x) does not increase with x.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -313,8 +311,7 @@ def falsify(params, n_samples: int, seed: int, *,
     near = NEAR_BOUNDARY * VIOLATION_TOL
     n_adm = n_mod = n_toe = 0
     violations = []
-    top = {c: -np.inf for c in bounds}
-    low = {c: np.inf for c in bounds}
+    top, argmax = dict.fromkeys(bounds, -np.inf), dict.fromkeys(bounds)
     hist = {c: np.zeros(HIST_BINS, dtype=np.int64) for c in bounds}
     edges, underflow, n_near = {}, dict.fromkeys(bounds, 0), dict.fromkeys(bounds, 0)
     for start, a in _campaign_chunks(params, rep, n_samples, seed, filter_mode,
@@ -323,17 +320,17 @@ def falsify(params, n_samples: int, seed: int, *,
         n_adm += int(admissible.sum())
         n_mod += int(a["fail_modulus"].sum())
         n_toe += int(a["fail_toeplitz"].sum())
-        bad = admissible & ((a["a2_margin"] < -VIOLATION_TOL)
-                            | (a["a3_margin"] < -VIOLATION_TOL))
-        for i in np.flatnonzero(bad):
-            for c in bounds:
-                if a[f"{c}_margin"][i] < -VIOLATION_TOL:
-                    violations.append((start + int(i), c, float(a[f"{c}_margin"][i])))
         for c, bound in bounds.items():
+            bad = np.flatnonzero(admissible & (a[f"{c}_margin"] < -VIOLATION_TOL))
+            violations += zip((start + bad).tolist(), itertools.repeat(c),
+                              a[f"{c}_margin"][bad].tolist())
+            scores = np.where(admissible, a[f"{c}_abs"], -np.inf)
+            j = int(np.argmax(scores))
+            if scores[j] > top[c]:
+                top[c] = scores[j]
+                argmax[c] = (start + j, tuple(zip(a["weights"][j].tolist(),
+                                                  a["angles"][j].tolist())))
             margin = a[f"{c}_margin"][admissible]
-            if margin.size:
-                top[c] = np.maximum(top[c], a[f"{c}_abs"][admissible].max())
-                low[c] = np.minimum(low[c], margin.min())
             # no overflow bin, as margin <= bound
             counts, edges[c] = np.histogram(margin, bins=HIST_BINS, range=(0.0, bound))
             hist[c] += counts
@@ -350,9 +347,11 @@ def falsify(params, n_samples: int, seed: int, *,
         params=params, n_samples=n_samples, seed=seed,
         filter_mode=filter_mode, atom_count=atom_count, bounds=rep,
         n_admissible=n_adm, n_fail_modulus=n_mod, n_fail_toeplitz=n_toe,
-        violations=tuple(violations),
+        violations=tuple(sorted(violations)),   # by index, then "a2" before "a3"
         max_a2_abs=extremum(top["a2"]), max_a3_abs=extremum(top["a3"]),
-        min_a2_margin=extremum(low["a2"]), min_a3_margin=extremum(low["a3"]),
+        min_a2_margin=extremum(bounds["a2"] - top["a2"]),
+        min_a3_margin=extremum(bounds["a3"] - top["a3"]),
+        a2_argmax=argmax["a2"], a3_argmax=argmax["a3"],
         a2_margin_hist=margin_hist("a2"), a3_margin_hist=margin_hist("a3"),
         a2_near_boundary=n_near["a2"], a3_near_boundary=n_near["a3"])
 
@@ -364,14 +363,14 @@ class EmpiricalExtremum:
 
     ``achieved`` is an empirical lower bound on the class extremum; the gap
     must never be significantly negative, and nothing is asserted about how
-    small it gets.  ``best_index`` is the sample's index in the campaign of
-    the same params, seed, atom count and ``evaluations`` samples, so
-    ``best_tuple`` is the p1..q2 of that campaign's CSV row ``best_index``
-    and ``achieved`` its ``max_a2_abs`` or ``max_a3_abs``.  Where no sample
-    passes the filter, the record is sample 0, with ``achieved`` 0.0 and
-    ``best_atoms`` None.  The record is rebuilt once, from the sample's
-    atoms, through ``herglotz`` and ``is_admissible_prefix``, which give its
-    kernel row.
+    small it gets.  ``best_index`` is the ``a2_argmax`` or ``a3_argmax``
+    index of falsify's campaign of the same params, seed, atom count and
+    ``evaluations`` samples, so ``best_tuple`` is the p1..q2 of that
+    campaign's CSV row ``best_index`` and ``achieved`` its ``max_a2_abs`` or
+    ``max_a3_abs``.  Where no sample passes the filter, the record is sample
+    0, with ``achieved`` 0.0 and ``best_atoms`` None.  The record is rebuilt
+    once, from the sample's atoms, through ``herglotz`` and
+    ``is_admissible_prefix``, which give its kernel row.
     """
 
     best_tuple: CoefficientTuple
@@ -389,9 +388,8 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
     """Largest |a2| or |a3| over the admissible samples of the "toeplitz"
     campaign of budget samples at seed and atom_count.
 
-    One scan of the campaign's chunks: np.argmax within a chunk, then a
-    strict > across chunks, keeps the first index of the largest value; a
-    sample that fails the filter scores nothing.  Sample i depends only on
+    The record is the objective's argmax in that campaign's falsify summary;
+    a sample that fails the filter scores nothing.  Sample i depends only on
     (seed, i), so the result is monotone nondecreasing in the budget, and
     its memory is CHUNK x atoms, as in falsify.
     """
@@ -399,16 +397,12 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         raise ValueError(f"objective must be 'a2' or 'a3', got {objective!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if atom_count < 1:
-        raise ValueError("atom_count must be >= 1")
-    rep = bounds_for(params)
-    bound = rep.a2_bound if objective == "a2" else rep.a3_bound
-    for start, a in _campaign_chunks(params, rep, budget, seed, "toeplitz", atom_count):
-        scores = np.where(a["admissible"], a[f"{objective}_abs"], -np.inf)
-        j = int(np.argmax(scores))
-        if start == 0 or scores[j] > best:   # sample 0 stands until one passes
-            best, index = scores[j], start + j
-            atoms = tuple(zip(a["weights"][j].tolist(), a["angles"][j].tolist()))
+    summary = falsify(params, budget, seed, atom_count=atom_count)
+    bound = getattr(summary.bounds, f"{objective}_bound")
+    index, atoms = getattr(summary, f"{objective}_argmax") or (0, None)
+    if atoms is None:   # nothing passed: sample 0, row 0 of the campaign's streams
+        weights, angles = caratheodory.sample_batch(caratheodory.streams(seed), 1, atom_count)
+        atoms = tuple(zip(weights[0].tolist(), angles[0].tolist()))
     # the record, rebuilt through the public one-point functions, which
     # perfbench's traced suite requires in every extremal run
     c = caratheodory.herglotz(atoms)

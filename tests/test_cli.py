@@ -161,13 +161,20 @@ def test_unwritable_out_fails_before_the_search(monkeypatch, tmp_path, capsys):
     assert err.count("\n") == 1 and "No such file or directory" in err
 
 
-@pytest.mark.parametrize("command", ["bound", "falsify", "extremal"])
-def test_usage_error_neither_creates_nor_truncates_out(tmp_path, capsys, command):
+@pytest.mark.parametrize("argv", [
     # no --alpha for --family alpha
+    ("bound", "--family", "alpha"),
+    ("falsify", "--family", "alpha"),
+    ("extremal", "--family", "alpha"),
+    # bounds that are not finite positive floats
+    ("falsify", "--family", "alpha", "--alpha", "0.5", "--lambda", "1e200", "-n", "10"),
+    ("extremal", "--family", "beta", "--beta", "0.5", "--lambda", "1e300", "--mu", "1e300"),
+], ids=["bound", "falsify", "extremal", "falsify-bounds", "extremal-bounds"])
+def test_usage_error_neither_creates_nor_truncates_out(tmp_path, capsys, argv):
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     old.write_text("kept\n")
     for path in (new, old):
-        assert_usage_error(capsys, command, "--family", "alpha", "--out", str(path))
+        assert_usage_error(capsys, *argv, "--out", str(path))
     assert not new.exists() and old.read_text() == "kept\n"
 
 

@@ -16,7 +16,7 @@ from bicoef.bounds import bounds_for
 from bicoef.cli import main
 from bicoef.harness import (CHUNK, CSV_HEADER, HIST_BINS, VIOLATION_TOL,
                             CampaignSummary, EmpiricalExtremum, _campaign_chunks,
-                            _score, extremal_search, falsify)
+                            extremal_search, falsify)
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 
 
@@ -131,7 +131,9 @@ def test_violations_against_halved_bounds(monkeypatch, capsys):
 def _unchunked_summary(params, n_samples, seed):
     """The summary falsify should give, reduced from one batch of all n_samples."""
     rep = harness.bounds_for(params)
-    s = _score(params, *caratheodory.sample_batch(caratheodory.streams(seed), n_samples, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "CHUNK", n_samples)
+        [(_, s)] = _campaign_chunks(params, rep, n_samples, seed, "toeplitz", 3)
     admissible = s["admissible"]
     fields, violations = {}, []
     for c, bound in (("a2", rep.a2_bound), ("a3", rep.a3_bound)):
@@ -140,9 +142,12 @@ def _unchunked_summary(params, n_samples, seed):
             admissible & (margin < -VIOLATION_TOL))]
         kept = margin[admissible]
         counts, edges = np.histogram(kept, bins=HIST_BINS, range=(0.0, bound))
+        j = int(np.argmax(np.where(admissible, s[f"{c}_abs"], -np.inf)))
         fields.update({
             f"max_{c}_abs": float(s[f"{c}_abs"][admissible].max()) if kept.size else None,
             f"min_{c}_margin": float(kept.min()) if kept.size else None,
+            f"{c}_argmax": (j, tuple(zip(s["weights"][j].tolist(), s["angles"][j].tolist())))
+                           if kept.size else None,
             f"{c}_margin_hist": (tuple(edges.tolist()), tuple(counts.tolist()),
                                  int((kept < 0).sum())),
             f"{c}_near_boundary": int((kept <= 10 * VIOLATION_TOL).sum())})
@@ -154,7 +159,8 @@ def _unchunked_summary(params, n_samples, seed):
         violations=tuple(sorted(violations)), **fields)
 
 
-@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7],
+                         ids=["CHUNK-1", "CHUNK", "CHUNK+1", "2CHUNK+7"])
 def test_chunked_campaign_equals_one_unchunked_batch(monkeypatch, n):
     monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
     params = BetaParams(0, 1, 0)
@@ -208,7 +214,8 @@ def test_csv_memory_is_flat_in_n(monkeypatch, tmp_path):
     assert large <= 1.25 * small
 
 
-@pytest.fixture(scope="module", params=[1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 7])
+@pytest.fixture(scope="module", params=[1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 7],
+                ids=["1", "CHUNK-1", "CHUNK+1", "2CHUNK+7"])
 def csv_case(request):
     """A campaign and the bytes of its csv_lines, one per line."""
     summary = falsify(AlphaParams(0.5, 1, 1), request.param, seed=5)
@@ -388,12 +395,32 @@ def test_campaign_prefix_stability():
 
 
 def test_summary_json_roundtrip():
-    import json
     summary = falsify(AlphaParams(0.25, 2, 0), 1000, seed=13)
     blob = json.dumps(summary.to_json_dict())
     back = json.loads(blob)
     assert back["n_admissible"] == summary.n_admissible
     assert back["violations"] == []
+    assert back["argmax"] == {"a2": summary.a2_argmax[0], "a3": summary.a3_argmax[0]}
+    # a single atom's paired prefix never passes the toeplitz filter
+    none = falsify(AlphaParams(0.5, 1, 1), 10, seed=13, atom_count=1)
+    assert none.n_admissible == 0 and none.a2_argmax is none.a3_argmax is None
+    assert json.loads(json.dumps(none.to_json_dict()))["argmax"] == {"a2": None, "a3": None}
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 7], ids=["CHUNK", "7"])
+def test_argmax_is_the_first_of_tied_samples(monkeypatch, chunk):
+    # a single atom under the modulus filter: 11 of these 4000 samples share
+    # the largest |a2| bits, the first at index 49; chunks of 7 put the ties
+    # in different chunks, where only a strict > keeps the first
+    params = BetaParams(0.5, 2, 0.5)
+    arrays = _kernel_arrays(falsify(params, 4000, 1, filter_mode="modulus", atom_count=1))
+    scores = np.where(arrays["admissible"], arrays["a2_abs"], -np.inf)
+    ties = np.flatnonzero(scores == scores.max())
+    assert len(ties) == 11 and ties[0] == 49
+    monkeypatch.setattr(harness, "CHUNK", chunk)
+    summary = falsify(params, 4000, 1, filter_mode="modulus", atom_count=1)
+    assert summary.a2_argmax == (49, tuple(zip(arrays["weights"][49].tolist(),
+                                               arrays["angles"][49].tolist())))
 
 
 def test_falsify_rejects_empty_campaign():
@@ -452,9 +479,9 @@ def test_extremal_validates_arguments():
         extremal_search(AlphaParams(1, 1, 1), "a2", budget=0, seed=0)
 
 
-# ---------------------------------------- the kernel and the extremal scan
+# ------------------------------------- the kernel and the extremal record
 
-@pytest.mark.parametrize("budget", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("budget", [1, CHUNK, CHUNK + 1], ids=["1", "CHUNK", "CHUNK+1"])
 @pytest.mark.parametrize("atom_count", [1, 3])
 @pytest.mark.parametrize("objective", ["a2", "a3"])
 @pytest.mark.parametrize("params", [AlphaParams(0.5, 1, 1), BetaParams(0.5, 2, 0.5)],
@@ -462,27 +489,24 @@ def test_extremal_validates_arguments():
 def test_extremal_is_the_maximum_of_falsify(params, objective, atom_count, budget):
     res = extremal_search(params, objective, budget, 3, atom_count=atom_count)
     summary = falsify(params, budget, 3, atom_count=atom_count)
+    argmax = getattr(summary, f"{objective}_argmax")
     assert res.evaluations == budget
-    if summary.n_admissible:
-        assert res.achieved == getattr(summary, f"max_{objective}_abs")
-        assert res.best_atoms is not None
-    else:   # a single atom's paired prefix never passes: sample 0 stands
-        assert res.achieved == 0.0 and res.best_atoms is None and res.best_index == 0
-    # the first index of the largest admissible value, and that sample's
-    # CSV row and atoms
-    arrays = _kernel_arrays(summary)
-    scores = np.where(arrays["admissible"], arrays[f"{objective}_abs"], -np.inf)
-    assert res.best_index == int(np.argmax(scores))
+    assert res.best_index == (0 if argmax is None else argmax[0])
     line = list(summary.csv_lines(res.best_index, res.best_index + 1))[1]
     row = dict(zip(CSV_HEADER, line.split(",")))
     assert row["index"] == str(res.best_index)
     assert res.best_tuple == CoefficientTuple(*(
         complex(float(row[f"{k}_re"]), float(row[f"{k}_im"])) for k in ("p1", "p2", "q1", "q2")))
-    if res.best_atoms is not None:
-        assert row["admissible"] == "true" and float(row[f"{objective}_abs"]) == res.achieved
-        i = res.best_index
-        assert res.best_atoms == tuple(zip(arrays["weights"][i].tolist(),
-                                           arrays["angles"][i].tolist()))
+    if argmax is None:   # a single atom's paired prefix never passes: sample 0 stands
+        assert summary.n_admissible == 0
+        assert res.achieved == 0.0 and res.best_atoms is None
+    else:
+        # the one-point rebuild reproduces the kernel's maximum, which it
+        # would not where the kernel's |a2| or |a3| erred downward
+        assert row["admissible"] == "true"
+        assert res.achieved == getattr(summary, f"max_{objective}_abs")
+        assert float(row[f"{objective}_abs"]) == res.achieved
+        assert res.best_atoms == argmax[1]
 
 
 @pytest.mark.parametrize("atom_count", [1, 3])
@@ -500,25 +524,31 @@ def test_extremal_does_not_depend_on_the_chunking(monkeypatch, chunk, atom_count
 @pytest.mark.parametrize("atom_count", [1, 3, 5])
 @pytest.mark.parametrize("params", [AlphaParams(0.5, 1, 1), BetaParams(0.5, 2, 0.5)],
                          ids=["alpha", "beta"])
-def test_kernel_rows_do_not_depend_on_the_batch(params, atom_count):
-    # campaign rows scored in batches from one row to a whole chunk and one
+def test_kernel_rows_do_not_depend_on_the_batch(monkeypatch, params, atom_count):
+    # campaign rows scored in chunks from one row to a whole chunk and one
     # more, as the chunking and the extremal record's one-row rebuild score
     # them; every column, |a2| and |a3| included, of each row equals the
-    # row of one whole batch
+    # row of one whole chunk
     n = CHUNK + 1
-    weights, angles = caratheodory.sample_batch(caratheodory.streams(atom_count), n, atom_count)
-    whole = _score(params, weights, angles)
+    rep = bounds_for(params)
+
+    def rows(chunk):
+        monkeypatch.setattr(harness, "CHUNK", chunk)
+        chunks = [a for _, a in _campaign_chunks(params, rep, n, atom_count, "toeplitz",
+                                                 atom_count)]
+        return {key: np.concatenate([a[key] for a in chunks]) for key in chunks[0]}
+
+    whole = rows(n)
     for size in (1, 2, 3, 64, CHUNK - 1, CHUNK):
-        parts = [_score(params, weights[lo:lo + size], angles[lo:lo + size])
-                 for lo in range(0, n, size)]
+        parts = rows(size)
         for key, column in whole.items():
-            assert np.array_equal(np.concatenate([p[key] for p in parts]), column), (size, key)
+            assert np.array_equal(parts[key], column), (size, key)
 
 
 def test_search_memory_is_linear_in_the_atom_count():
-    # extremal scores its budget in falsify's chunks, so its memory is
-    # CHUNK x atoms, here five samples of m atoms: with the record's atom
-    # tuples, about 300 B per atom
+    # extremal reads its record from falsify's fold, so its memory is
+    # CHUNK x atoms, here five samples of m atoms: with the atom tuples of
+    # both argmax records, about 500 B per atom
     m = 20_000
     peak = _peak_bytes(lambda: extremal_search(BetaParams(0.5, 2, 0.5), "a2", 5, 1,
                                                atom_count=m))
