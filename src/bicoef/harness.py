@@ -4,11 +4,12 @@ A campaign scores the atom sampler's batches in its chunk generator, the one
 scoring kernel: rows of atom weights and angles go to their prefixes (p1,
 p2), the paired element's (q1, q2) and (a2, a3), the prefix-level filter,
 and |a2|, |a3| with their margins to the closed-form bounds.  Violations
-beyond VIOLATION_TOL would falsify either the implementation or the bound
-transcription, so the default campaigns must report none.  falsify's fold
-is the one reduction over a campaign; with the counts, histograms and
-violations it keeps the first admissible sample of largest |a2| and of
-largest |a3|, the argmax that extremal_search reads its record from.
+beyond VIOLATION_TOL times the bound would falsify either the
+implementation or the bound transcription, so the default campaigns must
+report none.  falsify's fold is the one reduction over a campaign; with the
+counts, histograms and violations it keeps the first admissible sample of
+largest |a2| and of largest |a3|, the argmax that extremal_search reads its
+record from.
 
 Campaigns are deterministic per (seed, n_samples): sample i depends only on
 the seed and i, never on n_samples, and CSV rows appear in index order.  A
@@ -49,8 +50,8 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-VIOLATION_TOL = 1e-9
-NEAR_BOUNDARY = 10   # an admissible margin <= NEAR_BOUNDARY * VIOLATION_TOL is near the bound
+VIOLATION_TOL = 1e-9   # relative: a margin below -VIOLATION_TOL * bound is a violation
+NEAR_BOUNDARY = 10   # an admissible margin <= NEAR_BOUNDARY * VIOLATION_TOL * bound is near it
 HIST_BINS = 20
 HIST_KEYS = ("edges", "counts", "underflow")
 # Samples per chunk, of falsify and extremal_search alike, whose memory is
@@ -129,7 +130,7 @@ class CampaignSummary:
     # (edges, counts, underflow): counts over [0, bound], underflow below 0
     a2_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
     a3_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
-    # admissible samples with margin <= NEAR_BOUNDARY * VIOLATION_TOL
+    # admissible samples with margin <= NEAR_BOUNDARY * VIOLATION_TOL * bound
     a2_near_boundary: int
     a3_near_boundary: int
 
@@ -247,6 +248,7 @@ class CampaignSummary:
             "a3_margin_hist": dict(zip(HIST_KEYS, self.a3_margin_hist)),
             "near_boundary": {"a2": self.a2_near_boundary, "a3": self.a3_near_boundary},
             "tolerances": {"violation_tol": VIOLATION_TOL,
+                           "violation_tol_relative_to": "bound",
                            "modulus_tol": caratheodory.MODULUS_TOL,
                            "eig_tol": caratheodory.EIG_TOL},
         }
@@ -308,7 +310,6 @@ def falsify(params, n_samples: int, seed: int, *,
         raise ValueError("n_samples must be >= 1")
     rep = bounds_for(params)
     bounds = {"a2": rep.a2_bound, "a3": rep.a3_bound}
-    near = NEAR_BOUNDARY * VIOLATION_TOL
     n_adm = n_mod = n_toe = 0
     violations = []
     top, argmax = dict.fromkeys(bounds, -np.inf), dict.fromkeys(bounds)
@@ -321,7 +322,7 @@ def falsify(params, n_samples: int, seed: int, *,
         n_mod += int(a["fail_modulus"].sum())
         n_toe += int(a["fail_toeplitz"].sum())
         for c, bound in bounds.items():
-            bad = np.flatnonzero(admissible & (a[f"{c}_margin"] < -VIOLATION_TOL))
+            bad = np.flatnonzero(admissible & (a[f"{c}_margin"] < -VIOLATION_TOL * bound))
             violations += zip((start + bad).tolist(), itertools.repeat(c),
                               a[f"{c}_margin"][bad].tolist())
             scores = np.where(admissible, a[f"{c}_abs"], -np.inf)
@@ -335,7 +336,7 @@ def falsify(params, n_samples: int, seed: int, *,
             counts, edges[c] = np.histogram(margin, bins=HIST_BINS, range=(0.0, bound))
             hist[c] += counts
             underflow[c] += int((margin < 0.0).sum())
-            n_near[c] += int((margin <= near).sum())
+            n_near[c] += int((margin <= NEAR_BOUNDARY * VIOLATION_TOL * bound).sum())
 
     def extremum(value):
         return float(value) if n_adm else None

@@ -3,8 +3,9 @@
 A series c_0 + c_1 z + ... + c_N z^N is its complex coefficient array of
 length N + 1; coefficients beyond index N are unknown, never zero.  Every
 product in the package has operands of equal order and keeps that order.
-Real powers run the log/exp coefficient recurrences, and reversion is
-Lagrange inversion on them.
+Real powers run J. C. P. Miller's coefficient recurrence (Knuth, TAOCP
+vol. 2, section 4.7), and reversion is Lagrange inversion through one
+real power.
 """
 
 from __future__ import annotations
@@ -28,50 +29,33 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def pow_real(c, exponent: float) -> np.ndarray:
     """Principal-branch real power of a series with constant term exactly 1.
 
-    Computed as exp(exponent * log(c)) via the standard coefficient
-    recurrences, so non-integer exponents cost the same as integer ones.
+    Miller's recurrence for a = c^p, p = exponent: a_0 = 1 and
+    k a_k = sum_{j=1..k} ((p+1) j - k) c_j a_{k-j}, one dot product per k,
+    so non-integer exponents cost the same as integer ones.
     """
     c = np.asarray(c, dtype=complex)
     if c[0] != 1:
         raise ValueError("pow_real requires constant term exactly 1")
-    return _exp_coeffs(exponent * _log_coeffs(c))
+    out = np.zeros_like(c)
+    out[0] = 1.0
+    pj = (exponent + 1) * np.arange(1, c.size)   # (p+1) j
+    for k in range(1, c.size):
+        out[k] = np.dot((pj[:k] - k) * c[1:k + 1], out[k - 1::-1]) / k
+    return out
 
 
 def evaluate(c, z):
-    """Horner evaluation of the truncated polynomial c at |z| < 1.
+    """Horner evaluation of the truncated polynomial c at finite |z| < 1.
 
     Accepts a scalar or an ndarray of points; shape is preserved.
     """
     zs = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zs) >= 1):
-        raise ValueError("evaluation points must satisfy |z| < 1")
+    if not np.all(np.abs(zs) < 1):
+        raise ValueError("evaluation points must be finite with |z| < 1")
     acc = np.full_like(zs, c[-1])
     for ck in c[-2::-1]:
         acc = acc * zs + ck
     return complex(acc) if acc.ndim == 0 else acc
-
-
-def _log_coeffs(c: np.ndarray) -> np.ndarray:
-    """log of a series with c_0 = 1, via k*L_k = k*c_k - sum j*L_j*c_{k-j}."""
-    out = np.zeros_like(c)
-    for k in range(1, c.size):
-        acc = k * c[k]
-        for j in range(1, k):
-            acc -= j * out[j] * c[k - j]
-        out[k] = acc / k
-    return out
-
-
-def _exp_coeffs(h: np.ndarray) -> np.ndarray:
-    """exp of a series with h_0 = 0, via k*E_k = sum j*h_j*E_{k-j}."""
-    out = np.zeros_like(h)
-    out[0] = 1.0
-    for k in range(1, h.size):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += j * h[j] * out[k - j]
-        out[k] = acc / k
-    return out
 
 
 class NormalizedFunction:

@@ -108,7 +108,7 @@ def test_criterion_5_falsification_dominance():
     exact_attainment = abs(attained - bound) < 1e-12
     _verdict(5, violations == 0 and exact_attainment,
              f"{total} campaigns x {n} samples: {violations} bound "
-             "violations at 1e-9; the extremal tuple attains the |a2| bound "
+             "violations at 1e-9 of the bound; the extremal tuple attains the |a2| bound "
              "within 1e-12")
 
 

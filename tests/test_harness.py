@@ -101,13 +101,13 @@ def test_violations_against_halved_bounds(monkeypatch, capsys):
     arrays = _kernel_arrays(summary)
     bounds = {"a2": summary.bounds.a2_bound, "a3": summary.bounds.a3_bound}
     want = sorted((int(i), c) for c in bounds for i in np.flatnonzero(
-        arrays["admissible"] & (arrays[f"{c}_margin"] < -VIOLATION_TOL)))
+        arrays["admissible"] & (arrays[f"{c}_margin"] < -VIOLATION_TOL * bounds[c])))
     # ascending index, "a2" before "a3" at the same index, admissible rows only
     assert [(i, c) for i, c, _ in summary.violations] == want
     assert len({i for i, _ in want}) < len(want)   # some index violates both
     for i, c, margin in summary.violations:
         assert margin == bounds[c] - arrays[f"{c}_abs"][i]
-        assert margin < -VIOLATION_TOL
+        assert margin < -VIOLATION_TOL * bounds[c]
     for _, counts, underflow in (summary.a2_margin_hist, summary.a3_margin_hist):
         assert underflow > 0
         assert sum(counts) + underflow == summary.n_admissible
@@ -117,15 +117,30 @@ def test_violations_against_halved_bounds(monkeypatch, capsys):
     assert payload["violations"] == [list(v) for v in summary.violations]
     assert payload["a2_margin_hist"]["underflow"] == summary.a2_margin_hist[2]
     assert payload["a3_margin_hist"]["underflow"] == summary.a3_margin_hist[2]
-    # near the bound: admissible margins <= 10 VIOLATION_TOL, the violations too
+    # near the bound: admissible margins <= 10 VIOLATION_TOL bound, the violations too
     assert payload["near_boundary"] == {c: int(np.sum(
-        arrays["admissible"] & (arrays[f"{c}_margin"] <= 10 * VIOLATION_TOL))) for c in bounds}
+        arrays["admissible"] & (arrays[f"{c}_margin"] <= 10 * VIOLATION_TOL * bounds[c])))
+        for c in bounds}
     assert payload["near_boundary"]["a2"] >= sum(c == "a2" for _, c, _ in summary.violations)
     assert payload["tolerances"] == {"violation_tol": VIOLATION_TOL,
+                                     "violation_tol_relative_to": "bound",
                                      "modulus_tol": caratheodory.MODULUS_TOL,
                                      "eig_tol": caratheodory.EIG_TOL}
     assert main(argv) == 1
     assert f"violations {len(summary.violations)}" in capsys.readouterr().out.splitlines()
+
+
+def test_violations_against_halved_bounds_far_below_the_tolerance(monkeypatch):
+    # bounds of about 1e-12 lie far below VIOLATION_TOL, so an absolute
+    # tolerance would pass samples at twice the bound and call them all near it
+    monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
+    summary = falsify(AlphaParams(1e-12, 1, 0), 20000, seed=1)
+    bounds = {"a2": summary.bounds.a2_bound, "a3": summary.bounds.a3_bound}
+    assert bounds["a2"] < 1e-9 and summary.max_a2_abs > 1.9 * bounds["a2"]
+    assert {c for _, c, _ in summary.violations} == {"a2", "a3"}
+    for _, c, margin in summary.violations:
+        assert margin < -VIOLATION_TOL * bounds[c]
+    assert summary.a2_near_boundary < summary.n_admissible
 
 
 def _unchunked_summary(params, n_samples, seed):
@@ -139,7 +154,7 @@ def _unchunked_summary(params, n_samples, seed):
     for c, bound in (("a2", rep.a2_bound), ("a3", rep.a3_bound)):
         margin = bound - s[f"{c}_abs"]
         violations += [(int(i), c, float(margin[i])) for i in np.flatnonzero(
-            admissible & (margin < -VIOLATION_TOL))]
+            admissible & (margin < -VIOLATION_TOL * bound))]
         kept = margin[admissible]
         counts, edges = np.histogram(kept, bins=HIST_BINS, range=(0.0, bound))
         j = int(np.argmax(np.where(admissible, s[f"{c}_abs"], -np.inf)))
@@ -150,7 +165,7 @@ def _unchunked_summary(params, n_samples, seed):
                            if kept.size else None,
             f"{c}_margin_hist": (tuple(edges.tolist()), tuple(counts.tolist()),
                                  int((kept < 0).sum())),
-            f"{c}_near_boundary": int((kept <= 10 * VIOLATION_TOL).sum())})
+            f"{c}_near_boundary": int((kept <= 10 * VIOLATION_TOL * bound).sum())})
     return CampaignSummary(
         params=params, n_samples=n_samples, seed=seed, filter_mode="toeplitz",
         atom_count=3, bounds=rep, n_admissible=int(admissible.sum()),
@@ -321,38 +336,48 @@ def test_an_orphaned_csv_worker_stops(monkeypatch):
 
 @pytest.mark.parametrize("edge", ["a2", "a3"])
 def test_a_margin_of_exactly_minus_the_tolerance_is_no_violation(monkeypatch, edge):
-    # a dyadic tolerance makes the margins bound - |a| below exact
-    tol = 2.0 ** -30
+    # the relative edge, exact: the bound is a power of two below the largest
+    # admissible |a|, and tol = (|a| - bound) / bound, so the margin is -tol bound
     other = "a3" if edge == "a2" else "a2"
-    params = BetaParams(0, 1, 0)
+    params = BetaParams(0.5, 2, 0.5)   # maxima below 1: no bound is 1, where tol bound = tol
     arrays = _kernel_arrays(falsify(params, 400, seed=1))
     admissible = np.flatnonzero(arrays["admissible"])
     j = int(admissible[np.argmax(arrays[f"{edge}_abs"][admissible])])
-    # sample j lies exactly tol beyond the edge bound, 2 tol beyond the other
-    bounds = {edge: arrays[f"{edge}_abs"][j] - tol, other: arrays[f"{other}_abs"][j] - 2 * tol}
-    rep = dataclasses.replace(bounds_for(params), a2_bound=float(bounds["a2"]),
-                              a3_bound=float(bounds["a3"]))
+    top = float(arrays[f"{edge}_abs"][j])
+    # sample j lies beyond the other bound by at least that bound, so by more than tol times it
+    bounds = {edge: 2.0 ** math.floor(math.log2(top)),
+              other: 2.0 ** math.floor(math.log2(arrays[f"{other}_abs"][j])) / 2}
+    tol = (top - bounds[edge]) / bounds[edge]
+    assert bounds[edge] - top == -tol * bounds[edge] and bounds[edge] != 1 and tol < 1
+    rep = dataclasses.replace(bounds_for(params), a2_bound=bounds["a2"], a3_bound=bounds["a3"])
     monkeypatch.setattr(harness, "VIOLATION_TOL", tol)
     monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
     summary = falsify(params, 400, seed=1)
-    assert getattr(summary, f"min_{edge}_margin") == -tol
+    assert getattr(summary, f"min_{edge}_margin") == -tol * bounds[edge]
     assert (j, other) in [(i, c) for i, c, _ in summary.violations]
     assert edge not in [c for _, c, _ in summary.violations]
 
 
 def test_a_margin_of_exactly_ten_tolerances_is_near_the_boundary(monkeypatch):
-    # dyadic again: each bound is the largest admissible |a| plus exactly 10 tol
-    tol = 2.0 ** -30
-    params = BetaParams(0, 1, 0)
+    # the relative edge, exact, one coefficient at a time: its bound is the power
+    # of two above its largest admissible |a|, and tol = (bound - |a|) / (10 bound),
+    # so the margin is 10 tol bound; the other bound is twice as far and near nothing
+    params = BetaParams(0.5, 2, 0.5)   # maxima below 1/2: no bound is 1
     arrays = _kernel_arrays(falsify(params, 400, seed=1))
     top = {c: float(arrays[f"{c}_abs"][arrays["admissible"]].max()) for c in ("a2", "a3")}
-    rep = dataclasses.replace(bounds_for(params), a2_bound=top["a2"] + 10 * tol,
-                              a3_bound=top["a3"] + 10 * tol)
-    monkeypatch.setattr(harness, "VIOLATION_TOL", tol)
-    monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
-    summary = falsify(params, 400, seed=1)
-    assert summary.min_a2_margin == summary.min_a3_margin == 10 * tol
-    assert summary.a2_near_boundary == summary.a3_near_boundary == 1
+    for edge, other in (("a2", "a3"), ("a3", "a2")):
+        bounds = {edge: 2.0 ** math.ceil(math.log2(top[edge])),
+                  other: 2.0 ** math.ceil(math.log2(top[other])) * 2}
+        tol = (bounds[edge] - top[edge]) / bounds[edge] / 10
+        assert 10 * tol * bounds[edge] == bounds[edge] - top[edge] and bounds[edge] != 1
+        rep = dataclasses.replace(bounds_for(params), a2_bound=bounds["a2"],
+                                  a3_bound=bounds["a3"])
+        monkeypatch.setattr(harness, "VIOLATION_TOL", tol)
+        monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
+        summary = falsify(params, 400, seed=1)
+        assert getattr(summary, f"min_{edge}_margin") == 10 * tol * bounds[edge]
+        assert getattr(summary, f"{edge}_near_boundary") == 1
+        assert getattr(summary, f"{other}_near_boundary") == 0
 
 
 def test_toeplitz_filter_is_tighter_than_modulus():

@@ -19,6 +19,14 @@ def random_normalized(rng, order):
 
 # ---------------------------------------------------------------- pow_real
 
+def _binomial(s, order):
+    """Coefficients 0..order of (1 + z/2)^s."""
+    out = np.ones(order + 1, dtype=complex)
+    for k in range(1, order + 1):
+        out[k] = out[k - 1] * (s - k + 1) / (2 * k)
+    return out
+
+
 def test_pow_real_binomial_oracle():
     # (1 + a2 z + a3 z^2)^m = 1 + m a2 z + (m a3 + m(m-1)/2 a2^2) z^2
     rng = np.random.default_rng(3)
@@ -28,6 +36,10 @@ def test_pow_real_binomial_oracle():
         got = pow_real([1, a2, a3], m)
         want = [1, m * a2, m * a3 + m * (m - 1) / 2 * a2 * a2]
         assert np.allclose(got, want, atol=TOL, rtol=0)
+    # at the CLI's order cap: ((1 + z/2)^s)^p = (1 + z/2)^(s p), normwise
+    for s, p in ((3.5, -0.4), (0.5, 2.3), (-1, 0.5), (2, -1)):
+        got, want = pow_real(_binomial(s, 256), p), _binomial(s * p, 256)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pow_real_integer_matches_repeated_multiplication():
@@ -149,6 +161,10 @@ def test_evaluate_rejects_outside_disk():
         evaluate([1, 1], 1.0)
     with pytest.raises(ValueError):
         evaluate([1, 1], 1.2j)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate([1, 1], float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        evaluate([1, 1], np.array([0.1, np.nan, 0.2j]))
 
 
 def test_evaluate_vectorized_matches_scalar():
