@@ -74,18 +74,19 @@ def _int(lo: int, hi: int | None = None):
 _order, _count, _seed = _int(1, MAX_ORDER), _int(1), _int(0)
 
 
-def _complex_list(text: str) -> list[complex]:
-    toks = [t for t in text.split(",") if t.strip()]
-    if not toks:
-        raise argparse.ArgumentTypeError("empty coefficient list")
-    if len(toks) >= MAX_ORDER:   # the default order is the list's length + 1
-        raise argparse.ArgumentTypeError(
-            f"at most {MAX_ORDER - 1} coefficients, got {len(toks)}")
-    return [_complex(t) for t in toks]
+def _list(item, cap: int | None = None):
+    """argparse type: comma-separated item values, none empty, fewer than cap."""
+    def parse(text: str) -> list:
+        fields = text.split(",")
+        if not all(field.strip() for field in fields):
+            raise argparse.ArgumentTypeError(f"empty field in the list {text!r}")
+        if cap is not None and len(fields) >= cap:
+            raise argparse.ArgumentTypeError(f"at most {cap - 1} values, got {len(fields)}")
+        return [item(field) for field in fields]
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    return [_float(t) for t in text.split(",") if t.strip()]
+_coeffs, _radii = _list(_complex, MAX_ORDER), _list(_float)   # default order len + 1 <= MAX_ORDER
 
 
 def _report(args, payload: dict, text_lines: list[str]) -> str:
@@ -197,8 +198,7 @@ def _cmd_operator(args) -> int:
 def _cmd_member(args) -> int:
     params = _params_from_args(args)
     f = NormalizedFunction.from_tail(args.coeffs, order=args.order)
-    grid = MembershipGrid(radii=tuple(args.radii), n_angles=args.angles,
-                          tol=args.tol)
+    grid = MembershipGrid(tuple(args.radii), args.angles, args.tol)
     with _usage_error_on_overflow("--coeffs, --lambda and --mu"):
         rep = membership(f, params, grid)
     lines = [f"{'PASS' if rep.passed else 'FAIL'} ({rep.test} test, "
@@ -308,6 +308,10 @@ def _add_family(sp) -> None:
     shape = sp.add_mutually_exclusive_group()   # the one --family names
     shape.add_argument("--alpha", type=_float, default=None)
     shape.add_argument("--beta", type=_float, default=None)
+    _add_operator_params(sp)
+
+
+def _add_operator_params(sp) -> None:
     sp.add_argument("--lambda", dest="lam", type=_float, default=1.0)
     sp.add_argument("--mu", type=_float, default=1.0)
 
@@ -329,7 +333,7 @@ def build_parser():
     sp.add_argument("--a2", type=_complex, default=None, help="default 0")
     sp.add_argument("--a3", type=_complex, default=None, help="default 0")
     sp.add_argument("--a4", type=_complex, default=None, help="default 0")
-    sp.add_argument("--coeffs", type=_complex_list, default=None,
+    sp.add_argument("--coeffs", type=_coeffs, default=None,
                     metavar="A2,A3,...",
                     help="full reversion of z + a2 z^2 + ... instead of the "
                          "closed-form triple; not with --a2/--a3/--a4")
@@ -338,21 +342,18 @@ def build_parser():
     sp.set_defaults(func=_cmd_invert)
 
     sp = sub.add_parser("operator", help="apply the class operator")
-    sp.add_argument("--coeffs", type=_complex_list, required=True,
-                    metavar="A2,A3,...")
-    sp.add_argument("--lambda", dest="lam", type=_float, default=1.0)
-    sp.add_argument("--mu", type=_float, default=1.0)
+    sp.add_argument("--coeffs", type=_coeffs, required=True, metavar="A2,A3,...")
+    _add_operator_params(sp)
     _add_order(sp)
     _add_common(sp)
     sp.set_defaults(func=_cmd_operator)
 
     sp = sub.add_parser("member", help="grid membership check")
     _add_family(sp)
-    sp.add_argument("--coeffs", type=_complex_list, required=True,
-                    metavar="A2,A3,...")
-    sp.add_argument("--radii", type=_float_list, default=[0.5, 0.8, 0.9, 0.95])
-    sp.add_argument("--angles", type=_count, default=256)
-    sp.add_argument("--tol", type=_float, default=1e-8)
+    sp.add_argument("--coeffs", type=_coeffs, required=True, metavar="A2,A3,...")
+    sp.add_argument("--radii", type=_radii, default=MembershipGrid.radii)
+    sp.add_argument("--angles", type=_count, default=MembershipGrid.n_angles)
+    sp.add_argument("--tol", type=_float, default=MembershipGrid.tol)
     _add_order(sp)
     _add_common(sp)
     sp.set_defaults(func=_cmd_member)

@@ -15,12 +15,12 @@ Campaigns are deterministic per (seed, n_samples): sample i depends only on
 the seed and i, never on n_samples, and CSV rows appear in index order.  A
 campaign runs in chunks of CHUNK samples and folds each chunk into its
 summary, so its memory is CHUNK x atoms, flat in n_samples.  The CSV is not
-kept: the summary replays the same chunks from its own fields when it
-writes the rows.  The writer splits the rows into one contiguous range per
-CPU that the process may run on (at most one per CHUNK rows) and formats all
-but the first range in forked workers, each into an anonymous part file in
-TMPDIR, which together take up to the CSV's size there; the caller appends
-the parts in order, so the bytes equal those one process writes.
+kept: the summary replays the same chunks from its own fields, and builds
+the rows column by column from CSV_HEADER.  The writer splits the rows into
+one contiguous range per CPU that the process may run on (at most one per
+CHUNK rows) and formats all but the first range in forked workers, each into
+an anonymous part file in TMPDIR, which together take up to the CSV's size
+there; the caller appends the parts in order: the bytes one process writes.
 """
 
 from __future__ import annotations
@@ -141,16 +141,16 @@ class CampaignSummary:
 
         The rows are recomputed, chunk by chunk, from the summary's params,
         bounds, seed, n_samples, filter_mode and atom_count; the chunks below
-        start are scored and skipped.
+        start are scored and skipped.  The rows are zipped from one column of
+        cell strings per name in CSV_HEADER, SLICE rows at a time.
         """
         stop = self.n_samples if stop is None else stop
         yield ",".join(CSV_HEADER)
-        fam = self.params.family
-        alpha = repr(self.params.alpha) if fam == "alpha" else ""
-        beta = repr(self.params.beta) if fam == "beta" else ""
-        prefix = f"{fam},{self.seed},"
-        mid = f",{alpha},{beta},{self.params.lam!r},{self.params.mu!r},"
-        b2, b3 = repr(self.bounds.a2_bound), repr(self.bounds.a3_bound)
+        p, b = self.params, self.bounds
+        # the family's shape column holds its value, the other one is blank
+        constants = {"family": p.family, "seed": str(self.seed), "alpha": "", "beta": "",
+                     p.family: repr(getattr(p, p.family)), "lambda": repr(p.lam),
+                     "mu": repr(p.mu), "a2_bound": repr(b.a2_bound), "a3_bound": repr(b.a3_bound)}
         for first, a in _campaign_chunks(self.params, self.bounds, self.n_samples,
                                          self.seed, self.filter_mode, self.atom_count):
             if first >= stop:
@@ -160,20 +160,18 @@ class CampaignSummary:
             # CSV-safe); SLICE rows at a time, as those objects outweigh the chunk
             for lo in range(max(start - first, 0), end, SLICE):
                 r = slice(lo, min(lo + SLICE, end))
-                p1, p2 = a["p1"][r].tolist(), a["p2"][r].tolist()
-                q1, q2 = a["q1"][r].tolist(), a["q2"][r].tolist()
-                a2a, a3a = a["a2_abs"][r].tolist(), a["a3_abs"][r].tolist()
-                m2, m3 = a["a2_margin"][r].tolist(), a["a3_margin"][r].tolist()
-                adm = a["admissible"][r].tolist()
-                fmod, ftoe = a["fail_modulus"][r].tolist(), a["fail_toeplitz"][r].tolist()
-                base = first + lo
-                for i in range(len(adm)):
-                    reason = "modulus" if fmod[i] else "toeplitz" if ftoe[i] else ""
-                    yield (f"{prefix}{base + i}{mid}"
-                           f"{p1[i].real!r},{p1[i].imag!r},{p2[i].real!r},{p2[i].imag!r},"
-                           f"{q1[i].real!r},{q1[i].imag!r},{q2[i].real!r},{q2[i].imag!r},"
-                           f"{'true' if adm[i] else 'false'},{reason},"
-                           f"{a2a[i]!r},{a3a[i]!r},{b2},{b3},{m2[i]!r},{m3[i]!r}")
+                cols = {name: itertools.repeat(cell) for name, cell in constants.items()}
+                cols["index"] = map(str, range(first + r.start, first + r.stop))
+                for name in ("p1", "p2", "q1", "q2"):
+                    cols[f"{name}_re"] = map(repr, a[name][r].real.tolist())
+                    cols[f"{name}_im"] = map(repr, a[name][r].imag.tolist())
+                for name in ("a2_abs", "a3_abs", "a2_margin", "a3_margin"):
+                    cols[name] = map(repr, a[name][r].tolist())
+                # the failure masks are disjoint: 0 passed, 1 modulus, 2 toeplitz
+                fails = (a["fail_modulus"][r] + 2 * a["fail_toeplitz"][r]).tolist()
+                cols["admissible"] = map(("true", "false", "false").__getitem__, fails)
+                cols["filter_reason"] = map(("", "modulus", "toeplitz").__getitem__, fails)
+                yield from map(",".join, zip(*(cols[name] for name in CSV_HEADER)))
 
     def write_csv(self, fh) -> None:
         """Write the header and every row of csv_lines to the binary file fh.

@@ -12,6 +12,8 @@
   Lagrange inversion of ``series.revert``.
 * :func:`operator_by_two_powers`, the operator series with one real power per
   term, against the single-power form of ``operators.apply_operator``.
+* :func:`csv_lines_row_by_row`, the campaign CSV formatted one f-string per
+  row, against the column-by-column rows of ``CampaignSummary.csv_lines``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bicoef.harness import CSV_HEADER, _campaign_chunks
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 from bicoef.series import NormalizedFunction, pow_real
 
@@ -133,3 +136,34 @@ def lift(t: CoefficientTuple, params: AlphaParams | BetaParams) -> Lift:
     sq_2 = phi1 * (t.p2 + t.q2) / params.sum_denominator
     half_diff = phi1 * (t.p2 - t.q2) / (2.0 * (2.0 * lam + mu))
     return Lift(sq_1, sq_2, sq_1 + half_diff, sq_2 + half_diff)
+
+
+def csv_lines_row_by_row(summary, start: int = 0, stop: int | None = None):
+    """The header and the rows start to stop - 1 of ``summary.csv_lines``.
+
+    Each row is one f-string that writes the column order out, with the
+    filter reason and the admissible flag read from the masks row by row.
+    """
+    stop = summary.n_samples if stop is None else stop
+    yield ",".join(CSV_HEADER)
+    params, bounds = summary.params, summary.bounds
+    fam = params.family
+    alpha = repr(params.alpha) if fam == "alpha" else ""
+    beta = repr(params.beta) if fam == "beta" else ""
+    prefix = f"{fam},{summary.seed},"
+    mid = f",{alpha},{beta},{params.lam!r},{params.mu!r},"
+    b2, b3 = repr(bounds.a2_bound), repr(bounds.a3_bound)
+    for first, a in _campaign_chunks(params, bounds, summary.n_samples, summary.seed,
+                                     summary.filter_mode, summary.atom_count):
+        p1, p2, q1, q2 = (a[k].tolist() for k in ("p1", "p2", "q1", "q2"))
+        a2a, a3a = a["a2_abs"].tolist(), a["a3_abs"].tolist()
+        m2, m3 = a["a2_margin"].tolist(), a["a3_margin"].tolist()
+        adm = a["admissible"].tolist()
+        fmod, ftoe = a["fail_modulus"].tolist(), a["fail_toeplitz"].tolist()
+        for i in range(max(start - first, 0), min(stop - first, len(adm))):
+            reason = "modulus" if fmod[i] else "toeplitz" if ftoe[i] else ""
+            yield (f"{prefix}{first + i}{mid}"
+                   f"{p1[i].real!r},{p1[i].imag!r},{p2[i].real!r},{p2[i].imag!r},"
+                   f"{q1[i].real!r},{q1[i].imag!r},{q2[i].real!r},{q2[i].imag!r},"
+                   f"{'true' if adm[i] else 'false'},{reason},"
+                   f"{a2a[i]!r},{a3a[i]!r},{b2},{b3},{m2[i]!r},{m3[i]!r}")

@@ -310,6 +310,9 @@ def test_coefficient_list_beyond_the_order_cap_is_usage_error(capsys, argv):
     too_long, longest = ",".join(["0.01"] * 256), ",".join(["0.01"] * 255)
     assert "--coeffs" in assert_usage_error(capsys, *argv, "--coeffs", too_long)
     assert run(capsys, *argv, "--coeffs", longest, "--order", "2")[0] == 0
+    # an empty field is no zero coefficient, and dropping it would shift the rest
+    for blank in ("0.1,,0.05", "0.1, ,0.05", "0.1,0.05,"):
+        assert "argument --coeffs" in assert_usage_error(capsys, *argv, "--coeffs", blank)
 
 
 def _non_finite(token):
@@ -345,7 +348,7 @@ def test_order_cap_is_served(capsys, argv, key, pinned):
 
 @pytest.mark.parametrize("flag,value,field", [
     ("--tol", "nan", "tol"), ("--tol", "-1", "tol"), ("--angles", "0", "--angles"),
-    ("--radii", ",", "radii"), ("--radii", "1", "radii"),
+    ("--radii", ",", "radii"), ("--radii", "1", "radii"), ("--radii", "0.5,,0.9", "radii"),
 ])
 def test_bad_membership_grid_is_usage_error(capsys, flag, value, field):
     line = assert_usage_error(capsys, "member", "--family", "alpha", "--alpha",
@@ -455,18 +458,19 @@ def test_config_family_outside_choices_is_usage_error(tmp_path, capsys):
     assert "--family" in assert_usage_error(capsys, "bound", "--config", str(cfg))
 
 
-@pytest.mark.parametrize("text,name", [
-    ("family = alpha\nalpha = 1\nlamda = 2\n", "--lamda"),
-    ("family = alpha\nalpha = 1\nseed = 3\n", "--seed"),
-    ("family = alpha\nalpha = one\n", "--alpha"),
-    ("family = alpha\nalpha = 1\njson = maybe\n", "--json"),
-    ("config = other.cfg\nfamily = alpha\nalpha = 1\n", "'config = other.cfg'"),
+@pytest.mark.parametrize("command,text,name", [
+    ("bound", "family = alpha\nalpha = 1\nlamda = 2\n", "--lamda"),
+    ("bound", "family = alpha\nalpha = 1\nseed = 3\n", "--seed"),
+    ("bound", "family = alpha\nalpha = one\n", "--alpha"),
+    ("bound", "family = alpha\nalpha = 1\njson = maybe\n", "--json"),
+    ("bound", "config = other.cfg\nfamily = alpha\nalpha = 1\n", "'config = other.cfg'"),
+    ("invert", "coeffs = 0.1,,0.05\n", "argument --coeffs"),
 ], ids=["typo-key", "key-the-subcommand-lacks", "bad-float", "bad-switch",
-        "nested-config"])
-def test_bad_config_key_or_value_is_usage_error(tmp_path, capsys, text, name):
+        "nested-config", "empty-coeffs-field"])
+def test_bad_config_key_or_value_is_usage_error(tmp_path, capsys, command, text, name):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    assert name in assert_usage_error(capsys, "bound", "--config", str(cfg))
+    assert name in assert_usage_error(capsys, command, "--config", str(cfg))
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -14,10 +15,11 @@ import pytest
 from bicoef import caratheodory, harness
 from bicoef.bounds import bounds_for
 from bicoef.cli import main
-from bicoef.harness import (CHUNK, CSV_HEADER, HIST_BINS, VIOLATION_TOL,
+from bicoef.harness import (CHUNK, CSV_HEADER, HIST_BINS, SLICE, VIOLATION_TOL,
                             CampaignSummary, EmpiricalExtremum, _campaign_chunks,
                             extremal_search, falsify)
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
+from oracles import csv_lines_row_by_row
 
 
 # ------------------------------------------------------------------ falsify
@@ -64,6 +66,52 @@ def test_campaign_counts_are_consistent():
     assert (summary.n_admissible + summary.n_fail_modulus
             + summary.n_fail_toeplitz) == summary.n_samples
     assert summary.n_fail_toeplitz > 0  # the tighter filter does fire
+
+
+# One small campaign per class, pinned: the counts (admissible, modulus
+# fails, toeplitz fails), each histogram's counts and underflow, the near
+# boundary counts, the argmax indices and the sha256 of the admissible column
+# of the CSV as a packed bitmap exactly; max |a2|, max |a3|, min a2 margin and
+# min a3 margin to 1e-12 relative, as the last bits of exp and einsum may
+# differ across platforms.  Regenerate only on purpose, with a CHANGES.md note.
+GOLDEN = {
+    "alpha": (AlphaParams(0.5, 1, 1), {
+        "counts": (2092, 2588, 320),
+        "a2_hist": ((24, 64, 88, 114, 134, 159, 149, 151, 172, 156,
+                     131, 146, 143, 107, 100, 82, 66, 57, 35, 14), 0),
+        "a3_hist": ((0, 0, 0, 0, 0, 0, 0, 0, 44, 177,
+                     259, 344, 328, 315, 213, 164, 110, 79, 40, 19), 0),
+        "near_boundary": (0, 0), "argmax": (2334, 2159),
+        "admissible_sha256": "f7c86d16df6c91a8fc900872c0b5e6e994abc8793f5041e094ef90d4f20fcd01",
+        "extrema": (0.44502970888332605, 0.33159746086166997,
+                    0.0021838866166318804, 0.2517358724716633)}),
+    "beta": (BetaParams(0.5, 2, 0.5), {
+        "counts": (2075, 0, 2925),
+        "a2_hist": ((0, 0, 0, 31, 128, 165, 191, 161, 195, 178,
+                     162, 137, 159, 143, 122, 92, 82, 68, 43, 18), 0),
+        "a3_hist": ((0, 0, 0, 0, 0, 66, 102, 127, 140, 169,
+                     180, 205, 239, 203, 170, 185, 117, 96, 54, 22), 0),
+        "near_boundary": (0, 0), "argmax": (1865, 2159),
+        "admissible_sha256": "284be62684828fea1d10dd8093fd41a493ca60655bbdc35e378dfd23fee12f46",
+        "extrema": (0.32979987228396795, 0.22097607596207758,
+                    0.07020012771603207, 0.0753202203342187)}),
+}
+
+
+@pytest.mark.parametrize("family", GOLDEN)
+def test_golden_digest_of_a_small_campaign(family):
+    params, want = GOLDEN[family]
+    s = falsify(params, 5000, seed=1)
+    column = CSV_HEADER.index("admissible")
+    bits = [line.split(",")[column] == "true" for line in list(s.csv_lines())[1:]]
+    assert (s.n_admissible, s.n_fail_modulus, s.n_fail_toeplitz) == want["counts"]
+    assert s.a2_margin_hist[1:] == want["a2_hist"] and s.a3_margin_hist[1:] == want["a3_hist"]
+    assert (s.a2_near_boundary, s.a3_near_boundary) == want["near_boundary"]
+    assert (s.a2_argmax[0], s.a3_argmax[0]) == want["argmax"]
+    assert hashlib.sha256(np.packbits(bits).tobytes()).hexdigest() == want["admissible_sha256"]
+    got = (s.max_a2_abs, s.max_a3_abs, s.min_a2_margin, s.min_a3_margin)
+    for value, pinned in zip(got, want["extrema"]):
+        assert abs(value - pinned) <= 1e-12 * abs(pinned)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1e-302, sys.float_info.min])
@@ -229,18 +277,31 @@ def test_csv_memory_is_flat_in_n(monkeypatch, tmp_path):
     assert large <= 1.25 * small
 
 
-@pytest.fixture(scope="module", params=[1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 7],
-                ids=["1", "CHUNK-1", "CHUNK+1", "2CHUNK+7"])
+_ALPHA = AlphaParams(0.5, 1, 1)   # integer lam and mu: their CSV cells read "1"
+
+
+# both classes, alpha = 1 (phi2 = 0), both filters, one atom and three
+@pytest.fixture(scope="module", params=[
+    (_ALPHA, 1, "toeplitz", 3), (_ALPHA, CHUNK - 1, "toeplitz", 3),
+    (_ALPHA, CHUNK + 1, "toeplitz", 3), (_ALPHA, 2 * CHUNK + 7, "toeplitz", 3),
+    (AlphaParams(1, 1, 1), CHUNK + 1, "modulus", 1),
+    (BetaParams(0.5, 2, 0.5), CHUNK + 1, "modulus", 3),
+    (BetaParams(0, 1, 0), CHUNK + 1, "toeplitz", 1),
+], ids=["1", "CHUNK-1", "CHUNK+1", "2CHUNK+7", "alpha1-modulus-1atom",
+        "beta-modulus-3atoms", "beta-toeplitz-1atom"])
 def csv_case(request):
-    """A campaign and the bytes of its csv_lines, one per line."""
-    summary = falsify(AlphaParams(0.5, 1, 1), request.param, seed=5)
-    return summary, "".join(line + "\n" for line in summary.csv_lines()).encode()
+    """A campaign and the bytes of the row-by-row reference formatter, one
+    line each, which csv_lines and write_csv must reproduce."""
+    params, n, filter_mode, atom_count = request.param
+    summary = falsify(params, n, seed=5, filter_mode=filter_mode, atom_count=atom_count)
+    return summary, "".join(line + "\n" for line in csv_lines_row_by_row(summary)).encode()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_write_csv_is_csv_lines_whatever_the_workers(monkeypatch, tmp_path, csv_case,
                                                      workers):
-    # ranges that split chunks and slices, and empty ones where workers > n
+    # ranges that split chunks and slices (3 workers on CHUNK + 1 rows: one
+    # starts mid-SLICE and crosses the CHUNK edge), and empty ones where workers > n
     summary, expected = csv_case
     monkeypatch.setattr(harness, "_csv_workers", lambda rows: workers)
     _write_csv(summary, tmp_path / "x.csv")
@@ -249,8 +310,10 @@ def test_write_csv_is_csv_lines_whatever_the_workers(monkeypatch, tmp_path, csv_
 
 def test_csv_lines_of_a_row_range_are_rows_of_the_whole():
     summary = falsify(AlphaParams(0.5, 1, 1), CHUNK + 1, seed=5)
-    lines = list(summary.csv_lines())
-    for start, stop in [(0, 0), (0, 5), (3, 1030), (CHUNK - 2, CHUNK + 1), (CHUNK, CHUNK)]:
+    lines = list(csv_lines_row_by_row(summary))
+    # starts and stops inside a SLICE, and ranges across the CHUNK edge
+    for start, stop in [(0, 0), (0, 5), (3, 1030), (SLICE // 2, CHUNK + 1),
+                        (CHUNK - 2, CHUNK + 1), (CHUNK, CHUNK)]:
         assert list(summary.csv_lines(start, stop)) == [lines[0], *lines[1 + start:1 + stop]]
 
 
