@@ -9,7 +9,7 @@ implementation or the bound transcription, so the default campaigns must
 report none.  falsify's fold is the one reduction over a campaign; with the
 counts, histograms and violations it keeps the first admissible sample of
 largest |a2| and of largest |a3|, the argmax that extremal_search reads its
-record from.
+record from, in one CoefficientSummary per coefficient.
 
 Campaigns are deterministic per (seed, n_samples): sample i depends only on
 the seed and i, never on n_samples, and CSV rows appear in index order.  A
@@ -43,6 +43,7 @@ from .operators import (AlphaParams, BetaParams, CoefficientTuple,
 
 __all__ = [
     "CampaignSummary",
+    "CoefficientSummary",
     "EmpiricalExtremum",
     "falsify",
     "extremal_search",
@@ -71,6 +72,10 @@ CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
               "admissible", "filter_reason",
               "a2_abs", "a3_abs", "a2_bound", "a3_bound",
               "a2_margin", "a3_margin")
+
+
+def _violated(margin, bound):
+    return margin < -VIOLATION_TOL * bound
 
 
 def _induce(params, p1, p2):
@@ -105,6 +110,18 @@ def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
 
 
 @dataclass(frozen=True)
+class CoefficientSummary:
+    """One coefficient's fold over a campaign's admissible samples."""
+
+    max_abs: float | None   # the largest admissible |a|; None where no sample passed
+    # (index, ((weight, angle), ...)) of the first sample, and CSV row, of that |a|
+    argmax: tuple[int, tuple[tuple[float, float], ...]] | None
+    # (edges, counts, underflow): counts over [0, bound], underflow below 0
+    margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
+    near_boundary: int   # admissible samples near the bound, as NEAR_BOUNDARY says
+
+
+@dataclass(frozen=True)
 class CampaignSummary:
     """Aggregate result of one campaign; csv_lines replays its samples."""
 
@@ -118,21 +135,8 @@ class CampaignSummary:
     n_fail_modulus: int
     n_fail_toeplitz: int
     violations: tuple[tuple[int, str, float], ...]   # (index, coefficient, margin)
-    max_a2_abs: float | None
-    max_a3_abs: float | None
-    min_a2_margin: float | None
-    min_a3_margin: float | None
-    # (index, ((weight, angle), ...)) of the first admissible sample of largest
-    # |a2| or |a3|, whose CSV row holds max_a2_abs or max_a3_abs; all four None
-    # where no sample passed
-    a2_argmax: tuple[int, tuple[tuple[float, float], ...]] | None
-    a3_argmax: tuple[int, tuple[tuple[float, float], ...]] | None
-    # (edges, counts, underflow): counts over [0, bound], underflow below 0
-    a2_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
-    a3_margin_hist: tuple[tuple[float, ...], tuple[int, ...], int]
-    # admissible samples with margin <= NEAR_BOUNDARY * VIOLATION_TOL * bound
-    a2_near_boundary: int
-    a3_near_boundary: int
+    a2: CoefficientSummary
+    a3: CoefficientSummary
 
     def csv_lines(self, start: int = 0, stop: int | None = None) -> Iterator[str]:
         """The header, then the CSV rows of samples start to stop - 1 (stop
@@ -222,7 +226,7 @@ class CampaignSummary:
                 part.close()
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "family": self.params.family,
             "params": {self.params.family: getattr(self.params, self.params.family),
                        "lambda": self.params.lam, "mu": self.params.mu},
@@ -230,26 +234,25 @@ class CampaignSummary:
             "seed": self.seed,
             "filter": self.filter_mode,
             "atom_count": self.atom_count,
-            "a2_bound": self.bounds.a2_bound,
-            "a3_bound": self.bounds.a3_bound,
             "n_admissible": self.n_admissible,
             "n_fail_modulus": self.n_fail_modulus,
             "n_fail_toeplitz": self.n_fail_toeplitz,
             "violations": [list(v) for v in self.violations],
-            "max_a2_abs": self.max_a2_abs,
-            "max_a3_abs": self.max_a3_abs,
-            "min_a2_margin": self.min_a2_margin,
-            "min_a3_margin": self.min_a3_margin,
-            "argmax": {"a2": self.a2_argmax and self.a2_argmax[0],
-                       "a3": self.a3_argmax and self.a3_argmax[0]},
-            "a2_margin_hist": dict(zip(HIST_KEYS, self.a2_margin_hist)),
-            "a3_margin_hist": dict(zip(HIST_KEYS, self.a3_margin_hist)),
-            "near_boundary": {"a2": self.a2_near_boundary, "a3": self.a3_near_boundary},
+            "argmax": {}, "near_boundary": {},
             "tolerances": {"violation_tol": VIOLATION_TOL,
                            "violation_tol_relative_to": "bound",
                            "modulus_tol": caratheodory.MODULUS_TOL,
                            "eig_tol": caratheodory.EIG_TOL},
         }
+        for c in ("a2", "a3"):
+            s, bound = getattr(self, c), getattr(self.bounds, f"{c}_bound")
+            # the least margin is the bound less max_abs, as fl(b - x) does not increase with x
+            payload |= {f"{c}_bound": bound, f"max_{c}_abs": s.max_abs,
+                        f"min_{c}_margin": None if s.max_abs is None else bound - s.max_abs,
+                        f"{c}_margin_hist": dict(zip(HIST_KEYS, s.margin_hist))}
+            payload["argmax"][c] = None if s.argmax is None else s.argmax[0]
+            payload["near_boundary"][c] = s.near_boundary
+        return payload
 
 
 def _csv_workers(n_rows: int) -> int:
@@ -301,8 +304,7 @@ def falsify(params, n_samples: int, seed: int, *,
     bounds (and this transcription) are correct.  Each chunk is folded into
     the counts, histograms, violations and argmax before the next is drawn:
     np.argmax within a chunk, then a strict > across chunks, keeps the first
-    admissible sample of largest |a2| and of largest |a3|.  The least margin
-    is the bound less that value, as fl(b - x) does not increase with x.
+    admissible sample of largest |a2| and of largest |a3|.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -320,7 +322,7 @@ def falsify(params, n_samples: int, seed: int, *,
         n_mod += int(a["fail_modulus"].sum())
         n_toe += int(a["fail_toeplitz"].sum())
         for c, bound in bounds.items():
-            bad = np.flatnonzero(admissible & (a[f"{c}_margin"] < -VIOLATION_TOL * bound))
+            bad = np.flatnonzero(admissible & _violated(a[f"{c}_margin"], bound))
             violations += zip((start + bad).tolist(), itertools.repeat(c),
                               a[f"{c}_margin"][bad].tolist())
             scores = np.where(admissible, a[f"{c}_abs"], -np.inf)
@@ -335,24 +337,15 @@ def falsify(params, n_samples: int, seed: int, *,
             hist[c] += counts
             underflow[c] += int((margin < 0.0).sum())
             n_near[c] += int((margin <= NEAR_BOUNDARY * VIOLATION_TOL * bound).sum())
-
-    def extremum(value):
-        return float(value) if n_adm else None
-
-    def margin_hist(c):
-        return (tuple(edges[c].tolist()), tuple(hist[c].tolist()), underflow[c])
-
     return CampaignSummary(
         params=params, n_samples=n_samples, seed=seed,
         filter_mode=filter_mode, atom_count=atom_count, bounds=rep,
         n_admissible=n_adm, n_fail_modulus=n_mod, n_fail_toeplitz=n_toe,
         violations=tuple(sorted(violations)),   # by index, then "a2" before "a3"
-        max_a2_abs=extremum(top["a2"]), max_a3_abs=extremum(top["a3"]),
-        min_a2_margin=extremum(bounds["a2"] - top["a2"]),
-        min_a3_margin=extremum(bounds["a3"] - top["a3"]),
-        a2_argmax=argmax["a2"], a3_argmax=argmax["a3"],
-        a2_margin_hist=margin_hist("a2"), a3_margin_hist=margin_hist("a3"),
-        a2_near_boundary=n_near["a2"], a3_near_boundary=n_near["a3"])
+        **{c: CoefficientSummary(
+            max_abs=float(top[c]) if n_adm else None, argmax=argmax[c],
+            margin_hist=(tuple(edges[c].tolist()), tuple(hist[c].tolist()), underflow[c]),
+            near_boundary=n_near[c]) for c in bounds})
 
 
 @dataclass(frozen=True)
@@ -361,15 +354,15 @@ class EmpiricalExtremum:
     its gap to the bound.
 
     ``achieved`` is an empirical lower bound on the class extremum; the gap
-    must never be significantly negative, and nothing is asserted about how
-    small it gets.  ``best_index`` is the ``a2_argmax`` or ``a3_argmax``
-    index of falsify's campaign of the same params, seed, atom count and
-    ``evaluations`` samples, so ``best_tuple`` is the p1..q2 of that
-    campaign's CSV row ``best_index`` and ``achieved`` its ``max_a2_abs`` or
-    ``max_a3_abs``.  Where no sample passes the filter, the record is sample
-    0, with ``achieved`` 0.0 and ``best_atoms`` None.  The record is rebuilt
-    once, from the sample's atoms, through ``herglotz`` and
-    ``is_admissible_prefix``, which give its kernel row.
+    must never be significantly negative (``violated``, by falsify's rule),
+    and nothing is asserted about how small it gets.  ``best_index`` is the
+    ``a2.argmax`` or ``a3.argmax`` index of falsify's campaign of the same
+    params, seed, atom count and ``evaluations`` samples, so ``best_tuple``
+    is the p1..q2 of that campaign's CSV row ``best_index`` and ``achieved``
+    its ``a2.max_abs`` or ``a3.max_abs``.  Where no sample passes the
+    filter, the record is sample 0, with ``achieved`` 0.0 and ``best_atoms``
+    None.  The record is rebuilt once, from the sample's atoms, through
+    ``herglotz`` and ``is_admissible_prefix``, which give its kernel row.
     """
 
     best_tuple: CoefficientTuple
@@ -380,6 +373,11 @@ class EmpiricalExtremum:
     objective: str
     best_atoms: tuple[tuple[float, float], ...] | None
     best_index: int
+
+    @property
+    def violated(self) -> bool:
+        """Whether the gap is a violation of the bound, as falsify counts one."""
+        return _violated(self.gap, self.bound)
 
 
 def extremal_search(params, objective: str, budget: int, seed: int, *,
@@ -398,7 +396,7 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
         raise ValueError("budget must be >= 1")
     summary = falsify(params, budget, seed, atom_count=atom_count)
     bound = getattr(summary.bounds, f"{objective}_bound")
-    index, atoms = getattr(summary, f"{objective}_argmax") or (0, None)
+    index, atoms = getattr(summary, objective).argmax or (0, None)
     if atoms is None:   # nothing passed: sample 0, row 0 of the campaign's streams
         weights, angles = caratheodory.sample_batch(caratheodory.streams(seed), 1, atom_count)
         atoms = tuple(zip(weights[0].tolist(), angles[0].tolist()))

@@ -16,8 +16,8 @@ from bicoef import caratheodory, harness
 from bicoef.bounds import bounds_for
 from bicoef.cli import main
 from bicoef.harness import (CHUNK, CSV_HEADER, HIST_BINS, SLICE, VIOLATION_TOL,
-                            CampaignSummary, EmpiricalExtremum, _campaign_chunks,
-                            extremal_search, falsify)
+                            CampaignSummary, CoefficientSummary, EmpiricalExtremum,
+                            _campaign_chunks, extremal_search, falsify)
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 from oracles import csv_lines_row_by_row
 
@@ -28,14 +28,15 @@ def test_alpha_campaign_has_no_violations():
     summary = falsify(AlphaParams(1, 1, 1), 5000, seed=1)
     assert summary.violations == ()
     assert summary.n_admissible > 0
-    assert summary.min_a2_margin >= -VIOLATION_TOL
-    assert summary.min_a3_margin >= -VIOLATION_TOL
+    payload = summary.to_json_dict()
+    assert payload["min_a2_margin"] >= -VIOLATION_TOL
+    assert payload["min_a3_margin"] >= -VIOLATION_TOL
 
 
 def test_beta_campaign_max_a2_respects_bound():
     summary = falsify(BetaParams(0, 1, 1), 5000, seed=2)
     assert summary.violations == ()
-    assert summary.max_a2_abs <= math.sqrt(2 / 3) + 1e-9
+    assert summary.a2.max_abs <= math.sqrt(2 / 3) + 1e-9
 
 
 def _csv_rows(summary):
@@ -105,11 +106,12 @@ def test_golden_digest_of_a_small_campaign(family):
     column = CSV_HEADER.index("admissible")
     bits = [line.split(",")[column] == "true" for line in list(s.csv_lines())[1:]]
     assert (s.n_admissible, s.n_fail_modulus, s.n_fail_toeplitz) == want["counts"]
-    assert s.a2_margin_hist[1:] == want["a2_hist"] and s.a3_margin_hist[1:] == want["a3_hist"]
-    assert (s.a2_near_boundary, s.a3_near_boundary) == want["near_boundary"]
-    assert (s.a2_argmax[0], s.a3_argmax[0]) == want["argmax"]
+    assert s.a2.margin_hist[1:] == want["a2_hist"] and s.a3.margin_hist[1:] == want["a3_hist"]
+    assert (s.a2.near_boundary, s.a3.near_boundary) == want["near_boundary"]
+    assert (s.a2.argmax[0], s.a3.argmax[0]) == want["argmax"]
     assert hashlib.sha256(np.packbits(bits).tobytes()).hexdigest() == want["admissible_sha256"]
-    got = (s.max_a2_abs, s.max_a3_abs, s.min_a2_margin, s.min_a3_margin)
+    payload = s.to_json_dict()
+    got = (s.a2.max_abs, s.a3.max_abs, payload["min_a2_margin"], payload["min_a3_margin"])
     for value, pinned in zip(got, want["extrema"]):
         assert abs(value - pinned) <= 1e-12 * abs(pinned)
 
@@ -119,8 +121,8 @@ def test_margin_histograms_span_zero_to_the_bound(alpha):
     # tiny bounds included: the bins are bound / HIST_BINS wide, however small
     summary = falsify(AlphaParams(alpha, 1, 0), 500, seed=1)
     for bound, (edges, counts, underflow) in (
-            (summary.bounds.a2_bound, summary.a2_margin_hist),
-            (summary.bounds.a3_bound, summary.a3_margin_hist)):
+            (summary.bounds.a2_bound, summary.a2.margin_hist),
+            (summary.bounds.a3_bound, summary.a3.margin_hist)):
         assert edges[0] == 0.0 and edges[-1] == bound and len(counts) == HIST_BINS
         assert sum(counts) + underflow == summary.n_admissible
         assert max(counts) < summary.n_admissible
@@ -156,15 +158,15 @@ def test_violations_against_halved_bounds(monkeypatch, capsys):
     for i, c, margin in summary.violations:
         assert margin == bounds[c] - arrays[f"{c}_abs"][i]
         assert margin < -VIOLATION_TOL * bounds[c]
-    for _, counts, underflow in (summary.a2_margin_hist, summary.a3_margin_hist):
+    for _, counts, underflow in (summary.a2.margin_hist, summary.a3.margin_hist):
         assert underflow > 0
         assert sum(counts) + underflow == summary.n_admissible
 
     assert main(argv + ["--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"] == [list(v) for v in summary.violations]
-    assert payload["a2_margin_hist"]["underflow"] == summary.a2_margin_hist[2]
-    assert payload["a3_margin_hist"]["underflow"] == summary.a3_margin_hist[2]
+    assert payload["a2_margin_hist"]["underflow"] == summary.a2.margin_hist[2]
+    assert payload["a3_margin_hist"]["underflow"] == summary.a3.margin_hist[2]
     # near the bound: admissible margins <= 10 VIOLATION_TOL bound, the violations too
     assert payload["near_boundary"] == {c: int(np.sum(
         arrays["admissible"] & (arrays[f"{c}_margin"] <= 10 * VIOLATION_TOL * bounds[c])))
@@ -184,21 +186,22 @@ def test_violations_against_halved_bounds_far_below_the_tolerance(monkeypatch):
     monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
     summary = falsify(AlphaParams(1e-12, 1, 0), 20000, seed=1)
     bounds = {"a2": summary.bounds.a2_bound, "a3": summary.bounds.a3_bound}
-    assert bounds["a2"] < 1e-9 and summary.max_a2_abs > 1.9 * bounds["a2"]
+    assert bounds["a2"] < 1e-9 and summary.a2.max_abs > 1.9 * bounds["a2"]
     assert {c for _, c, _ in summary.violations} == {"a2", "a3"}
     for _, c, margin in summary.violations:
         assert margin < -VIOLATION_TOL * bounds[c]
-    assert summary.a2_near_boundary < summary.n_admissible
+    assert summary.a2.near_boundary < summary.n_admissible
 
 
 def _unchunked_summary(params, n_samples, seed):
-    """The summary falsify should give, reduced from one batch of all n_samples."""
+    """The summary falsify should give, reduced from one batch of all
+    n_samples, and the least admissible margin of each coefficient."""
     rep = harness.bounds_for(params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "CHUNK", n_samples)
         [(_, s)] = _campaign_chunks(params, rep, n_samples, seed, "toeplitz", 3)
     admissible = s["admissible"]
-    fields, violations = {}, []
+    records, violations, least = {}, [], {}
     for c, bound in (("a2", rep.a2_bound), ("a3", rep.a3_bound)):
         margin = bound - s[f"{c}_abs"]
         violations += [(int(i), c, float(margin[i])) for i in np.flatnonzero(
@@ -206,20 +209,20 @@ def _unchunked_summary(params, n_samples, seed):
         kept = margin[admissible]
         counts, edges = np.histogram(kept, bins=HIST_BINS, range=(0.0, bound))
         j = int(np.argmax(np.where(admissible, s[f"{c}_abs"], -np.inf)))
-        fields.update({
-            f"max_{c}_abs": float(s[f"{c}_abs"][admissible].max()) if kept.size else None,
-            f"min_{c}_margin": float(kept.min()) if kept.size else None,
-            f"{c}_argmax": (j, tuple(zip(s["weights"][j].tolist(), s["angles"][j].tolist())))
-                           if kept.size else None,
-            f"{c}_margin_hist": (tuple(edges.tolist()), tuple(counts.tolist()),
-                                 int((kept < 0).sum())),
-            f"{c}_near_boundary": int((kept <= 10 * VIOLATION_TOL * bound).sum())})
-    return CampaignSummary(
+        records[c] = CoefficientSummary(
+            max_abs=float(s[f"{c}_abs"][admissible].max()) if kept.size else None,
+            argmax=(j, tuple(zip(s["weights"][j].tolist(), s["angles"][j].tolist())))
+                   if kept.size else None,
+            margin_hist=(tuple(edges.tolist()), tuple(counts.tolist()), int((kept < 0).sum())),
+            near_boundary=int((kept <= 10 * VIOLATION_TOL * bound).sum()))
+        least[c] = float(kept.min()) if kept.size else None
+    summary = CampaignSummary(
         params=params, n_samples=n_samples, seed=seed, filter_mode="toeplitz",
         atom_count=3, bounds=rep, n_admissible=int(admissible.sum()),
         n_fail_modulus=int(s["fail_modulus"].sum()),
         n_fail_toeplitz=int(s["fail_toeplitz"].sum()),
-        violations=tuple(sorted(violations)), **fields)
+        violations=tuple(sorted(violations)), **records)
+    return summary, least
 
 
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7],
@@ -228,7 +231,11 @@ def test_chunked_campaign_equals_one_unchunked_batch(monkeypatch, n):
     monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
     params = BetaParams(0, 1, 0)
     summary = falsify(params, n, seed=3)
-    assert summary == _unchunked_summary(params, n, seed=3)
+    expected, least = _unchunked_summary(params, n, seed=3)
+    assert summary == expected
+    # the least margins as the minimum over the margins, not the bound less the maximum
+    payload = summary.to_json_dict()
+    assert {c: payload[f"min_{c}_margin"] for c in least} == least
     indices = [i for i, _, _ in summary.violations]
     if n > 2 * CHUNK:   # violations on both sides of a chunk boundary
         assert min(indices) < CHUNK <= max(indices)
@@ -416,7 +423,7 @@ def test_a_margin_of_exactly_minus_the_tolerance_is_no_violation(monkeypatch, ed
     monkeypatch.setattr(harness, "VIOLATION_TOL", tol)
     monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
     summary = falsify(params, 400, seed=1)
-    assert getattr(summary, f"min_{edge}_margin") == -tol * bounds[edge]
+    assert summary.to_json_dict()[f"min_{edge}_margin"] == -tol * bounds[edge]
     assert (j, other) in [(i, c) for i, c, _ in summary.violations]
     assert edge not in [c for _, c, _ in summary.violations]
 
@@ -438,9 +445,40 @@ def test_a_margin_of_exactly_ten_tolerances_is_near_the_boundary(monkeypatch):
         monkeypatch.setattr(harness, "VIOLATION_TOL", tol)
         monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
         summary = falsify(params, 400, seed=1)
-        assert getattr(summary, f"min_{edge}_margin") == 10 * tol * bounds[edge]
-        assert getattr(summary, f"{edge}_near_boundary") == 1
-        assert getattr(summary, f"{other}_near_boundary") == 0
+        assert summary.to_json_dict()[f"min_{edge}_margin"] == 10 * tol * bounds[edge]
+        assert getattr(summary, edge).near_boundary == 1
+        assert getattr(summary, other).near_boundary == 0
+
+
+_EXTREMAL = ["extremal", "--family", "beta", "--beta", "0.5", "--lambda", "2",
+             "--mu", "0.5", "--budget", "400", "--seed", "1", "--json"]
+
+
+def test_extremal_exits_1_on_a_gap_beyond_the_tolerance(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
+    assert main(_EXTREMAL) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gap"] < -VIOLATION_TOL * payload["bound"]
+
+
+@pytest.mark.parametrize("at_edge", [True, False], ids=["edge", "past-the-edge"])
+def test_extremal_exits_0_on_a_gap_of_exactly_minus_the_tolerance(monkeypatch, capsys,
+                                                                  at_edge):
+    # the relative edge, exact, as for falsify above: the bound is the power of
+    # two below the largest admissible |a2| and tol = (|a2| - bound) / bound;
+    # one ulp less tolerance puts the same gap past the edge
+    params = BetaParams(0.5, 2, 0.5)
+    arrays = _kernel_arrays(falsify(params, 400, seed=1))
+    top = float(arrays["a2_abs"][arrays["admissible"]].max())
+    bound = 2.0 ** math.floor(math.log2(top))
+    tol = (top - bound) / bound
+    assert bound - top == -tol * bound and bound != 1 and tol < 1
+    rep = dataclasses.replace(bounds_for(params), a2_bound=bound)
+    monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
+    monkeypatch.setattr(harness, "VIOLATION_TOL", tol if at_edge else np.nextafter(tol, 0))
+    assert main(_EXTREMAL) == (0 if at_edge else 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gap"] == -tol * bound and payload["bound"] == bound
 
 
 def test_toeplitz_filter_is_tighter_than_modulus():
@@ -488,11 +526,17 @@ def test_summary_json_roundtrip():
     back = json.loads(blob)
     assert back["n_admissible"] == summary.n_admissible
     assert back["violations"] == []
-    assert back["argmax"] == {"a2": summary.a2_argmax[0], "a3": summary.a3_argmax[0]}
+    assert back["argmax"] == {"a2": summary.a2.argmax[0], "a3": summary.a3.argmax[0]}
     # a single atom's paired prefix never passes the toeplitz filter
     none = falsify(AlphaParams(0.5, 1, 1), 10, seed=13, atom_count=1)
-    assert none.n_admissible == 0 and none.a2_argmax is none.a3_argmax is None
-    assert json.loads(json.dumps(none.to_json_dict()))["argmax"] == {"a2": None, "a3": None}
+    assert none.n_admissible == 0 and none.a2.argmax is none.a3.argmax is None
+    back = json.loads(json.dumps(none.to_json_dict()))
+    assert back["argmax"] == {"a2": None, "a3": None}
+    keys = ("max_a2_abs", "max_a3_abs", "min_a2_margin", "min_a3_margin")
+    assert [back[k] for k in keys] == [None] * 4
+    # a largest |a2| of 0.0 is a value: its least margin is the bound
+    zero = dataclasses.replace(summary, a2=dataclasses.replace(summary.a2, max_abs=0.0))
+    assert zero.to_json_dict()["min_a2_margin"] == summary.bounds.a2_bound
 
 
 @pytest.mark.parametrize("chunk", [CHUNK, 7], ids=["CHUNK", "7"])
@@ -507,7 +551,7 @@ def test_argmax_is_the_first_of_tied_samples(monkeypatch, chunk):
     assert len(ties) == 11 and ties[0] == 49
     monkeypatch.setattr(harness, "CHUNK", chunk)
     summary = falsify(params, 4000, 1, filter_mode="modulus", atom_count=1)
-    assert summary.a2_argmax == (49, tuple(zip(arrays["weights"][49].tolist(),
+    assert summary.a2.argmax == (49, tuple(zip(arrays["weights"][49].tolist(),
                                                arrays["angles"][49].tolist())))
 
 
@@ -577,7 +621,7 @@ def test_extremal_validates_arguments():
 def test_extremal_is_the_maximum_of_falsify(params, objective, atom_count, budget):
     res = extremal_search(params, objective, budget, 3, atom_count=atom_count)
     summary = falsify(params, budget, 3, atom_count=atom_count)
-    argmax = getattr(summary, f"{objective}_argmax")
+    argmax = getattr(summary, objective).argmax
     assert res.evaluations == budget
     assert res.best_index == (0 if argmax is None else argmax[0])
     line = list(summary.csv_lines(res.best_index, res.best_index + 1))[1]
@@ -592,7 +636,7 @@ def test_extremal_is_the_maximum_of_falsify(params, objective, atom_count, budge
         # the one-point rebuild reproduces the kernel's maximum, which it
         # would not where the kernel's |a2| or |a3| erred downward
         assert row["admissible"] == "true"
-        assert res.achieved == getattr(summary, f"max_{objective}_abs")
+        assert res.achieved == getattr(summary, objective).max_abs
         assert float(row[f"{objective}_abs"]) == res.achieved
         assert res.best_atoms == argmax[1]
 
