@@ -8,8 +8,9 @@ two arms below mu = 1 and a single expression at and above it.  Reports
 record which arm or case produced the value.
 
 Corollary reductions (the classical special cases at mu = 1, lam = mu = 1 and
-lam = 1, mu = 0) are verified against their classical closed forms with an
-exact-rational oracle; float deviations are reported alongside.
+lam = 1, mu = 0) run these same expressions on ``Fraction`` params, where they
+are exact rationals, against their classical closed forms; float deviations
+are reported alongside.
 """
 
 from __future__ import annotations
@@ -54,19 +55,15 @@ class BoundReport:
 
 def _a3_sum(phi1, lam, mu):
     """4 phi1^2/(l+m)^2 + 2 phi1/(2l+m): the alpha |a3| bound, beta mu<1 arm 2."""
-    return 4.0 * phi1 * phi1 / (lam + mu) ** 2 + 2.0 * phi1 / (2.0 * lam + mu)
+    return 4 * phi1 * phi1 / (lam + mu) ** 2 + 2 * phi1 / (2 * lam + mu)
 
 
-def _a2_arms(params):
-    """(sqrt arm, linear arm) of |a2|: sqrt(4 phi1 / D) and 2 phi1 / (lam+mu).
-
-    phi1 / D is about alpha^2, so phi1 is scaled by 4^-k around the sqrt: no
-    bit changes where 4 phi1 / D is normal, and alpha < 1e-154 cannot underflow.
-    """
-    phi1 = params.phi[0]
-    k = math.frexp(phi1)[1] // 2
-    sqrt_arm = math.sqrt(4.0 * math.ldexp(phi1, -2 * k) / params.sum_denominator)
-    return math.ldexp(sqrt_arm, k), 2.0 * phi1 / (params.lam + params.mu)
+def _arms(params):
+    """4 phi1 / D, 2 phi1 / (lam+mu) and 2 phi1 / (2 lam+mu) in the number type of
+    ``params``: the |a2| sqrt arm squared (also the real-part |a3| arm 1 below
+    mu = 1), the |a2| linear arm, and the real-part |a3| bound from mu = 1 on."""
+    phi1, lam, mu = params.phi[0], params.lam, params.mu
+    return 4 * phi1 / params.sum_denominator, 2 * phi1 / (lam + mu), 2 * phi1 / (2 * lam + mu)
 
 
 def _bounds(params) -> BoundReport:
@@ -74,19 +71,23 @@ def _bounds(params) -> BoundReport:
     the |a2| arms; for |a3|, the min of 4 phi1 / D and the a3 sum below mu = 1
     and 2 phi1 / (2 lam+mu) at and above it.  Ties go to the first-listed arm.
     The a3 sum, which overflows at lam = 1e200, is evaluated only where used.
+
+    phi1 / D is about alpha^2, so phi1 is scaled by 4^-k around the sqrt: no
+    bit changes where 4 phi1 / D is normal, and alpha < 1e-154 cannot underflow.
     """
     phi1, lam, mu = params.phi[0], params.lam, params.mu
-    sqrt_arm, linear_arm = _a2_arms(params)
+    k = math.frexp(phi1)[1] // 2
+    sqrt_arm = math.ldexp(math.sqrt(4 * math.ldexp(phi1, -2 * k) / params.sum_denominator), k)
     if params.family == "alpha":
         return BoundReport(sqrt_arm, _a3_sum(phi1, lam, mu), SINGLE, SINGLE)
+    arm1, linear_arm, ge1 = _arms(params)
     if sqrt_arm <= linear_arm:
         a2, a2_branch = sqrt_arm, MIN_ARM_SQRT
     else:
         a2, a2_branch = linear_arm, MIN_ARM_LINEAR
-    if mu >= 1.0:
-        a3, a3_branch = 2.0 * phi1 / (2.0 * lam + mu), MU_GE1
+    if mu >= 1:
+        a3, a3_branch = ge1, MU_GE1
     else:
-        arm1 = 4.0 * phi1 / params.sum_denominator
         arm2 = _a3_sum(phi1, lam, mu)
         if arm1 <= arm2:
             a3, a3_branch = arm1, MU_LT1_ARM1
@@ -112,33 +113,6 @@ def bounds_for(params: AlphaParams | BetaParams) -> BoundReport:
                          f"{params.lam!r} and mu = {params.mu!r} give bounds that are "
                          "not finite positive floats")
     return rep
-
-
-# ---------------------------------------------------------------------------
-# Exact-rational oracle (used by the corollary identity checks and the
-# acceptance suite; the float paths above stay the production route).
-
-def a2sq_alpha_exact(a: Fraction, lam: Fraction, mu: Fraction) -> Fraction:
-    return 4 * a * a / ((lam + mu) ** 2 + a * (mu + 2 * lam - lam * lam))
-
-
-def a3_alpha_exact(a: Fraction, lam: Fraction, mu: Fraction) -> Fraction:
-    return 4 * a * a / (lam + mu) ** 2 + 2 * a / (2 * lam + mu)
-
-
-def a2sq_beta_arms_exact(b: Fraction, lam: Fraction, mu: Fraction):
-    """Squares of both |a2| arms (sqrt arm first)."""
-    sqrt_arm_sq = 4 * (1 - b) / ((mu + 1) * (2 * lam + mu))
-    lin_arm_sq = (2 * (1 - b) / (lam + mu)) ** 2
-    return sqrt_arm_sq, lin_arm_sq
-
-
-def a3_beta_arms_exact(b: Fraction, lam: Fraction, mu: Fraction):
-    """(mu<1 arm 1, mu<1 arm 2, mu>=1 value) as exact rationals."""
-    arm1 = 4 * (1 - b) / ((mu + 1) * (2 * lam + mu))
-    arm2 = 4 * (1 - b) ** 2 / (lam + mu) ** 2 + 2 * (1 - b) / (2 * lam + mu)
-    ge1 = 2 * (1 - b) / (2 * lam + mu)
-    return arm1, arm2, ge1
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +161,27 @@ def _bisect_branch_switch(predicate, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _exact_forms(family: str, s: Fraction, lam: Fraction, mu: Fraction) -> dict:
-    """The general bounds in exact rationals, by quantity; |a2| forms squared."""
-    if family == "alpha":
-        return {"a2": a2sq_alpha_exact(s, lam, mu), "a3": a3_alpha_exact(s, lam, mu)}
-    sq, lin_sq = a2sq_beta_arms_exact(s, lam, mu)
-    arm1, arm2, ge1 = a3_beta_arms_exact(s, lam, mu)
+def _exact_forms(params) -> dict:
+    """The general bounds of ``params`` by quantity, |a2| forms squared.
+
+    The arms are those of :func:`_bounds`, in the number type of ``params``:
+    on ``Fraction`` fields, the production expressions as exact rationals.
+    """
+    phi1, lam, mu = params.phi[0], params.lam, params.mu
+    sq, linear, ge1 = _arms(params)
+    if params.family == "alpha":
+        return {"a2": sq, "a3": _a3_sum(phi1, lam, mu)}
+    lin_sq = linear * linear
     return {"a2": min(sq, lin_sq), "a2-sqrt-arm": sq, "a2-linear-arm": lin_sq,
-            "a3": ge1 if mu >= 1 else min(arm1, arm2)}
+            "a3": ge1 if mu >= 1 else min(sq, _a3_sum(phi1, lam, mu))}
 
 
 def _float_forms(params) -> dict:
-    """The same quantities from the float production route, |a2| unsquared."""
+    """The same quantities in floats, |a2| unsquared (sqrt arm as in _bounds)."""
     rep = bounds_for(params)
-    sqrt_arm, linear_arm = _a2_arms(params)
+    sq, linear, _ = _arms(params)
     return {"a2": rep.a2_bound, "a3": rep.a3_bound,
-            "a2-sqrt-arm": sqrt_arm, "a2-linear-arm": linear_arm}
+            "a2-sqrt-arm": math.sqrt(sq), "a2-linear-arm": linear}
 
 
 @dataclass(frozen=True)
@@ -264,13 +243,12 @@ def corollary_check(which: str) -> IdentityReport:
     if which not in _COROLLARIES:
         raise ValueError(f"unknown corollary {which!r}; expected one of {COROLLARY_IDS}")
     row = _COROLLARIES[which]
-    family = row.params.family
     lams = _LAMBDA_GRID if row.lam is None else (row.lam,)
     max_dev, pts, exact = 0.0, 0, True
-    for s in _shape_grid(family, _SHAPE_POINTS):
+    for s in _shape_grid(row.params.family, _SHAPE_POINTS):
         for lam in lams:
             pts += 1
-            general = _exact_forms(family, s, lam, row.mu)
+            general = _exact_forms(row.params(s, lam, row.mu))
             floats = _float_forms(row.params(float(s), float(lam), float(row.mu)))
             for name, form in row.classical.items():
                 classical = form(s, lam)

@@ -42,7 +42,8 @@ class _ClassParams:
     ``phi`` is ``(phi1, phi2)``, ``sum_denominator`` is the ``D`` that every
     bound arm uses, and ``region`` is the region ``phi(U)`` that ``L[f]``
     must map into, as ``(test, threshold)``.
-    ``family`` names the class and its shape field.
+    ``family`` names the class and its shape field.  ``phi`` and ``D`` write
+    int literals only: on ``Fraction`` fields they are exact rationals.
     """
 
     family: ClassVar[str]
@@ -65,8 +66,8 @@ class _ClassParams:
         a2^2 = phi1 (p2+q2) / D.  The phi2 term is skipped when phi2 = 0.
         """
         (phi1, phi2), lam, mu = self.phi, self.lam, self.mu
-        d = (mu + 1.0) * (2.0 * lam + mu)
-        return d - 2.0 * phi2 / phi1 * (lam + mu) ** 2 / phi1 if phi2 else d
+        d = (mu + 1) * (2 * lam + mu)
+        return d - 2 * phi2 / phi1 * (lam + mu) ** 2 / phi1 if phi2 else d
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class AlphaParams(_ClassParams):
     def phi(self) -> tuple[float, float]:
         """L = p^alpha, so (phi1, phi2) = (alpha, alpha (alpha-1) / 2)."""
         a = self.alpha
-        return a, a * (a - 1.0) / 2.0
+        return a, a * (a - 1) / 2
 
     @property
     def region(self) -> tuple[str, float]:
@@ -114,7 +115,7 @@ class BetaParams(_ClassParams):
     @property
     def phi(self) -> tuple[float, float]:
         """L = beta + (1-beta) p, so (phi1, phi2) = (1-beta, 0)."""
-        return 1.0 - self.beta, 0.0
+        return 1 - self.beta, 0 * self.beta
 
     @property
     def region(self) -> tuple[str, float]:
@@ -135,13 +136,13 @@ class CoefficientTuple:
 def apply_operator(f: NormalizedFunction, lam: float, mu: float) -> np.ndarray:
     """Coefficients of the operator series (1-lam)*(f/z)^mu + lam*f'*(f/z)^(mu-1).
 
-    Computed as (f/z)^(mu-1) * ((1-lam)*f/z + lam*f'), one real power.
-    f/z and f' are known only through order f.order - 1, which is the order
-    of the returned array.  Its constant term is exactly 1.
+    Computed as (f/z)^(mu-1) * ((1-lam)*f/z + lam*f'), one real power; with
+    h = f/z the bracket is h_k (1 + lam k) term by term, which does not cancel
+    at large lam.  f/z and f' are known only through order f.order - 1, the
+    order of the returned array.  Its constant term is exactly 1.
     """
     h = f.coeffs[1:]
-    df = h * np.arange(1, f.order + 1)
-    return _mul(pow_real(h, mu - 1.0), (1.0 - lam) * h + lam * df)
+    return _mul(pow_real(h, mu - 1.0), h * (1.0 + lam * np.arange(f.order)))
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,16 @@
   term, against the single-power form of ``operators.apply_operator``.
 * :func:`csv_lines_row_by_row`, the campaign CSV formatted one f-string per
   row, against the column-by-column rows of ``CampaignSummary.csv_lines``.
+* :func:`a2sq_alpha_exact`, :func:`a3_alpha_exact`,
+  :func:`a2sq_beta_arms_exact` and :func:`a3_beta_arms_exact`, the bounds in
+  the paper's own per-class forms, against ``bounds.bounds_for`` and, on
+  exact rationals, against the phi/D forms of ``bounds._exact_forms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -167,3 +172,26 @@ def csv_lines_row_by_row(summary, start: int = 0, stop: int | None = None):
                    f"{q1[i].real!r},{q1[i].imag!r},{q2[i].real!r},{q2[i].imag!r},"
                    f"{'true' if adm[i] else 'false'},{reason},"
                    f"{a2a[i]!r},{a3a[i]!r},{b2},{b3},{m2[i]!r},{m3[i]!r}")
+
+
+def a2sq_alpha_exact(a: Fraction, lam: Fraction, mu: Fraction) -> Fraction:
+    return 4 * a * a / ((lam + mu) ** 2 + a * (mu + 2 * lam - lam * lam))
+
+
+def a3_alpha_exact(a: Fraction, lam: Fraction, mu: Fraction) -> Fraction:
+    return 4 * a * a / (lam + mu) ** 2 + 2 * a / (2 * lam + mu)
+
+
+def a2sq_beta_arms_exact(b: Fraction, lam: Fraction, mu: Fraction):
+    """Squares of both |a2| arms (sqrt arm first)."""
+    sqrt_arm_sq = 4 * (1 - b) / ((mu + 1) * (2 * lam + mu))
+    lin_arm_sq = (2 * (1 - b) / (lam + mu)) ** 2
+    return sqrt_arm_sq, lin_arm_sq
+
+
+def a3_beta_arms_exact(b: Fraction, lam: Fraction, mu: Fraction):
+    """(mu<1 arm 1, mu<1 arm 2, mu>=1 value) as exact rationals."""
+    arm1 = 4 * (1 - b) / ((mu + 1) * (2 * lam + mu))
+    arm2 = 4 * (1 - b) ** 2 / (lam + mu) ** 2 + 2 * (1 - b) / (2 * lam + mu)
+    ge1 = 2 * (1 - b) / (2 * lam + mu)
+    return arm1, arm2, ge1

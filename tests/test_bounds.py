@@ -1,13 +1,14 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bicoef.bounds import (COROLLARY_IDS, a2sq_alpha_exact, a3_alpha_exact,
-                           a2sq_beta_arms_exact, a3_beta_arms_exact,
-                           bounds_for, corollary_check)
+from bicoef.bounds import COROLLARY_IDS, _exact_forms, bounds_for, corollary_check
 from bicoef.operators import AlphaParams, BetaParams
+from oracles import (a2sq_alpha_exact, a2sq_beta_arms_exact, a3_alpha_exact,
+                     a3_beta_arms_exact)
 
 
 # ------------------------------------------------------------- point values
@@ -70,6 +71,33 @@ def test_bounds_are_pure_and_reproducible():
     assert bounds_for(q) == bounds_for(q)
 
 
+# sha256 of repr((bounds_for(p) or None where it raises, p.phi, p.sum_denominator))
+# over the grid below, generated with 4.0, 2.0 and 1.0 written as float literals
+GOLDEN_GRID = {AlphaParams: (1e-300, 1e-9, 0.1, 0.5, 0.999, 1.0),
+               BetaParams: (0.0, 0.1, 0.5, 0.9, 0.999)}
+GOLDEN_LAMS = (1.0, 1.5, 2.0, 1e3, 1e8, 1e16)
+GOLDEN_MUS = (0.0, 0.2, 0.5, 1.0, 3.0, 1e3)
+GOLDEN_SHA256 = "f3556e726b8ad0c2cafa9f91176afd6cafd481f6ef67c83536bef3df1a67e2d8"
+
+
+def test_golden_digest_of_the_bounds():
+    # int literals keep the float bits of the bounds, phi and D; the grid's
+    # ValueErrors are alpha = 1e-300 from lam = 1e8 on, where D overflows
+    items = []
+    for P, shapes in GOLDEN_GRID.items():
+        for s in shapes:
+            for lam in GOLDEN_LAMS:
+                for mu in GOLDEN_MUS:
+                    p = P(s, lam, mu)
+                    try:
+                        rep = bounds_for(p)
+                    except ValueError:
+                        rep = None
+                    items.append((rep, p.phi, p.sum_denominator))
+    assert len(items) == 396 and sum(rep is None for rep, _, _ in items) == 12
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == GOLDEN_SHA256
+
+
 # ------------------------------------------------------------ exact oracles
 
 def test_float_paths_match_exact_rational_oracle():
@@ -105,6 +133,29 @@ def test_float_paths_match_exact_rational_oracle():
                         (rb.a3_bound, float(ge1 if mu >= 1 else min(arm1, arm2)))]:
                     assert abs(got - want) <= 1e-15 * want, (a, b, lam, mu, got, want)
 
+
+
+_EXACT_LAMS = (Fraction(1), Fraction(7, 4), Fraction(10) ** 20)
+
+
+@pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 3), Fraction(999, 1000),
+                                Fraction(1), Fraction(5, 2)])
+def test_phi_d_forms_equal_the_paper_forms_exactly(mu):
+    # on Fraction params, the production expressions in phi and D against the
+    # paper's per-class forms: equal as rationals, not to a tolerance
+    for a in (Fraction(1e-300), Fraction(1, 7), Fraction(1, 2), Fraction(0.999), Fraction(1)):
+        for lam in _EXACT_LAMS:
+            forms = _exact_forms(AlphaParams(a, lam, mu))
+            assert all(type(v) is Fraction for v in forms.values())
+            assert forms == {"a2": a2sq_alpha_exact(a, lam, mu), "a3": a3_alpha_exact(a, lam, mu)}
+    for b in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(3, 4), Fraction(0.999)):
+        for lam in _EXACT_LAMS:
+            forms = _exact_forms(BetaParams(b, lam, mu))
+            assert all(type(v) is Fraction for v in forms.values())
+            sq, lin_sq = a2sq_beta_arms_exact(b, lam, mu)
+            arm1, arm2, ge1 = a3_beta_arms_exact(b, lam, mu)
+            assert forms == {"a2": min(sq, lin_sq), "a2-sqrt-arm": sq, "a2-linear-arm": lin_sq,
+                             "a3": ge1 if mu >= 1 else min(arm1, arm2)}
 
 
 @pytest.mark.parametrize("alpha", [1e-150, 1e-160, 1e-200, 1e-300])

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicoef import cli
-from bicoef.bounds import BoundReport, IdentityReport, a2sq_alpha_exact, a3_alpha_exact
+from bicoef.bounds import BoundReport, IdentityReport
 from bicoef.cli import main
 from bicoef.harness import CHUNK, EmpiricalExtremum, falsify
 from bicoef.operators import AlphaParams, CoefficientTuple, MembershipReport
+from oracles import a2sq_alpha_exact, a3_alpha_exact
 
 
 def run(capsys, *argv):

@@ -60,11 +60,21 @@ def test_operator_frozen_example():
 
 
 def test_operator_constant_term_exactly_one():
+    # (1-lam) + lam is 1 in floats only while 1-lam is exact, up to lam = 2^53,
+    # and 0 at 1e17; the bracket h_k (1 + lam k) has constant term 1 at any lam
     rng = np.random.default_rng(0)
     for _ in range(20):
         f = NormalizedFunction.from_tail(rng.normal(size=3) + 1j * rng.normal(size=3))
-        out = apply_operator(f, rng.uniform(1, 3), rng.uniform(0, 4))
-        assert out[0] == 1
+        lam, mu = rng.uniform(1, 3), rng.uniform(0, 4)
+        for lam in (lam, 2.0 ** 53, 1e17):
+            assert apply_operator(f, lam, mu)[0] == 1
+
+
+def test_operator_at_huge_lambda_matches_closed_form():
+    out = apply_operator(NormalizedFunction.from_tail([0.1, 0.05]), 1e17, 0.5)
+    assert out[0] == 1
+    for got, want in zip(out[1:], operator_coeffs_closed(0.1, 0.05, 1e17, 0.5)):
+        assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_operator_order_cap():
