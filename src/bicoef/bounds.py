@@ -2,15 +2,16 @@
 
 Every arm is written in phi1, lam, mu and D = ``params.sum_denominator``, a
 sum of non-negative terms (the paper's angular form of alpha D cancels for
-large lam).  The angular-opening class has single-expression bounds; the
-real-part class bound is a min of two arms for |a2| and, for |a3|, a min of
-two arms below mu = 1 and a single expression at and above it.  Reports
-record which arm or case produced the value.
+large lam).  One case table, :func:`_cases`, picks the bounds from the arms:
+the angular-opening class has single-expression bounds; the real-part class
+bound is a min of two arms for |a2| and, for |a3|, a min of two arms below
+mu = 1 and a single expression at and above it.  Reports record which arm or
+case produced the value.
 
 Corollary reductions (the classical special cases at mu = 1, lam = mu = 1 and
-lam = 1, mu = 0) run these same expressions on ``Fraction`` params, where they
-are exact rationals, against their classical closed forms; float deviations
-are reported alongside.
+lam = 1, mu = 0) run the same table and expressions on ``Fraction`` params,
+where they are exact rationals, against their classical closed forms; float
+deviations are reported alongside.
 """
 
 from __future__ import annotations
@@ -59,40 +60,42 @@ def _a3_sum(phi1, lam, mu):
 
 
 def _arms(params):
-    """4 phi1 / D, 2 phi1 / (lam+mu) and 2 phi1 / (2 lam+mu) in the number type of
-    ``params``: the |a2| sqrt arm squared (also the real-part |a3| arm 1 below
-    mu = 1), the |a2| linear arm, and the real-part |a3| bound from mu = 1 on."""
+    """4 phi1 / D and 2 phi1 / (lam+mu) in the number type of ``params``: the
+    |a2| sqrt arm squared and the |a2| linear arm."""
+    phi1 = params.phi[0]
+    return 4 * phi1 / params.sum_denominator, 2 * phi1 / (params.lam + params.mu)
+
+
+def _cases(params, sqrt_arm, linear_arm):
+    """((|a2|, branch), (|a3|, branch)): the case table of the class of ``params``.
+
+    The two |a2| arms come in the caller's form, both unsquared or both
+    squared.  Angular class: the sqrt arm and the a3 sum.  Real-part class:
+    the min of the |a2| arms; for |a3|, the min of 4 phi1 / D and the a3 sum
+    below mu = 1 and 2 phi1 / (2 lam+mu) at and above it.  Ties go to the
+    first-listed arm.  The a3 sum, which overflows at lam = 1e200, is
+    evaluated only where used.
+    """
     phi1, lam, mu = params.phi[0], params.lam, params.mu
-    return 4 * phi1 / params.sum_denominator, 2 * phi1 / (lam + mu), 2 * phi1 / (2 * lam + mu)
+    if params.family == "alpha":
+        return (sqrt_arm, SINGLE), (_a3_sum(phi1, lam, mu), SINGLE)
+    a2 = (sqrt_arm, MIN_ARM_SQRT) if sqrt_arm <= linear_arm else (linear_arm, MIN_ARM_LINEAR)
+    if mu >= 1:
+        return a2, (2 * phi1 / (2 * lam + mu), MU_GE1)
+    arm1, arm2 = 4 * phi1 / params.sum_denominator, _a3_sum(phi1, lam, mu)
+    return a2, (arm1, MU_LT1_ARM1) if arm1 <= arm2 else (arm2, MU_LT1_ARM2)
 
 
 def _bounds(params) -> BoundReport:
-    """Angular class: the sqrt arm and the a3 sum.  Real-part class: the min of
-    the |a2| arms; for |a3|, the min of 4 phi1 / D and the a3 sum below mu = 1
-    and 2 phi1 / (2 lam+mu) at and above it.  Ties go to the first-listed arm.
-    The a3 sum, which overflows at lam = 1e200, is evaluated only where used.
+    """The case table on floats, the |a2| arms unsquared.
 
     phi1 / D is about alpha^2, so phi1 is scaled by 4^-k around the sqrt: no
     bit changes where 4 phi1 / D is normal, and alpha < 1e-154 cannot underflow.
     """
-    phi1, lam, mu = params.phi[0], params.lam, params.mu
+    phi1 = params.phi[0]
     k = math.frexp(phi1)[1] // 2
     sqrt_arm = math.ldexp(math.sqrt(4 * math.ldexp(phi1, -2 * k) / params.sum_denominator), k)
-    if params.family == "alpha":
-        return BoundReport(sqrt_arm, _a3_sum(phi1, lam, mu), SINGLE, SINGLE)
-    arm1, linear_arm, ge1 = _arms(params)
-    if sqrt_arm <= linear_arm:
-        a2, a2_branch = sqrt_arm, MIN_ARM_SQRT
-    else:
-        a2, a2_branch = linear_arm, MIN_ARM_LINEAR
-    if mu >= 1:
-        a3, a3_branch = ge1, MU_GE1
-    else:
-        arm2 = _a3_sum(phi1, lam, mu)
-        if arm1 <= arm2:
-            a3, a3_branch = arm1, MU_LT1_ARM1
-        else:
-            a3, a3_branch = arm2, MU_LT1_ARM2
+    (a2, a2_branch), (a3, a3_branch) = _cases(params, sqrt_arm, _arms(params)[1])
     return BoundReport(a2, a3, a2_branch, a3_branch)
 
 
@@ -148,10 +151,11 @@ def _shape_grid(family: str, n: int):
     return tuple(Fraction(i, n) for i in range(first, first + n))
 
 
-def _bisect_branch_switch(predicate, lo: float, hi: float) -> float:
-    """Midpoint of the sign change of a boolean predicate on [lo, hi]."""
+def _bisect_branch_switch(predicate, lo: float, hi: float) -> float | None:
+    """Midpoint of the sign change of a boolean predicate on [lo, hi], or None
+    where it does not switch from True to False there."""
     if not predicate(lo) or predicate(hi):
-        raise ValueError("predicate does not switch from True to False on the bracket")
+        return None
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if predicate(mid):
@@ -164,22 +168,20 @@ def _bisect_branch_switch(predicate, lo: float, hi: float) -> float:
 def _exact_forms(params) -> dict:
     """The general bounds of ``params`` by quantity, |a2| forms squared.
 
-    The arms are those of :func:`_bounds`, in the number type of ``params``:
-    on ``Fraction`` fields, the production expressions as exact rationals.
+    The case table of :func:`_bounds` on the squared |a2| arms, in the number
+    type of ``params``: on ``Fraction`` fields, the production table and
+    expressions as exact rationals.
     """
-    phi1, lam, mu = params.phi[0], params.lam, params.mu
-    sq, linear, ge1 = _arms(params)
-    if params.family == "alpha":
-        return {"a2": sq, "a3": _a3_sum(phi1, lam, mu)}
+    sq, linear = _arms(params)
     lin_sq = linear * linear
-    return {"a2": min(sq, lin_sq), "a2-sqrt-arm": sq, "a2-linear-arm": lin_sq,
-            "a3": ge1 if mu >= 1 else min(sq, _a3_sum(phi1, lam, mu))}
+    (a2, _), (a3, _) = _cases(params, sq, lin_sq)
+    return {"a2": a2, "a2-sqrt-arm": sq, "a2-linear-arm": lin_sq, "a3": a3}
 
 
 def _float_forms(params) -> dict:
     """The same quantities in floats, |a2| unsquared (sqrt arm as in _bounds)."""
     rep = bounds_for(params)
-    sq, linear, _ = _arms(params)
+    sq, linear = _arms(params)
     return {"a2": rep.a2_bound, "a3": rep.a3_bound,
             "a2-sqrt-arm": math.sqrt(sq), "a2-linear-arm": linear}
 
@@ -238,7 +240,8 @@ def corollary_check(which: str) -> IdentityReport:
     PASS requires exact rational identity between the specialized general
     bounds and the corollary closed forms, float deviation below
     IDENTITY_TOL at every grid point, and (where a case table switches
-    branches) the crossover located within CROSSOVER_TOL of its known value.
+    branches) the crossover located within CROSSOVER_TOL of its known value;
+    a branch that never switches on the bracket is a crossover not found.
     """
     if which not in _COROLLARIES:
         raise ValueError(f"unknown corollary {which!r}; expected one of {COROLLARY_IDS}")
@@ -263,7 +266,7 @@ def corollary_check(which: str) -> IdentityReport:
         found = _bisect_branch_switch(
             lambda x: getattr(bounds_for(row.params(x, float(row.lam), float(row.mu))),
                               field) == tag, 0.0, 0.999)
-        err = abs(found - expected)
-        passed = passed and err <= CROSSOVER_TOL
+        err = None if found is None else abs(found - expected)
+        passed = passed and err is not None and err <= CROSSOVER_TOL
     return IdentityReport(which, passed, pts, max_dev, exact,
                           expected, found, err, row.notes)

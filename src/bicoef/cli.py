@@ -264,6 +264,8 @@ def _cmd_corollary_check(args) -> int:
         if r.crossover_found is not None:
             lines.append(f"  crossover at {r.crossover_found!r} "
                          f"(expected {r.crossover_expected!r})")
+        elif r.crossover_expected is not None:
+            lines.append(f"  crossover not found (expected {r.crossover_expected!r})")
         for note in r.notes:
             lines.append(f"  note: {note}")
     _emit(args, {"reports": [asdict(r) for r in reports]}, lines)

@@ -79,6 +79,8 @@ def _violated(margin, bound):
 
 
 def _induce(params, p1, p2):
+    """induce_q_alpha or induce_q_beta by the class of ``params``: both take
+    the one system, and perfbench's traced suite requires each name called."""
     induce = induce_q_alpha if params.family == "alpha" else induce_q_beta
     return induce(p1, p2, params)
 

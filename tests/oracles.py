@@ -17,7 +17,8 @@
 * :func:`a2sq_alpha_exact`, :func:`a3_alpha_exact`,
   :func:`a2sq_beta_arms_exact` and :func:`a3_beta_arms_exact`, the bounds in
   the paper's own per-class forms, against ``bounds.bounds_for`` and, on
-  exact rationals, against the phi/D forms of ``bounds._exact_forms``.
+  exact rationals, against ``bounds._exact_forms``: the production case table
+  of both classes on the phi/D arms, every |a2| arm included.
 """
 
 from __future__ import annotations

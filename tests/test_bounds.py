@@ -147,7 +147,9 @@ def test_phi_d_forms_equal_the_paper_forms_exactly(mu):
         for lam in _EXACT_LAMS:
             forms = _exact_forms(AlphaParams(a, lam, mu))
             assert all(type(v) is Fraction for v in forms.values())
-            assert forms == {"a2": a2sq_alpha_exact(a, lam, mu), "a3": a3_alpha_exact(a, lam, mu)}
+            sq = a2sq_alpha_exact(a, lam, mu)
+            assert forms == {"a2": sq, "a2-sqrt-arm": sq, "a2-linear-arm": (2 * a / (lam + mu)) ** 2,
+                             "a3": a3_alpha_exact(a, lam, mu)}
     for b in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(3, 4), Fraction(0.999)):
         for lam in _EXACT_LAMS:
             forms = _exact_forms(BetaParams(b, lam, mu))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicoef import cli
+from bicoef import bounds, cli
 from bicoef.bounds import BoundReport, IdentityReport
 from bicoef.cli import main
 from bicoef.harness import CHUNK, EmpiricalExtremum, falsify
@@ -247,6 +247,25 @@ def test_corollary_check_all_json(capsys):
     payload = json.loads(out)
     assert len(payload["reports"]) == 6
     assert all(r["passed"] for r in payload["reports"])
+
+
+def test_corollary_whose_branch_never_switches_fails_with_every_report(monkeypatch, capsys):
+    # |a2| never leaves the sqrt arm, so c4's crossover is not found: a failed
+    # check (exit 1) with all six reports, not a usage error (exit 2)
+    real = bounds.bounds_for
+    monkeypatch.setattr(bounds, "bounds_for",
+                        lambda p: dataclasses.replace(real(p), a2_branch="min-arm-sqrt"))
+    code, out, err = run(capsys, "corollary-check")
+    assert (code, err) == (1, "")
+    heads = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert [h.split(":")[0] for h in heads] == ["c1", "c2", "c51", "c3", "c4", "c5"]
+    assert ["FAIL" in h for h in heads] == [False] * 4 + [True, False]
+    assert "  crossover not found (expected 0.3333333333333333)" in out.splitlines()
+    code, out, err = run(capsys, "corollary-check", "--which", "c4", "--json")
+    (c4,) = json.loads(out)["reports"]
+    assert (code, err) == (1, "")
+    assert (c4["passed"], c4["exact_identity"]) == (False, True)
+    assert c4["crossover_found"] is None and c4["crossover_error"] is None
 
 
 def test_json_payloads_are_the_result_records(capsys):
