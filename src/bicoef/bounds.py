@@ -55,8 +55,17 @@ class BoundReport:
 
 
 def _a3_sum(phi1, lam, mu):
-    """4 phi1^2/(l+m)^2 + 2 phi1/(2l+m): the alpha |a3| bound, beta mu<1 arm 2."""
-    return 4 * phi1 * phi1 / (lam + mu) ** 2 + 2 * phi1 / (2 * lam + mu)
+    """4 phi1^2/(l+m)^2 + 2 phi1/(2l+m): the alpha |a3| bound, beta mu<1 arm 2.
+
+    A float (lam+mu)**2 raises OverflowError once lam+mu exceeds about
+    1.34e154.  The first term is then below 4 phi1 / (lam+mu) < 2^-500 times
+    the second, so the float sum is the second term alone.
+    """
+    try:
+        first = 4 * phi1 * phi1 / (lam + mu) ** 2
+    except OverflowError:
+        first = 0
+    return first + 2 * phi1 / (2 * lam + mu)
 
 
 def _arms(params):
@@ -73,8 +82,10 @@ def _cases(params, sqrt_arm, linear_arm):
     squared.  Angular class: the sqrt arm and the a3 sum.  Real-part class:
     the min of the |a2| arms; for |a3|, the min of 4 phi1 / D and the a3 sum
     below mu = 1 and 2 phi1 / (2 lam+mu) at and above it.  Ties go to the
-    first-listed arm.  The a3 sum, which overflows at lam = 1e200, is
-    evaluated only where used.
+    first-listed arm.  The a3 sum is evaluated only where used.  At lam =
+    1e200 the real-part class has finite bounds at every mu, while the
+    angular class's D, which squares lam+mu, overflows, and ``bounds_for``
+    rejects its params.
     """
     phi1, lam, mu = params.phi[0], params.lam, params.mu
     if params.family == "alpha":

@@ -319,21 +319,19 @@ def falsify(params, n_samples: int, seed: int, *,
     edges, underflow, n_near = {}, dict.fromkeys(bounds, 0), dict.fromkeys(bounds, 0)
     for start, a in _campaign_chunks(params, rep, n_samples, seed, filter_mode,
                                      atom_count):
-        admissible = a["admissible"]
-        n_adm += int(admissible.sum())
+        rows = np.flatnonzero(a["admissible"])
+        n_adm += rows.size
         n_mod += int(a["fail_modulus"].sum())
         n_toe += int(a["fail_toeplitz"].sum())
         for c, bound in bounds.items():
-            bad = np.flatnonzero(admissible & _violated(a[f"{c}_margin"], bound))
-            violations += zip((start + bad).tolist(), itertools.repeat(c),
-                              a[f"{c}_margin"][bad].tolist())
-            scores = np.where(admissible, a[f"{c}_abs"], -np.inf)
-            j = int(np.argmax(scores))
-            if scores[j] > top[c]:
-                top[c] = scores[j]
-                argmax[c] = (start + j, tuple(zip(a["weights"][j].tolist(),
-                                                  a["angles"][j].tolist())))
-            margin = a[f"{c}_margin"][admissible]
+            x, margin = a[f"{c}_abs"][rows], a[f"{c}_margin"][rows]
+            bad = _violated(margin, bound)
+            violations += zip((start + rows[bad]).tolist(), itertools.repeat(c),
+                              margin[bad].tolist())
+            if rows.size and x[j := int(np.argmax(x))] > top[c]:
+                top[c], i = x[j], int(rows[j])
+                argmax[c] = (start + i, tuple(zip(a["weights"][i].tolist(),
+                                                  a["angles"][i].tolist())))
             # no overflow bin, as margin <= bound
             counts, edges[c] = np.histogram(margin, bins=HIST_BINS, range=(0.0, bound))
             hist[c] += counts

@@ -19,7 +19,8 @@ from bicoef.bounds import BoundReport, IdentityReport
 from bicoef.cli import main
 from bicoef.harness import CHUNK, EmpiricalExtremum, falsify
 from bicoef.operators import AlphaParams, CoefficientTuple, MembershipReport
-from oracles import a2sq_alpha_exact, a3_alpha_exact
+from oracles import (a2sq_alpha_exact, a2sq_beta_arms_exact, a3_alpha_exact,
+                     a3_beta_arms_exact)
 
 
 def run(capsys, *argv):
@@ -576,15 +577,28 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
 
 
 
-def test_huge_lambda_beta_bound_evaluates_only_the_arms_it_uses(capsys):
-    # the a3 sum squares lam + mu, which overflows here; mu >= 1 does not use it
-    code, out, _ = run(capsys, "bound", "--family", "beta", "--beta", "0.5",
-                       "--lambda", "1e200", "--mu", "1", "--json")
+@pytest.mark.parametrize("mu,a3_branch", [
+    ("0", "mu-lt-1-min-arm-2"), ("0.5", "mu-lt-1-min-arm-2"),
+    ("0.999", "mu-lt-1-min-arm-2"), ("1", "mu-ge-1"),
+])
+def test_huge_lambda_beta_bound_evaluates_only_the_arms_it_uses(capsys, mu, a3_branch):
+    # the a3 sum squares lam + mu, which overflows here: mu >= 1 does not use
+    # the sum, and below mu = 1 its first term is far under an ulp of its second
+    argv = ("--family", "beta", "--beta", "0.5", "--lambda", "1e200", "--mu", mu)
+    code, out, _ = run(capsys, "bound", *argv, "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["a2_bound"] == pytest.approx(1e-200, rel=1e-15)
-    assert payload["a3_bound"] == pytest.approx(5e-201, rel=1e-15)
-    assert (payload["a2_branch"], payload["a3_branch"]) == ("min-arm-linear", "mu-ge-1")
+    b, lam, m = Fraction(0.5), Fraction(1e200), Fraction(float(mu))
+    arm1, arm2, ge1 = a3_beta_arms_exact(b, lam, m)
+    a3 = float(ge1 if m >= 1 else min(arm1, arm2))
+    assert abs(payload["a3_bound"] - a3) <= 1e-15 * a3
+    # the squared |a2| arms are about 1e-400, below the float range
+    a2sq = min(a2sq_beta_arms_exact(b, lam, m))
+    assert abs(Fraction(payload["a2_bound"]) ** 2 / a2sq - 1) <= 2e-15
+    assert (payload["a2_branch"], payload["a3_branch"]) == ("min-arm-linear", a3_branch)
+    code, out, _ = run(capsys, "falsify", *argv, "-n", "2000", "--json")
+    assert code == 0 and json.loads(out)["violations"] == []
+
 
 def test_out_writes_report(tmp_path, capsys):
     target = tmp_path / "report.json"

@@ -1,9 +1,14 @@
+import cmath
 import math
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bicoef.bounds import bounds_for
 from bicoef.caratheodory import _mixture_coeffs, sample_batch, streams
 from bicoef.operators import (AlphaParams, BetaParams, CoefficientTuple,
                               MembershipGrid, apply_operator, induce_q_alpha,
@@ -297,21 +302,108 @@ _ORACLES = {"alpha": (AlphaParams, induce_q_alpha, _reference_induce_q_alpha),
             "beta": (BetaParams, induce_q_beta, _reference_induce_q_beta)}
 
 
+_U = 2.0 ** -53
+# c of the forward-error bound c u (|p2 term| + |p1^2 term|) on a3 and q2: the
+# smallest power of two that the per-class reference meets on these rows and
+# calls, where it errs by up to 9.6 u (a3) and 5.2 u (q2), and the shared
+# kernel by up to 8.9 u and 3.1 u
+_C = 16
+
+
+@pytest.fixture(scope="module")
+def exact_rows():
+    """1000 sampled (p1, p2), and each row's p2 and p1^2 as (re, im) Fractions."""
+    coeffs = _mixture_coeffs(*sample_batch(streams(17), 1000, 3))
+    p1, p2 = coeffs[:, 0], coeffs[:, 1]
+    p2_exact = [(Fraction(z.real), Fraction(z.imag)) for z in p2.tolist()]
+    p1_exact = [(Fraction(z.real), Fraction(z.imag)) for z in p1.tolist()]
+    p1sq_exact = [(x * x - y * y, 2 * x * y) for x, y in p1_exact]
+    return p1, p2, p2_exact, p1sq_exact
+
+
+def _solution_coefficients(params):
+    """((a, b), (q, k)): the system's a3 = a p2 + b p1^2 and q2 = q p2 + k p1^2.
+
+    f's two equations, then the inverse's second one, whose coefficients are
+    -a2 and 2 a2^2 - a3 with q1 = -p1, solved in the number type of
+    ``params``.  With a2 = phi1 p1 / (lam+mu) put in they are linear in p2 and
+    p1^2, so the solutions at (p1, p2) = (0, 1) and (1, 0) are the coefficients.
+    """
+    (phi1, phi2), lam, mu = params.phi, params.lam, params.mu
+
+    def solve(p1, p2):
+        a2 = phi1 * p1 / (lam + mu)
+        quad = (mu - 1) * (lam + mu / 2) * a2 * a2
+        a3 = (phi1 * p2 + phi2 * p1 * p1 - quad) / (2 * lam + mu)
+        return a3, ((2 * lam + mu) * (2 * a2 * a2 - a3) + quad - phi2 * p1 * p1) / phi1
+
+    (a, q), (b, k) = solve(0, 1), solve(1, 0)
+    return (a, b), (q, k)
+
+
+def _exact_values(c2, csq, p2_exact, p1sq_exact):
+    """c2 p2 + csq p1^2 of each row, exactly, as the float arrays hi + lo."""
+    hi, lo = [], []
+    for (u, v), (x, y) in zip(p2_exact, p1sq_exact):
+        re, im = c2 * u + csq * x, c2 * v + csq * y
+        h = complex(re, im)
+        hi.append(h)
+        lo.append(complex(re - Fraction(h.real), im - Fraction(h.imag)))
+    return np.array(hi), np.array(lo)
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.2, 0.5, 1.0, 3.0])
 @pytest.mark.parametrize("family,shape", [
     ("alpha", 1.0), ("alpha", 0.5), ("alpha", 0.3),
     ("beta", 0.0), ("beta", 0.5), ("beta", 0.1),
 ])
-def test_shared_kernel_matches_per_class_reference_exactly(family, shape, mu):
+def test_shared_kernel_is_as_accurate_as_the_per_class_reference(family, shape, mu,
+                                                                  exact_rows):
+    # a2 and q1 are the reference's bits; a3 and q2, on the array rows and on
+    # 50 scalar calls, are within the reference's forward-error bound of the
+    # system solved exactly at the same float params and (p1, p2)
     cls, induce, reference = _ORACLES[family]
+    p1, p2, p2_exact, p1sq_exact = exact_rows
     params = cls(shape, 1.5, mu)
-    coeffs = _mixture_coeffs(*sample_batch(streams(17), 10_000, 3))
-    p1, p2 = coeffs[:, 0], coeffs[:, 1]
-    for got, want in zip(induce(p1, p2, params), reference(p1, p2, params)):
-        assert np.array_equal(got, want)
-    for i in range(50):
-        p1i, p2i = complex(p1[i]), complex(p2[i])
-        assert induce(p1i, p2i, params) == reference(p1i, p2i, params)
+    got, want = induce(p1, p2, params), reference(p1, p2, params)
+    calls = [(induce(a, b, params), reference(a, b, params))
+             for a, b in zip(p1[:50].tolist(), p2[:50].tolist())]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+    assert all((g[0], g[2]) == (w[0], w[2]) for g, w in calls)
+    exact = cls(Fraction(shape), Fraction(1.5), Fraction(mu))
+    for k, (c2, csq) in zip((1, 3), _solution_coefficients(exact)):
+        hi, lo = _exact_values(c2, csq, p2_exact, p1sq_exact)
+        bound = _C * _U * (np.abs(float(c2) * p2) + np.abs(float(csq) * p1 * p1))
+        for out in (got[k], want[k], [g[k] for g, _ in calls], [w[k] for _, w in calls]):
+            n = len(out)
+            # out - hi is exact where out is within a factor 2 of hi, so this is
+            # the error to within 2 u of itself
+            assert np.all(np.abs((np.asarray(out) - hi[:n]) - lo[:n]) <= bound[:n])
+
+
+@pytest.mark.filterwarnings("error")   # a numpy overflow fails the test
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(("alpha", "beta")), shape=st.floats(0.0, 1.0),
+       lam=st.floats(1.0, 1e150), mu=st.floats(0.0, 1e150), r=st.floats(0.0, 1.0),
+       rho=st.floats(0.0, 1.0), phi=st.floats(0.0, 2 * np.pi), psi=st.floats(0.0, 2 * np.pi))
+def test_summed_identity_over_the_parameter_domain(family, shape, lam, mu, r, rho, phi, psi):
+    # on params that bounds_for accepts and an admissible prefix (|p1| = 2r and
+    # p2 in the disk |p2 - p1^2/2| <= 2 - |p1|^2/2), the kernel's outputs are
+    # finite and a2^2 = phi1 (p2+q2) / D, with D from params.sum_denominator,
+    # to 2^-48 of the terms' magnitudes plus 4 subnormal units of underflow
+    cls, induce, _ = _ORACLES[family]
+    try:
+        params = cls(shape, lam, mu)
+        bounds_for(params)
+    except ValueError:
+        assume(False)
+    p1 = 2 * r * cmath.exp(1j * phi)
+    p2 = p1 * p1 / 2 + rho * (2 - abs(p1) ** 2 / 2) * cmath.exp(1j * psi)
+    a2, a3, q1, q2 = (v[0] for v in induce(np.array([p1]), np.array([p2]), params))
+    assert all(map(np.isfinite, (a2, a3, q1, q2)))
+    phi1, d = params.phi[0], params.sum_denominator
+    scale = abs(a2) ** 2 + phi1 * (abs(p2) + abs(q2)) / d
+    assert abs(a2 * a2 - phi1 * (p2 + q2) / d) <= 2.0 ** -48 * scale + 4 * math.ulp(0.0)
 
 
 def test_params_state_their_class_shape():
