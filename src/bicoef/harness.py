@@ -16,11 +16,13 @@ the seed and i, never on n_samples, and CSV rows appear in index order.  A
 campaign runs in chunks of CHUNK samples and folds each chunk into its
 summary, so its memory is CHUNK x atoms, flat in n_samples.  The CSV is not
 kept: the summary replays the same chunks from its own fields, and builds
-the rows column by column from CSV_HEADER.  The writer splits the rows into
-one contiguous range per CPU that the process may run on (at most one per
-CHUNK rows) and formats all but the first range in forked workers, each into
-an anonymous part file in TMPDIR, which together take up to the CSV's size
-there; the caller appends the parts in order: the bytes one process writes.
+the rows column by column from CSV_HEADER.  The cells of q1 = -p1 are p1's
+with the sign flipped, and a range of rows draws the chunks below it without
+scoring them.  The writer splits the rows into one contiguous range per CPU
+that the process may run on (at most one per CHUNK rows) and formats all but
+the first range in forked workers, each into an anonymous part file in
+TMPDIR, which together take up to the CSV's size there; the caller appends
+the parts in order: the bytes one process writes.
 """
 
 from __future__ import annotations
@@ -86,18 +88,22 @@ def _induce(params, p1, p2):
 
 
 def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
-                     filter_mode: str, atom_count: int):
+                     filter_mode: str, atom_count: int, first: int = 0):
     """The scoring kernel: (start, arrays) for each chunk of at most CHUNK
-    samples, in order; the one source of falsify and csv_lines.
+    samples, in order, from the chunk that holds sample first on; the one
+    source of falsify and csv_lines.
 
     Row j of each array is sample start + j: its atom weights and angles,
     prefixes p1, p2, paired q1, q2, filter masks, |a2|, |a3| and margins,
-    bit for bit the same whatever the chunk it is scored in.
+    bit for bit the same whatever the chunk it is scored in.  The whole
+    chunks below first are drawn, which advances the streams, and not scored.
     """
     rngs = caratheodory.streams(seed)
     for start in range(0, n_samples, CHUNK):
         weights, angles = caratheodory.sample_batch(
             rngs, min(CHUNK, n_samples - start), atom_count)
+        if start + CHUNK <= first:
+            continue
         coeffs = caratheodory._mixture_coeffs(weights, angles)
         p1, p2 = coeffs[:, 0], coeffs[:, 1]
         a2, a3, q1, q2 = _induce(params, p1, p2)
@@ -113,7 +119,12 @@ def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
 
 @dataclass(frozen=True)
 class CoefficientSummary:
-    """One coefficient's fold over a campaign's admissible samples."""
+    """One coefficient's fold over a campaign's admissible samples.
+
+    With one atom, p2 = p1^2 / 2 and |p1| = 2, so every sample has the same
+    exact |a3|: the a3 argmax is then the first sample whose rounded |a3| is
+    largest, a rounding tie-break that any last-bit change of the kernel moves.
+    """
 
     max_abs: float | None   # the largest admissible |a|; None where no sample passed
     # (index, ((weight, angle), ...)) of the first sample, and CSV row, of that |a|
@@ -147,8 +158,11 @@ class CampaignSummary:
 
         The rows are recomputed, chunk by chunk, from the summary's params,
         bounds, seed, n_samples, filter_mode and atom_count; the chunks below
-        start are scored and skipped.  The rows are zipped from one column of
-        cell strings per name in CSV_HEADER, SLICE rows at a time.
+        start are drawn and skipped.  The rows are zipped from one column of
+        cell strings per name in CSV_HEADER, SLICE rows at a time.  The cells
+        of q1 = -p1 are p1's with the sign flipped: the shortest round-trip
+        form writes the sign apart from the digits, so repr(-x) is repr(x)
+        with its sign flipped for every finite x, and p1 is finite.
         """
         stop = self.n_samples if stop is None else stop
         yield ",".join(CSV_HEADER)
@@ -158,7 +172,8 @@ class CampaignSummary:
                      p.family: repr(getattr(p, p.family)), "lambda": repr(p.lam),
                      "mu": repr(p.mu), "a2_bound": repr(b.a2_bound), "a3_bound": repr(b.a3_bound)}
         for first, a in _campaign_chunks(self.params, self.bounds, self.n_samples,
-                                         self.seed, self.filter_mode, self.atom_count):
+                                         self.seed, self.filter_mode, self.atom_count,
+                                         first=start):
             if first >= stop:
                 break
             end = min(stop - first, len(a["p1"]))
@@ -168,7 +183,11 @@ class CampaignSummary:
                 r = slice(lo, min(lo + SLICE, end))
                 cols = {name: itertools.repeat(cell) for name, cell in constants.items()}
                 cols["index"] = map(str, range(first + r.start, first + r.stop))
-                for name in ("p1", "p2", "q1", "q2"):
+                p1_re = list(map(repr, a["p1"][r].real.tolist()))
+                p1_im = list(map(repr, a["p1"][r].imag.tolist()))
+                cols |= {"p1_re": p1_re, "p1_im": p1_im,
+                         "q1_re": _negated(p1_re), "q1_im": _negated(p1_im)}
+                for name in ("p2", "q2"):
                     cols[f"{name}_re"] = map(repr, a[name][r].real.tolist())
                     cols[f"{name}_im"] = map(repr, a[name][r].imag.tolist())
                 for name in ("a2_abs", "a3_abs", "a2_margin", "a3_margin"):
@@ -255,6 +274,11 @@ class CampaignSummary:
             payload["argmax"][c] = None if s.argmax is None else s.argmax[0]
             payload["near_boundary"][c] = s.near_boundary
         return payload
+
+
+def _negated(cells: list[str]) -> list[str]:
+    """The reprs of -x from the reprs of finite floats x."""
+    return [t[1:] if t[0] == "-" else "-" + t for t in cells]
 
 
 def _csv_workers(n_rows: int) -> int:

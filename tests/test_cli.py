@@ -387,11 +387,21 @@ def test_extremal_zero_atoms_is_usage_error(capsys):
     ("falsify", "--seed", "-1"), ("falsify", "-n", "0"), ("falsify", "--atoms", "0"),
     ("extremal", "--seed", "-1"), ("extremal", "--budget", "0"),
     ("extremal", "--budget", "1.5"),
+    # parsed, never allocated: numpy would take the memory and the OOM killer the run
+    ("falsify", "--atoms", str(cli.MAX_ATOMS + 1)),
+    ("extremal", "--atoms", str(cli.MAX_ATOMS + 1)),
 ])
 def test_integer_flag_out_of_range_is_usage_error(capsys, command, flag, value):
     line = assert_usage_error(capsys, command, "--family", "beta", "--beta", "0.5",
                               flag, value)
     assert f"argument {flag}" in line and value in line
+
+
+@pytest.mark.parametrize("argv", [("falsify", "-n", "10"), ("extremal", "--budget", "10")],
+                         ids=lambda argv: argv[0])
+def test_atom_cap_is_served(capsys, argv):
+    assert run(capsys, *argv, "--family", "beta", "--beta", "0.5",
+               "--atoms", str(cli.MAX_ATOMS))[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,9 +8,12 @@ import signal
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bicoef import caratheodory, harness
 from bicoef.bounds import bounds_for
@@ -316,12 +319,45 @@ def test_write_csv_is_csv_lines_whatever_the_workers(monkeypatch, tmp_path, csv_
 
 
 def test_csv_lines_of_a_row_range_are_rows_of_the_whole():
-    summary = falsify(AlphaParams(0.5, 1, 1), CHUNK + 1, seed=5)
+    n = 3 * CHUNK + 5
+    summary = falsify(AlphaParams(0.5, 1, 1), n, seed=5)
     lines = list(csv_lines_row_by_row(summary))
-    # starts and stops inside a SLICE, and ranges across the CHUNK edge
+    # starts and stops inside a SLICE, and ranges across the CHUNK edge; then
+    # starts two and three chunks in, which draw the chunks below unscored:
+    # on a chunk edge, mid-SLICE, one row before an edge, and in the last chunk
     for start, stop in [(0, 0), (0, 5), (3, 1030), (SLICE // 2, CHUNK + 1),
-                        (CHUNK - 2, CHUNK + 1), (CHUNK, CHUNK)]:
+                        (CHUNK - 2, CHUNK + 1), (CHUNK, CHUNK),
+                        (2 * CHUNK, 2 * CHUNK + 3), (2 * CHUNK + SLICE // 2, 3 * CHUNK + 1),
+                        (3 * CHUNK - 1, n), (3 * CHUNK, n), (3 * CHUNK + 2, n - 1), (n, n)]:
         assert list(summary.csv_lines(start, stop)) == [lines[0], *lines[1 + start:1 + stop]]
+
+
+@pytest.mark.parametrize("first", [0, 1, CHUNK - 1, CHUNK, 2 * CHUNK + SLICE // 2,
+                                   3 * CHUNK, 3 * CHUNK + 5])
+def test_kernel_chunks_from_first_are_chunks_of_the_whole(first):
+    params, n = BetaParams(0.5, 2, 0.5), 3 * CHUNK + 5
+    rep = bounds_for(params)
+    whole = list(_campaign_chunks(params, rep, n, 5, "toeplitz", 3))
+    tail = list(_campaign_chunks(params, rep, n, 5, "toeplitz", 3, first=first))
+    assert [start for start, _ in tail] == [start for start, _ in whole[first // CHUNK:]]
+    for (_, got), (_, want) in zip(tail, whole[first // CHUNK:]):
+        assert got.keys() == want.keys()
+        for key in want:   # bitwise: -0.0 is not 0.0
+            assert got[key].shape == want[key].shape, key
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(1e16)
+@example(1e-5)
+def test_negated_reprs_are_the_reprs_of_the_negation(x):
+    # csv_lines writes q1 = -p1 from p1's cells: repr(-x) is repr(x) with its
+    # sign flipped, as the shortest round-trip form writes the sign apart
+    assert harness._negated([repr(x)]) == [repr(-x)]
 
 
 def _no_child_left():
@@ -553,6 +589,31 @@ def test_argmax_is_the_first_of_tied_samples(monkeypatch, chunk):
     summary = falsify(params, 4000, 1, filter_mode="modulus", atom_count=1)
     assert summary.a2.argmax == (49, tuple(zip(arrays["weights"][49].tolist(),
                                                arrays["angles"][49].tolist())))
+
+
+@pytest.mark.parametrize("params", [AlphaParams(0.9, 5, 0), AlphaParams(0.5, 4, 0.5),
+                                    BetaParams(0.5, 2, 0.5), BetaParams(0.8, 1, 0)],
+                         ids=repr)
+def test_one_atom_campaigns_have_one_exact_a3(params):
+    # one atom: p2 = p1^2 / 2 and |p1| = 2, so a3 = (phi1 p2 + c p1^2) / (2 lam + mu),
+    # c the p1^2 coefficient, is 4 |phi1 / 2 + c| / (2 lam + mu) at every
+    # sample, and the a3 argmax only breaks a tie of roundings
+    lam, mu = Fraction(params.lam), Fraction(params.mu)
+    if params.family == "alpha":
+        phi1 = Fraction(params.alpha)
+        phi2 = phi1 * (phi1 - 1) / 2
+    else:
+        phi1, phi2 = 1 - Fraction(params.beta), Fraction(0)
+    c = phi2 - (mu - 1) * (lam + mu / 2) * phi1 ** 2 / (lam + mu) ** 2
+    exact = 4 * abs(phi1 / 2 + c) / (2 * lam + mu)
+    summary = falsify(params, 10_000, 3, filter_mode="modulus", atom_count=1)
+    arrays = _kernel_arrays(summary)
+    a3 = arrays["a3_abs"][arrays["admissible"]]
+    assert summary.n_admissible == a3.size > 0
+    tol = 8 * Fraction(math.ulp(float(exact)))   # the largest error seen was 3.7 ulps
+    for x in (a3.min(), a3.max()):
+        assert abs(Fraction(float(x)) - exact) <= tol
+    assert summary.a3.max_abs == a3.max()
 
 
 def test_falsify_rejects_empty_campaign():
