@@ -58,6 +58,12 @@ MAX_ORDER = 256   # revert's N convolutions: ~10 ms, pow_real's ~2, of a ~0.2 s 
 # K = 2 prefix (Caratheodory-Toeplitz); a campaign's memory is CHUNK x atoms,
 # and at 64 a 1e5-sample falsify peaked at 57 MB RSS, against 38 MB at 3.
 MAX_ATOMS = 64
+# member's grid: --radii circles of --angles points each, some 80 B a point.
+# At 2^16 angles and the 4 default radii member peaked at 51 MB RSS, against
+# 31 MB at the default 256 angles; at both caps, 16 radii of 2^16 angles, at
+# 111 MB, and it took 4.1 s at --order 256.
+MAX_ANGLES = 1 << 16
+MAX_RADII = 16
 
 
 def _int(lo: int, hi: int | None = None):
@@ -76,22 +82,23 @@ def _int(lo: int, hi: int | None = None):
 
 
 _order, _count, _seed = _int(1, MAX_ORDER), _int(1), _int(0)
-_atoms = _int(1, MAX_ATOMS)
+_atoms, _angles = _int(1, MAX_ATOMS), _int(1, MAX_ANGLES)
 
 
-def _list(item, cap: int | None = None):
-    """argparse type: comma-separated item values, none empty, fewer than cap."""
+def _list(item, cap: int):
+    """argparse type: comma-separated item values, none empty, at most cap."""
     def parse(text: str) -> list:
         fields = text.split(",")
         if not all(field.strip() for field in fields):
             raise argparse.ArgumentTypeError(f"empty field in the list {text!r}")
-        if cap is not None and len(fields) >= cap:
-            raise argparse.ArgumentTypeError(f"at most {cap - 1} values, got {len(fields)}")
+        if len(fields) > cap:
+            raise argparse.ArgumentTypeError(f"at most {cap} values, got {len(fields)}")
         return [item(field) for field in fields]
     return parse
 
 
-_coeffs, _radii = _list(_complex, MAX_ORDER), _list(_float)   # default order len + 1 <= MAX_ORDER
+# the default order, len + 1, stays <= MAX_ORDER
+_coeffs, _radii = _list(_complex, MAX_ORDER - 1), _list(_float, MAX_RADII)
 
 
 def _report(args, payload: dict, text_lines: list[str]) -> str:
@@ -359,7 +366,7 @@ def build_parser():
     _add_family(sp)
     sp.add_argument("--coeffs", type=_coeffs, required=True, metavar="A2,A3,...")
     sp.add_argument("--radii", type=_radii, default=MembershipGrid.radii)
-    sp.add_argument("--angles", type=_count, default=MembershipGrid.n_angles)
+    sp.add_argument("--angles", type=_angles, default=MembershipGrid.n_angles)
     sp.add_argument("--tol", type=_float, default=MembershipGrid.tol)
     _add_order(sp)
     _add_common(sp)

@@ -14,12 +14,16 @@ record from, in one CoefficientSummary per coefficient.
 Campaigns are deterministic per (seed, n_samples): sample i depends only on
 the seed and i, never on n_samples, and CSV rows appear in index order.  A
 campaign runs in chunks of CHUNK samples and folds each chunk into its
-summary, so its memory is CHUNK x atoms, flat in n_samples.  The CSV is not
-kept: the summary replays the same chunks from its own fields, and builds
-the rows column by column from CSV_HEADER.  The cells of q1 = -p1 are p1's
-with the sign flipped, and a range of rows draws the chunks below it without
-scoring them.  The writer splits the rows into one contiguous range per CPU
-that the process may run on (at most one per CHUNK rows) and formats all but
+summary, so its memory is CHUNK x atoms per process, flat in n_samples.
+falsify splits the chunks into one contiguous range per CPU that the process
+may run on (at most one per FOLD_SAMPLES samples) and folds all but the first
+range in forked workers; the caller merges the partial folds in range order,
+so the summary is the one a single process folds, whatever the worker count.
+The CSV is not kept: the summary replays the same chunks from its own
+fields, and builds the rows column by column from CSV_HEADER.  The cells of
+q1 = -p1 are p1's with the sign flipped, and a range of samples draws the
+chunks below it without scoring them.  The writer splits the rows into one
+contiguous range per CPU (at most one per CHUNK rows) and formats all but
 the first range in forked workers, each into an anonymous part file in
 TMPDIR, which together take up to the CSV's size there; the caller appends
 the parts in order: the bytes one process writes.
@@ -30,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import pickle
 import shutil
 import signal
 import tempfile
@@ -64,6 +69,13 @@ HIST_KEYS = ("edges", "counts", "underflow")
 # at 2^14, as one chunk, it peaked 2.3 MB (6%) above.  Above 2^15 campaigns
 # ran slower.
 CHUNK = 1 << 12
+# Samples per fold worker of falsify, at least: the break-even.  A forked
+# fold costs some 6 ms to start and merge.  In process on a 2-CPU Xeon,
+# alternating rounds, two processes against one took 14.3 against 7.6 ms at
+# 1e4 samples (0 of 21 won), 21.5 against 20.5 at 32768 (10 of 31), 24.8
+# against 24.6 at 36864 (15 of 31), 29.0 against 33.1 at 5e4 (15 of 21) and
+# 100.5 against 145.3 at 2.5e5 (21 of 21).
+FOLD_SAMPLES = 1 << 14
 # CSV rows per .tolist() call and per write; with a chunk's worth of Python
 # floats and complexes at once, a forked CSV worker outgrew the serial writer.
 SLICE = 1024
@@ -88,9 +100,11 @@ def _induce(params, p1, p2):
 
 
 def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
-                     filter_mode: str, atom_count: int, first: int = 0):
+                     filter_mode: str, atom_count: int, first: int = 0,
+                     stop: int | None = None):
     """The scoring kernel: (start, arrays) for each chunk of at most CHUNK
-    samples, in order, from the chunk that holds sample first on; the one
+    samples, in order, from the chunk that holds sample first on, through
+    the last chunk that starts below stop (default n_samples); the one
     source of falsify and csv_lines.
 
     Row j of each array is sample start + j: its atom weights and angles,
@@ -99,7 +113,7 @@ def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
     chunks below first are drawn, which advances the streams, and not scored.
     """
     rngs = caratheodory.streams(seed)
-    for start in range(0, n_samples, CHUNK):
+    for start in range(0, n_samples if stop is None else stop, CHUNK):
         weights, angles = caratheodory.sample_batch(
             rngs, min(CHUNK, n_samples - start), atom_count)
         if start + CHUNK <= first:
@@ -173,9 +187,7 @@ class CampaignSummary:
                      "mu": repr(p.mu), "a2_bound": repr(b.a2_bound), "a3_bound": repr(b.a3_bound)}
         for first, a in _campaign_chunks(self.params, self.bounds, self.n_samples,
                                          self.seed, self.filter_mode, self.atom_count,
-                                         first=start):
-            if first >= stop:
-                break
+                                         first=start, stop=stop):
             end = min(stop - first, len(a["p1"]))
             # .tolist() hands back Python scalars (numpy scalar reprs are not
             # CSV-safe); SLICE rows at a time, as those objects outweigh the chunk
@@ -215,36 +227,15 @@ class CampaignSummary:
         n = self.n_samples
         p = _csv_workers(n)
         edges = [n * k // p for k in range(p + 1)]
-        me = os.getpid()
-        parts, pids = [], {}   # the part file of each range k >= 1; unreaped workers
-        try:
-            for k in range(1, p):
-                parts.append(tempfile.TemporaryFile())
-                # fork, not spawn: a worker starts with the summary and numpy in
-                # place, where a fresh interpreter takes ~0.2 s to import them
-                pid = os.fork()
-                if pid == 0:
-                    _run_worker(self, parts[-1], edges[k], edges[k + 1], me)
-                pids[k] = pid
+
+        def rows(part, start, stop, parent):
+            lines = itertools.islice(self.csv_lines(start, stop), 1, None)   # no header
+            _write_lines(part, lines, parent)
+
+        with _forked(edges, rows, "CSV worker for rows") as parts:
             _write_lines(fh, self.csv_lines(0, edges[1]))
-            for k, part in enumerate(parts, 1):
-                code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
-                del pids[k]
-                if code != 0:
-                    # a worker that failed on its own left its error in its part
-                    detail = (os.pread(part.fileno(), 1000, 0).decode(errors="replace")
-                              if code == 1 else "")
-                    raise OSError(f"the CSV worker for rows {edges[k]} to {edges[k + 1] - 1} "
-                                  f"failed: {detail or f'exit status {code}'}")
-                part.seek(0)
-                shutil.copyfileobj(part, fh)
-        finally:
-            for pid in pids.values():
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
             for part in parts:
-                part.close()
+                shutil.copyfileobj(part, fh)
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -281,34 +272,93 @@ def _negated(cells: list[str]) -> list[str]:
     return [t[1:] if t[0] == "-" else "-" + t for t in cells]
 
 
-def _csv_workers(n_rows: int) -> int:
-    """P of write_csv: the CPUs this process may run on, at most one per
-    CHUNK rows; 1 where the platform has no fork or no sched_getaffinity."""
+def _cpus() -> int:
+    """The CPUs this process may run on (sched_getaffinity, so taskset
+    limits them); 1 where the platform has no fork or no sched_getaffinity."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(len(os.sched_getaffinity(0)), -(-n_rows // CHUNK))
+    return len(os.sched_getaffinity(0))
+
+
+def _csv_workers(n_rows: int) -> int:
+    """P of write_csv: the CPUs, at most one per CHUNK rows."""
+    return min(_cpus(), -(-n_rows // CHUNK))
+
+
+def _fold_workers(n_samples: int) -> int:
+    """P of falsify: the CPUs, at most one per FOLD_SAMPLES samples."""
+    return max(1, min(_cpus(), n_samples // FOLD_SAMPLES))
+
+
+def _check_parent(parent: int | None) -> None:
+    """Raise ChildProcessError where parent is set and is no longer this
+    process's parent: a worker whose caller died stops at its next check."""
+    if parent is not None and os.getppid() != parent:
+        raise ChildProcessError(f"process {parent} is gone")
 
 
 def _write_lines(fh, lines: Iterator[str], parent: int | None = None) -> None:
-    """Write lines to the binary file fh, SLICE lines at a time; with parent
-    set, stop early once that process is no longer this one's parent."""
+    """Write lines to the binary file fh, SLICE lines at a time, checking
+    parent before each write."""
     while block := list(itertools.islice(lines, SLICE)):
-        if parent is not None and os.getppid() != parent:
-            raise ChildProcessError(f"process {parent} is gone")
+        _check_parent(parent)
         fh.write(("\n".join(block) + "\n").encode("utf-8"))
 
 
-def _run_worker(summary: CampaignSummary, part, start: int, stop: int,
-                parent: int) -> None:
-    """The forked CSV worker of write_csv: rows start to stop - 1 into the
-    binary file part.  Never returns: it leaves through os._exit, 0 on
-    success, 1 with the error's text in place of the rows on any exception
-    (an exit that skips the handlers and buffers it shares with its parent).
+@contextlib.contextmanager
+def _forked(edges: list[int], work, what: str):
+    """Run work(part, edges[k], edges[k + 1], parent) for each range k >= 1
+    in a forked worker, into an anonymous temporary file part in TMPDIR;
+    parent is the caller's pid, for _check_parent.  The block runs range 0
+    itself, then reads the parts from the iterator it is given: each part,
+    in range order, rewound once its worker has exited 0.  A failed worker
+    raises OSError naming what and its range.  Every worker is killed and
+    reaped, and every part closed, when the block is left.
+    """
+    me = os.getpid()
+    parts, pids = [], {}   # the part file of each range k >= 1; unreaped workers
+    try:
+        for k in range(1, len(edges) - 1):
+            parts.append(tempfile.TemporaryFile())
+            # fork, not spawn: a worker starts with its arguments and numpy in
+            # place, where a fresh interpreter takes ~0.2 s to import them
+            pid = os.fork()
+            if pid == 0:
+                _run_worker(work, parts[-1], edges[k], edges[k + 1], me)
+            pids[k] = pid
+
+        def finished():
+            for k, part in enumerate(parts, 1):
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
+                del pids[k]
+                if code != 0:
+                    # a worker that failed on its own left its error in its part
+                    detail = (os.pread(part.fileno(), 1000, 0).decode(errors="replace")
+                              if code == 1 else "")
+                    raise OSError(f"the {what} {edges[k]} to {edges[k + 1] - 1} "
+                                  f"failed: {detail or f'exit status {code}'}")
+                part.seek(0)
+                yield part
+
+        yield finished()
+    finally:
+        for pid in pids.values():
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
+
+
+def _run_worker(work, part, start: int, stop: int, parent: int) -> None:
+    """A forked worker of _forked: work(part, start, stop, parent).  Never
+    returns: it leaves through os._exit, 0 on success, 1 with the error's
+    text in place of its output on any exception (an exit that skips the
+    handlers and buffers it shares with its parent).
     """
     code = 1
     try:
-        rows = itertools.islice(summary.csv_lines(start, stop), 1, None)   # no header
-        _write_lines(part, rows, parent)
+        work(part, start, stop, parent)
         part.flush()
         code = 0
     except BaseException as exc:
@@ -327,49 +377,95 @@ def falsify(params, n_samples: int, seed: int, *,
     element is induced, samples whose (q1, q2) prefix is inadmissible are
     filtered out, and survivors' |a2|, |a3| are compared against the
     closed-form bounds.  The violation list must come back empty if the
-    bounds (and this transcription) are correct.  Each chunk is folded into
-    the counts, histograms, violations and argmax before the next is drawn:
-    np.argmax within a chunk, then a strict > across chunks, keeps the first
-    admissible sample of largest |a2| and of largest |a3|.
+    bounds (and this transcription) are correct.
+
+    The chunks are split into P contiguous ranges of whole chunks, P being
+    the CPUs this process may run on but at most one per FOLD_SAMPLES
+    samples (1 where the platform has no fork).  The caller folds range 0
+    and a forked worker each further range, into a part file in TMPDIR; the
+    caller merges the folds in range order (see _merge), so the summary does
+    not depend on P.  Each process folds one chunk at a time, so memory is
+    CHUNK x atoms per process.  Raises OSError when a worker fails.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rep = bounds_for(params)
     bounds = {"a2": rep.a2_bound, "a3": rep.a3_bound}
-    n_adm = n_mod = n_toe = 0
-    violations = []
-    top, argmax = dict.fromkeys(bounds, -np.inf), dict.fromkeys(bounds)
-    hist = {c: np.zeros(HIST_BINS, dtype=np.int64) for c in bounds}
-    edges, underflow, n_near = {}, dict.fromkeys(bounds, 0), dict.fromkeys(bounds, 0)
-    for start, a in _campaign_chunks(params, rep, n_samples, seed, filter_mode,
-                                     atom_count):
+    p, n_chunks = _fold_workers(n_samples), -(-n_samples // CHUNK)
+    edges = [min(n_samples, CHUNK * (n_chunks * k // p)) for k in range(p + 1)]
+
+    def fold(start, stop, parent=None):
+        return _fold(_campaign_chunks(params, rep, n_samples, seed, filter_mode,
+                                      atom_count, first=start, stop=stop), bounds, parent)
+
+    with _forked(edges, lambda part, *run: pickle.dump(fold(*run), part),
+                 "campaign worker for samples") as parts:
+        folds = [fold(0, edges[1])]
+        folds += map(pickle.load, parts)
+    counts, violations, coefficients = _merge(folds)
+    # the histogram edges depend on the bound alone
+    hist_edges = {c: np.histogram(np.empty(0), bins=HIST_BINS, range=(0.0, bound))[1]
+                  for c, bound in bounds.items()}
+    return CampaignSummary(
+        params=params, n_samples=n_samples, seed=seed,
+        filter_mode=filter_mode, atom_count=atom_count, bounds=rep,
+        n_admissible=int(counts[0]), n_fail_modulus=int(counts[1]),
+        n_fail_toeplitz=int(counts[2]),
+        violations=tuple(sorted(violations)),   # by index, then "a2" before "a3"
+        **{c: CoefficientSummary(
+            max_abs=float(s["top"]) if counts[0] else None, argmax=s["argmax"],
+            margin_hist=(tuple(hist_edges[c].tolist()), tuple(s["hist"].tolist()),
+                         s["underflow"]),
+            near_boundary=s["near"]) for c, s in coefficients.items()})
+
+
+def _fold(chunks, bounds: dict[str, float], parent: int | None = None):
+    """The fold of scored chunks, in order: the counts (admissible, modulus
+    fails, toeplitz fails), the violations (index, coefficient, margin) and,
+    per coefficient, "top" and "argmax" (the first admissible sample of
+    largest |a| and its atoms: np.argmax within a chunk, then a strict >
+    across chunks), "hist" (the margin counts over [0, bound]), "underflow"
+    (margins below 0) and "near" (margins near the bound, as NEAR_BOUNDARY
+    says).  Checks parent before each chunk.
+    """
+    counts, violations = np.zeros(3, dtype=np.int64), []
+    coefficients = {c: {"top": -np.inf, "argmax": None, "underflow": 0, "near": 0,
+                        "hist": np.zeros(HIST_BINS, dtype=np.int64)} for c in bounds}
+    for start, a in chunks:
+        _check_parent(parent)
         rows = np.flatnonzero(a["admissible"])
-        n_adm += rows.size
-        n_mod += int(a["fail_modulus"].sum())
-        n_toe += int(a["fail_toeplitz"].sum())
+        counts += (rows.size, a["fail_modulus"].sum(), a["fail_toeplitz"].sum())
         for c, bound in bounds.items():
+            s = coefficients[c]
             x, margin = a[f"{c}_abs"][rows], a[f"{c}_margin"][rows]
             bad = _violated(margin, bound)
             violations += zip((start + rows[bad]).tolist(), itertools.repeat(c),
                               margin[bad].tolist())
-            if rows.size and x[j := int(np.argmax(x))] > top[c]:
-                top[c], i = x[j], int(rows[j])
-                argmax[c] = (start + i, tuple(zip(a["weights"][i].tolist(),
-                                                  a["angles"][i].tolist())))
+            if rows.size and x[j := int(np.argmax(x))] > s["top"]:
+                s["top"], i = x[j], int(rows[j])
+                s["argmax"] = (start + i, tuple(zip(a["weights"][i].tolist(),
+                                                    a["angles"][i].tolist())))
             # no overflow bin, as margin <= bound
-            counts, edges[c] = np.histogram(margin, bins=HIST_BINS, range=(0.0, bound))
-            hist[c] += counts
-            underflow[c] += int((margin < 0.0).sum())
-            n_near[c] += int((margin <= NEAR_BOUNDARY * VIOLATION_TOL * bound).sum())
-    return CampaignSummary(
-        params=params, n_samples=n_samples, seed=seed,
-        filter_mode=filter_mode, atom_count=atom_count, bounds=rep,
-        n_admissible=n_adm, n_fail_modulus=n_mod, n_fail_toeplitz=n_toe,
-        violations=tuple(sorted(violations)),   # by index, then "a2" before "a3"
-        **{c: CoefficientSummary(
-            max_abs=float(top[c]) if n_adm else None, argmax=argmax[c],
-            margin_hist=(tuple(edges[c].tolist()), tuple(hist[c].tolist()), underflow[c]),
-            near_boundary=n_near[c]) for c in bounds})
+            s["hist"] += np.histogram(margin, bins=HIST_BINS, range=(0.0, bound))[0]
+            s["underflow"] += int((margin < 0.0).sum())
+            s["near"] += int((margin <= NEAR_BOUNDARY * VIOLATION_TOL * bound).sum())
+    return counts, violations, coefficients
+
+
+def _merge(folds: list):
+    """One fold from the _fold results of consecutive ranges, in order: the
+    counts add, the violations concatenate, and a strict > keeps the first
+    top across ranges, as across chunks."""
+    counts, violations, coefficients = folds[0]
+    for later_counts, later_violations, later_coefficients in folds[1:]:
+        counts += later_counts
+        violations += later_violations
+        for c, s in later_coefficients.items():
+            if s["top"] > coefficients[c]["top"]:
+                coefficients[c] |= {"top": s["top"], "argmax": s["argmax"]}
+            for key in ("hist", "underflow", "near"):
+                coefficients[c][key] += s[key]
+    return counts, violations, coefficients
 
 
 @dataclass(frozen=True)
@@ -412,7 +508,7 @@ def extremal_search(params, objective: str, budget: int, seed: int, *,
     The record is the objective's argmax in that campaign's falsify summary;
     a sample that fails the filter scores nothing.  Sample i depends only on
     (seed, i), so the result is monotone nondecreasing in the budget, and
-    its memory is CHUNK x atoms, as in falsify.
+    its memory is CHUNK x atoms per process, as in falsify.
     """
     if objective not in ("a2", "a3"):
         raise ValueError(f"objective must be 'a2' or 'a3', got {objective!r}")

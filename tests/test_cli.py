@@ -336,6 +336,19 @@ def test_coefficient_list_beyond_the_order_cap_is_usage_error(capsys, argv):
         assert "argument --coeffs" in assert_usage_error(capsys, *argv, "--coeffs", blank)
 
 
+def test_membership_grid_beyond_its_caps_is_usage_error(capsys):
+    # parsed, never allocated: one past each cap is refused, and each cap is served
+    member = ("member", "--family", "alpha", "--alpha", "0.5", "--coeffs", "0.05")
+    line = assert_usage_error(capsys, *member, "--angles", str(cli.MAX_ANGLES + 1))
+    assert "argument --angles" in line and str(cli.MAX_ANGLES + 1) in line
+    radii = ",".join(["0.5"] * cli.MAX_RADII)
+    line = assert_usage_error(capsys, *member, "--radii", radii + ",0.9")
+    assert "argument --radii" in line and f"at most {cli.MAX_RADII} values" in line
+    for flag, value in (("--angles", str(cli.MAX_ANGLES)), ("--radii", radii)):
+        code, out, _ = run(capsys, *member, flag, value)
+        assert code == 0 and out.startswith("PASS"), flag
+
+
 def _non_finite(token):
     raise AssertionError(f"non-finite number in the output: {token}")
 

@@ -7,6 +7,7 @@ import select
 import signal
 import sys
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -233,14 +234,18 @@ def _unchunked_summary(params, n_samples, seed):
 def test_chunked_campaign_equals_one_unchunked_batch(monkeypatch, n):
     monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
     params = BetaParams(0, 1, 0)
-    summary = falsify(params, n, seed=3)
     expected, least = _unchunked_summary(params, n, seed=3)
-    assert summary == expected
+    # one process, and forked folds of whole chunks: at 2 and 3 workers the
+    # CHUNK edge is a worker edge, and where n <= CHUNK workers outnumber chunks
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "_fold_workers", lambda n_samples: workers)
+        summary = falsify(params, n, seed=3)
+        assert summary == expected, workers
     # the least margins as the minimum over the margins, not the bound less the maximum
     payload = summary.to_json_dict()
     assert {c: payload[f"min_{c}_margin"] for c in least} == least
     indices = [i for i, _, _ in summary.violations]
-    if n > 2 * CHUNK:   # violations on both sides of a chunk boundary
+    if n > 2 * CHUNK:   # violations on both sides of a chunk and worker boundary
         assert min(indices) < CHUNK <= max(indices)
 
 
@@ -265,7 +270,9 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_campaign_memory_is_flat_in_n():
+def test_campaign_memory_is_flat_in_n(monkeypatch):
+    # one process, as tracemalloc sees no forked worker
+    monkeypatch.setattr(harness, "_fold_workers", lambda n: 1)
     params = BetaParams(0.5, 2, 0.5)
     small, large = (_peak_bytes(lambda: falsify(params, k * CHUNK, seed=1)) for k in (2, 8))
     assert large <= 1.25 * small
@@ -440,6 +447,92 @@ def test_an_orphaned_csv_worker_stops(monkeypatch):
         assert ready and reader.read() == b""
 
 
+def test_a_failed_campaign_worker_is_one_usage_error(monkeypatch, tmp_path, capsys):
+    real = harness._campaign_chunks
+
+    def chunks(*args, first=0, stop=None):
+        if first > 0:   # in a worker
+            raise OSError(28, "No space left on device")
+        return real(*args, first=first, stop=stop)
+
+    monkeypatch.setattr(harness, "_campaign_chunks", chunks)
+    monkeypatch.setattr(harness, "CHUNK", 1000)
+    monkeypatch.setattr(harness, "_fold_workers", lambda n: 3)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    code = main(["falsify", "--family", "beta", "--beta", "0.5", "-n", "3000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("bicoef: ")
+    assert "samples 1000 to 1999" in captured.err
+    assert "No space left on device" in captured.err
+    assert _no_child_left()
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+def test_an_interrupted_campaign_leaves_no_worker(monkeypatch, tmp_path, error):
+    real = harness._campaign_chunks
+
+    def chunks(*args, first=0, stop=None):
+        for i, chunk in enumerate(real(*args, first=first, stop=stop)):
+            if first == 0 and i == 1:   # the caller's own range, with workers running
+                raise error
+            yield chunk
+
+    monkeypatch.setattr(harness, "_campaign_chunks", chunks)
+    monkeypatch.setattr(harness, "CHUNK", 1000)
+    monkeypatch.setattr(harness, "_fold_workers", lambda n: 3)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    with pytest.raises(error):
+        falsify(BetaParams(0.5, 2, 0.5), 6000, seed=1)
+    assert _no_child_left()
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_an_orphaned_campaign_worker_stops_within_a_chunk(monkeypatch):
+    # the folding process dies at once, as under SIGKILL, while its worker
+    # folds chunks forever; the worker must notice at its next chunk.  It
+    # writes its pid, then one line per chunk it is handed once orphaned
+    read_end, write_end = os.pipe()
+    real, caller = harness._campaign_chunks, []
+
+    def chunks(*args, first=0, stop=None):
+        if first == 0:
+            os._exit(0)
+        os.write(write_end, b"%d\n" % os.getpid())
+        while True:
+            for chunk in real(*args, first=first, stop=stop):
+                if os.getppid() != caller[0]:
+                    os.write(write_end, b"orphaned\n")
+                yield chunk
+
+    monkeypatch.setattr(harness, "_campaign_chunks", chunks)
+    monkeypatch.setattr(harness, "CHUNK", 1000)
+    monkeypatch.setattr(harness, "_fold_workers", lambda n: 2)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            caller.append(os.getpid())
+            falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    # the worker holds the write end until it exits: end of file is its exit
+    out, done, deadline = b"", False, time.monotonic() + 60
+    while not done and len(out) < 1000 and time.monotonic() < deadline:
+        if select.select([read_end], [], [], 1)[0]:
+            data = os.read(read_end, 1000)
+            out, done = out + data, not data
+    os.close(read_end)
+    worker, *orphaned = out.splitlines()
+    if not done:
+        os.kill(int(worker), signal.SIGKILL)
+    assert done and orphaned in ([], [b"orphaned"])
+
+
 @pytest.mark.parametrize("edge", ["a2", "a3"])
 def test_a_margin_of_exactly_minus_the_tolerance_is_no_violation(monkeypatch, edge):
     # the relative edge, exact: the bound is a power of two below the largest
@@ -579,16 +672,19 @@ def test_summary_json_roundtrip():
 def test_argmax_is_the_first_of_tied_samples(monkeypatch, chunk):
     # a single atom under the modulus filter: 11 of these 4000 samples share
     # the largest |a2| bits, the first at index 49; chunks of 7 put the ties
-    # in different chunks, where only a strict > keeps the first
+    # in different chunks, and 2 or 3 workers (edges at samples 2002, and 1330
+    # and 2667) in different workers, where only a strict > keeps the first
     params = BetaParams(0.5, 2, 0.5)
     arrays = _kernel_arrays(falsify(params, 4000, 1, filter_mode="modulus", atom_count=1))
     scores = np.where(arrays["admissible"], arrays["a2_abs"], -np.inf)
     ties = np.flatnonzero(scores == scores.max())
-    assert len(ties) == 11 and ties[0] == 49
+    assert len(ties) == 11 and ties[0] == 49 and ties[-1] > 2667
     monkeypatch.setattr(harness, "CHUNK", chunk)
-    summary = falsify(params, 4000, 1, filter_mode="modulus", atom_count=1)
-    assert summary.a2.argmax == (49, tuple(zip(arrays["weights"][49].tolist(),
-                                               arrays["angles"][49].tolist())))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "_fold_workers", lambda n: workers)
+        summary = falsify(params, 4000, 1, filter_mode="modulus", atom_count=1)
+        assert summary.a2.argmax == (49, tuple(zip(arrays["weights"][49].tolist(),
+                                                   arrays["angles"][49].tolist()))), workers
 
 
 @pytest.mark.parametrize("params", [AlphaParams(0.9, 5, 0), AlphaParams(0.5, 4, 0.5),
