@@ -321,7 +321,9 @@ def _forked(edges: list[int], work, what: str):
         for k in range(1, len(edges) - 1):
             parts.append(tempfile.TemporaryFile())
             # fork, not spawn: a worker starts with its arguments and numpy in
-            # place, where a fresh interpreter takes ~0.2 s to import them
+            # place, where a fresh interpreter takes ~0.2 s to import them;
+            # under the CLI that heap is frozen (cli.main), so a worker's
+            # collections neither traverse nor copy the pages it shares
             pid = os.fork()
             if pid == 0:
                 _run_worker(work, parts[-1], edges[k], edges[k + 1], me)

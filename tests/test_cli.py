@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -221,6 +222,61 @@ def test_report_out_to_stdout_is_written_twice(tmp_path, stdout):
     assert (proc.returncode, proc.stderr) == (0, b"")
     half = len(data) // 2
     assert data[:half] == data[half:] and data.startswith(b"a2_bound = ")
+
+
+# ------------------------------------------------------------ program entry
+
+_FALSIFY_ONE = ("falsify", "--family", "beta", "--beta", "0.5", "-n", "1", "--json")
+# prints the permanent generation's size to stderr as the interpreter exits;
+# registered before bicoef is imported, so it runs after every other handler
+_FREEZE_HOOK = ("import atexit, gc, sys; atexit.register(lambda: "
+                "sys.stderr.write(f'frozen {gc.get_freeze_count()}'))")
+
+
+def test_main_in_process_does_not_freeze(capsys):
+    # a caller's frozen cycles would never be collected
+    before = gc.get_freeze_count()
+    code, out, _ = run(capsys, *_FALSIFY_ONE)
+    assert code == 0 and json.loads(out)["n_samples"] == 1
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("route", ["module", "console_script"])
+def test_program_freezes_its_import_time_heap(tmp_path, route):
+    env = _cli_env()
+    if route == "module":
+        # python -m bicoef.cli as it is, with the hook in a sitecustomize
+        (tmp_path / "sitecustomize.py").write_text(_FREEZE_HOOK + "\n")
+        env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), env["PYTHONPATH"]))
+        argv = _cli_argv(*_FALSIFY_ONE)
+    else:
+        # what the [project.scripts] wrapper runs: sys.exit(main())
+        argv = [sys.executable, "-c",
+                f"{_FREEZE_HOOK}; sys.argv = ['bicoef', *{list(_FALSIFY_ONE)!r}]; "
+                "from bicoef.cli import main; sys.exit(main())"]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["n_samples"] == 1
+    frozen = int(proc.stderr.decode().removeprefix("frozen "))
+    assert frozen > 1000   # numpy's and bicoef's modules, functions and types
+
+
+@pytest.mark.parametrize("argv", [
+    # forks a fold worker wherever two CPUs are allowed
+    ("falsify", "--family", "beta", "--beta", "0.5", "--lambda", "2", "--mu", "0.5",
+     "-n", "250000", "--seed", "1", "--json"),
+    ("falsify", "--family", "alpha", "--alpha", "0.5", "--lambda", "1", "--mu", "1",
+     "-n", "50000", "--seed", "1", "--json", "--out", "records.csv"),
+    ("extremal", "--family", "beta", "--beta", "0.5", "--lambda", "2", "--mu", "0.5",
+     "--objective", "a2", "--budget", "10000", "--seed", "1", "--json"),
+], ids=["campaign", "campaign_csv", "extremal"])
+def test_program_exit_is_clean_under_dev_mode(tmp_path, argv):
+    # frozen objects are torn down by module clearing, not by a collection: a
+    # file left open would show only as a ResourceWarning at exit, made an
+    # error here, or as an "Exception ignored in" line
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "bicoef.cli",
+                           *argv], cwd=tmp_path, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, env=_cli_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 # ----------------------------------------------------------------- extremal
