@@ -11,14 +11,14 @@ case produced the value.
 Corollary reductions (the classical special cases at mu = 1, lam = mu = 1 and
 lam = 1, mu = 0) run the same table and expressions on ``Fraction`` params,
 where they are exact rationals, against their classical closed forms; float
-deviations are reported alongside.
+deviations are reported alongside.  ``fractions`` is imported by the two
+functions that build those grids, so an import of bicoef does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .operators import AlphaParams, BetaParams
 
@@ -44,8 +44,7 @@ MU_LT1_ARM2 = "mu-lt-1-min-arm-2"
 MU_GE1 = "mu-ge-1"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Upper bounds for |a2| and |a3| plus the branch that produced each."""
 
     a2_bound: float
@@ -132,8 +131,7 @@ def bounds_for(params: AlphaParams | BetaParams) -> BoundReport:
 # ---------------------------------------------------------------------------
 # Corollary reductions.
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Result of checking one corollary reduction against its classical form."""
 
     which: str
@@ -152,12 +150,13 @@ _MU_GE1_NOTE = ("the a3 case for mu >= 1 uses denominator 2*lam + mu; the "
 _C5_A2_NOTE = ("the classical |a2| form is the sqrt arm of the min; the min "
                "switches to the linear arm for beta > 1/2, where it is tighter")
 
-_LAMBDA_GRID = tuple(1 + Fraction(j, 4) for j in range(8))
 _SHAPE_POINTS = 101
 
 
 def _shape_grid(family: str, n: int):
-    """n points of the shape range: (0, 1] for alpha, [0, 1) for beta."""
+    """n points of the shape range as Fractions: (0, 1] for alpha, [0, 1) for beta."""
+    from fractions import Fraction
+
     first = 1 if family == "alpha" else 0
     return tuple(Fraction(i, n) for i in range(first, first + n))
 
@@ -197,50 +196,49 @@ def _float_forms(params) -> dict:
             "a2-sqrt-arm": math.sqrt(sq), "a2-linear-arm": linear}
 
 
-@dataclass(frozen=True)
-class _Corollary:
+class _Corollary(NamedTuple):
     """A corollary: the general bounds at fixed parameters, and its classical forms.
 
     ``classical`` maps quantities of :func:`_exact_forms` to their classical
     closed forms in (shape, lam), |a2| squared; each must equal the general
-    form exactly, and its float must match the production route.  ``lam`` is
-    None for a sweep over _LAMBDA_GRID.  ``crossover`` is (where the branch
-    switches, BoundReport branch field, tag below the switch).
+    form exactly, and its float must match the production route.  ``lam`` and
+    ``mu`` are ints, exact in the Fraction arithmetic of the shape grid;
+    ``lam`` is None for a sweep over lam = 1, 5/4, ..., 11/4.  ``crossover``
+    is (where the branch switches, as the nearest float, BoundReport branch
+    field, tag below the switch).
     """
 
     params: type
-    lam: Fraction | None
-    mu: Fraction
+    lam: int | None
+    mu: int
     classical: dict
     crossover: tuple | None = None
     notes: tuple[str, ...] = ()
 
 
-_ONE, _ZERO = Fraction(1), Fraction(0)
-
 _COROLLARIES = {
-    "c1": _Corollary(AlphaParams, None, _ONE, {
+    "c1": _Corollary(AlphaParams, None, 1, {
         "a2": lambda a, lam: 4 * a * a / ((lam + 1) ** 2 + a * (1 + 2 * lam - lam * lam)),
         "a3": lambda a, lam: 4 * a * a / (lam + 1) ** 2 + 2 * a / (2 * lam + 1)}),
-    "c2": _Corollary(AlphaParams, _ONE, _ONE, {
+    "c2": _Corollary(AlphaParams, 1, 1, {
         "a2": lambda a, lam: 2 * a * a / (a + 2),
         "a3": lambda a, lam: a * (3 * a + 2) / 3}),
-    "c51": _Corollary(AlphaParams, _ONE, _ZERO, {
+    "c51": _Corollary(AlphaParams, 1, 0, {
         "a2": lambda a, lam: 4 * a * a / (1 + a),
         "a3": lambda a, lam: a * (4 * a + 1)}),
-    "c3": _Corollary(BetaParams, None, _ONE, {
+    "c3": _Corollary(BetaParams, None, 1, {
         "a2-sqrt-arm": lambda b, lam: 2 * (1 - b) / (2 * lam + 1),
         "a2-linear-arm": lambda b, lam: (2 * (1 - b) / (lam + 1)) ** 2,
         "a3": lambda b, lam: 2 * (1 - b) / (2 * lam + 1)},
         notes=(_MU_GE1_NOTE,)),
-    "c4": _Corollary(BetaParams, _ONE, _ONE, {
-        "a2": lambda b, lam: 2 * (1 - b) / 3 if b < Fraction(1, 3) else (1 - b) ** 2,
+    "c4": _Corollary(BetaParams, 1, 1, {
+        "a2": lambda b, lam: 2 * (1 - b) / 3 if 3 * b < 1 else (1 - b) ** 2,
         "a3": lambda b, lam: 2 * (1 - b) / 3},
-        crossover=(Fraction(1, 3), "a2_branch", MIN_ARM_SQRT), notes=(_MU_GE1_NOTE,)),
-    "c5": _Corollary(BetaParams, _ONE, _ZERO, {
+        crossover=(1 / 3, "a2_branch", MIN_ARM_SQRT), notes=(_MU_GE1_NOTE,)),
+    "c5": _Corollary(BetaParams, 1, 0, {
         "a2-sqrt-arm": lambda b, lam: 2 * (1 - b),
-        "a3": lambda b, lam: 2 * (1 - b) if b < Fraction(3, 4) else (1 - b) * (5 - 4 * b)},
-        crossover=(Fraction(3, 4), "a3_branch", MU_LT1_ARM1), notes=(_C5_A2_NOTE,)),
+        "a3": lambda b, lam: 2 * (1 - b) if 4 * b < 3 else (1 - b) * (5 - 4 * b)},
+        crossover=(3 / 4, "a3_branch", MU_LT1_ARM1), notes=(_C5_A2_NOTE,)),
 }
 COROLLARY_IDS = tuple(_COROLLARIES)
 
@@ -256,8 +254,10 @@ def corollary_check(which: str) -> IdentityReport:
     """
     if which not in _COROLLARIES:
         raise ValueError(f"unknown corollary {which!r}; expected one of {COROLLARY_IDS}")
+    from fractions import Fraction
+
     row = _COROLLARIES[which]
-    lams = _LAMBDA_GRID if row.lam is None else (row.lam,)
+    lams = tuple(1 + Fraction(j, 4) for j in range(8)) if row.lam is None else (row.lam,)
     max_dev, pts, exact = 0.0, 0, True
     for s in _shape_grid(row.params.family, _SHAPE_POINTS):
         for lam in lams:
@@ -273,7 +273,7 @@ def corollary_check(which: str) -> IdentityReport:
     expected = found = err = None
     if row.crossover is not None:
         at, field, tag = row.crossover
-        expected = float(at)
+        expected = at
         found = _bisect_branch_switch(
             lambda x: getattr(bounds_for(row.params(x, float(row.lam), float(row.mu))),
                               field) == tag, 0.0, 0.999)

@@ -24,7 +24,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -167,7 +166,7 @@ def _cmd_bound(args) -> int:
     params = _params_from_args(args)
     rep = bounds_for(params)
     payload = {"family": params.family, "alpha": args.alpha, "beta": args.beta,
-               "lambda": params.lam, "mu": params.mu, **asdict(rep)}
+               "lambda": params.lam, "mu": params.mu, **rep._asdict()}
     lines = [f"a2_bound = {rep.a2_bound!r}  [{rep.a2_branch}]",
              f"a3_bound = {rep.a3_bound!r}  [{rep.a3_branch}]"]
     _emit(args, payload, lines)
@@ -219,7 +218,7 @@ def _cmd_member(args) -> int:
              f"worst value {rep.worst_value!r} at z = {rep.worst_point} "
              f"on side {rep.worst_side}",
              f"margin {rep.margin!r}"]
-    _emit(args, asdict(rep), lines)
+    _emit(args, rep._asdict(), lines)
     return 0
 
 
@@ -259,7 +258,9 @@ def _cmd_extremal(args) -> int:
                  f"gap       {res.gap!r}",
                  f"evals     {res.evaluations}",
                  f"sample    {res.best_index}"]
-        report = _report(args, asdict(res), lines)
+        # json writes a NamedTuple as a list: best_tuple is written by name
+        payload = res._asdict() | {"best_tuple": res.best_tuple._asdict()}
+        report = _report(args, payload, lines)
         if out is not None:
             out.write((report + "\n").encode("utf-8"))
     print(report)
@@ -281,7 +282,7 @@ def _cmd_corollary_check(args) -> int:
             lines.append(f"  crossover not found (expected {r.crossover_expected!r})")
         for note in r.notes:
             lines.append(f"  note: {note}")
-    _emit(args, {"reports": [asdict(r) for r in reports]}, lines)
+    _emit(args, {"reports": [r._asdict() for r in reports]}, lines)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -38,8 +38,7 @@ import pickle
 import shutil
 import signal
 import tempfile
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -131,8 +130,7 @@ def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
                       "a2_margin": bounds.a2_bound - a2, "a3_margin": bounds.a3_bound - a3}
 
 
-@dataclass(frozen=True)
-class CoefficientSummary:
+class CoefficientSummary(NamedTuple):
     """One coefficient's fold over a campaign's admissible samples.
 
     With one atom, p2 = p1^2 / 2 and |p1| = 2, so every sample has the same
@@ -148,8 +146,7 @@ class CoefficientSummary:
     near_boundary: int   # admissible samples near the bound, as NEAR_BOUNDARY says
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(NamedTuple):
     """Aggregate result of one campaign; csv_lines replays its samples."""
 
     params: AlphaParams | BetaParams
@@ -470,8 +467,7 @@ def _merge(folds: list):
     return counts, violations, coefficients
 
 
-@dataclass(frozen=True)
-class EmpiricalExtremum:
+class EmpiricalExtremum(NamedTuple):
     """The campaign's first admissible sample of largest |a2| or |a3|, with
     its gap to the bound.
 

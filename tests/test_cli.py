@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import gc
 import io
 import json
@@ -260,6 +259,16 @@ def test_program_freezes_its_import_time_heap(tmp_path, route):
     assert frozen > 1000   # numpy's and bicoef's modules, functions and types
 
 
+def test_import_of_the_cli_loads_no_fractions_or_decimal():
+    # only the corollary check, which imports fractions itself, needs them
+    code = ("import sys, bicoef.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout) == []
+
+
 @pytest.mark.parametrize("argv", [
     # forks a fold worker wherever two CPUs are allowed
     ("falsify", "--family", "beta", "--beta", "0.5", "--lambda", "2", "--mu", "0.5",
@@ -268,7 +277,10 @@ def test_program_freezes_its_import_time_heap(tmp_path, route):
      "-n", "50000", "--seed", "1", "--json", "--out", "records.csv"),
     ("extremal", "--family", "beta", "--beta", "0.5", "--lambda", "2", "--mu", "0.5",
      "--objective", "a2", "--budget", "10000", "--seed", "1", "--json"),
-], ids=["campaign", "campaign_csv", "extremal"])
+    # fractions imported in the corollary check; the records' _asdict payloads
+    ("corollary-check", "--json"),
+    ("bound", "--family", "beta", "--beta", "0.5", "--lambda", "2", "--mu", "0.5", "--json"),
+], ids=["campaign", "campaign_csv", "extremal", "corollary-check", "bound"])
 def test_program_exit_is_clean_under_dev_mode(tmp_path, argv):
     # frozen objects are torn down by module clearing, not by a collection: a
     # file left open would show only as a ResourceWarning at exit, made an
@@ -303,7 +315,8 @@ def test_corollary_check_all_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["reports"]) == 6
-    assert all(r["passed"] for r in payload["reports"])
+    # fractions is imported by the check itself: the identities are still exact
+    assert all(r["passed"] and r["exact_identity"] for r in payload["reports"])
 
 
 def test_corollary_whose_branch_never_switches_fails_with_every_report(monkeypatch, capsys):
@@ -311,7 +324,7 @@ def test_corollary_whose_branch_never_switches_fails_with_every_report(monkeypat
     # check (exit 1) with all six reports, not a usage error (exit 2)
     real = bounds.bounds_for
     monkeypatch.setattr(bounds, "bounds_for",
-                        lambda p: dataclasses.replace(real(p), a2_branch="min-arm-sqrt"))
+                        lambda p: real(p)._replace(a2_branch="min-arm-sqrt"))
     code, out, err = run(capsys, "corollary-check")
     assert (code, err) == (1, "")
     heads = [line for line in out.splitlines() if not line.startswith(" ")]
@@ -327,7 +340,7 @@ def test_corollary_whose_branch_never_switches_fails_with_every_report(monkeypat
 
 def test_json_payloads_are_the_result_records(capsys):
     def keys(cls):
-        return {f.name for f in dataclasses.fields(cls)}
+        return set(cls._fields)
 
     code, out, _ = run(capsys, "member", "--family", "alpha", "--alpha", "0.5",
                        "--coeffs", "0.05", "--tol", "1e-6", "--json")
@@ -338,7 +351,9 @@ def test_json_payloads_are_the_result_records(capsys):
                        "--budget", "50", "--json")
     payload = json.loads(out)
     assert code == 0 and set(payload) == keys(EmpiricalExtremum)
-    assert set(payload["best_tuple"]) == keys(CoefficientTuple)
+    # an object by name: json would write the NamedTuple as a list
+    best = payload["best_tuple"]
+    assert isinstance(best, dict) and set(best) == keys(CoefficientTuple)
     code, out, _ = run(capsys, "corollary-check", "--json")
     assert code == 0
     assert all(set(r) == keys(IdentityReport) for r in json.loads(out)["reports"])

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -142,7 +141,7 @@ def _kernel_arrays(summary):
 
 def _halved_bounds(params):
     rep = bounds_for(params)
-    return dataclasses.replace(rep, a2_bound=rep.a2_bound / 2, a3_bound=rep.a3_bound / 2)
+    return rep._replace(a2_bound=rep.a2_bound / 2, a3_bound=rep.a3_bound / 2)
 
 
 def test_violations_against_halved_bounds(monkeypatch, capsys):
@@ -548,7 +547,7 @@ def test_a_margin_of_exactly_minus_the_tolerance_is_no_violation(monkeypatch, ed
               other: 2.0 ** math.floor(math.log2(arrays[f"{other}_abs"][j])) / 2}
     tol = (top - bounds[edge]) / bounds[edge]
     assert bounds[edge] - top == -tol * bounds[edge] and bounds[edge] != 1 and tol < 1
-    rep = dataclasses.replace(bounds_for(params), a2_bound=bounds["a2"], a3_bound=bounds["a3"])
+    rep = bounds_for(params)._replace(a2_bound=bounds["a2"], a3_bound=bounds["a3"])
     monkeypatch.setattr(harness, "VIOLATION_TOL", tol)
     monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
     summary = falsify(params, 400, seed=1)
@@ -569,8 +568,7 @@ def test_a_margin_of_exactly_ten_tolerances_is_near_the_boundary(monkeypatch):
                   other: 2.0 ** math.ceil(math.log2(top[other])) * 2}
         tol = (bounds[edge] - top[edge]) / bounds[edge] / 10
         assert 10 * tol * bounds[edge] == bounds[edge] - top[edge] and bounds[edge] != 1
-        rep = dataclasses.replace(bounds_for(params), a2_bound=bounds["a2"],
-                                  a3_bound=bounds["a3"])
+        rep = bounds_for(params)._replace(a2_bound=bounds["a2"], a3_bound=bounds["a3"])
         monkeypatch.setattr(harness, "VIOLATION_TOL", tol)
         monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
         summary = falsify(params, 400, seed=1)
@@ -602,7 +600,7 @@ def test_extremal_exits_0_on_a_gap_of_exactly_minus_the_tolerance(monkeypatch, c
     bound = 2.0 ** math.floor(math.log2(top))
     tol = (top - bound) / bound
     assert bound - top == -tol * bound and bound != 1 and tol < 1
-    rep = dataclasses.replace(bounds_for(params), a2_bound=bound)
+    rep = bounds_for(params)._replace(a2_bound=bound)
     monkeypatch.setattr(harness, "bounds_for", lambda p: rep)
     monkeypatch.setattr(harness, "VIOLATION_TOL", tol if at_edge else np.nextafter(tol, 0))
     assert main(_EXTREMAL) == (0 if at_edge else 1)
@@ -664,7 +662,7 @@ def test_summary_json_roundtrip():
     keys = ("max_a2_abs", "max_a3_abs", "min_a2_margin", "min_a3_margin")
     assert [back[k] for k in keys] == [None] * 4
     # a largest |a2| of 0.0 is a value: its least margin is the bound
-    zero = dataclasses.replace(summary, a2=dataclasses.replace(summary.a2, max_abs=0.0))
+    zero = summary._replace(a2=summary.a2._replace(max_abs=0.0))
     assert zero.to_json_dict()["min_a2_margin"] == summary.bounds.a2_bound
 
 

@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -202,7 +201,7 @@ def test_membership_matches_per_class_reference_exactly(params, tail):
     f = NormalizedFunction.from_tail(tail, order=6)
     grid = MembershipGrid(radii=(0.5, 0.99), n_angles=64)
     rep = membership(f, params, grid)
-    assert astuple(rep) == _reference_membership(f, params, grid)
+    assert tuple(rep) == _reference_membership(f, params, grid)
 
 
 def test_membership_grid_rejects_bad_radius():
