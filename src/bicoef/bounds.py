@@ -15,8 +15,6 @@ deviations are reported alongside.  ``fractions`` is imported by the two
 functions that build those grids, so an import of bicoef does not load it.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -114,6 +114,17 @@ def sample_batch(rngs, count: int, atom_count: int):
     return t, theta
 
 
+def _skip_batch(rngs, count: int, atom_count: int) -> None:
+    """Move rngs past the next count mixtures, as :func:`sample_batch` does,
+    without making them.  The weight stream's exponentials are drawn, as
+    their ziggurat takes a varying number of 64-bit draws; the angle stream,
+    whose uniform takes one 64-bit draw per double, is advanced by that count.
+    """
+    wrng, arng = rngs
+    wrng.standard_exponential((count, atom_count))
+    arng.bit_generator.advance(count * atom_count)
+
+
 def is_admissible_prefix(c) -> str:
     """Verdict for one prefix (c1, c2): PASS, FAIL_MODULUS or FAIL_TOEPLITZ.
 

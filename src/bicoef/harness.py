@@ -21,15 +21,16 @@ range in forked workers; the caller merges the partial folds in range order,
 so the summary is the one a single process folds, whatever the worker count.
 The CSV is not kept: the summary replays the same chunks from its own
 fields, and builds the rows column by column from CSV_HEADER.  The cells of
-q1 = -p1 are p1's with the sign flipped, and a range of samples draws the
-chunks below it without scoring them.  The writer splits the rows into one
-contiguous range per CPU (at most one per CHUNK rows) and formats all but
-the first range in forked workers, each into an anonymous part file in
-TMPDIR, which together take up to the CSV's size there; the caller appends
-the parts in order: the bytes one process writes.
+q1 = -p1 are p1's with the sign flipped, and a range of samples moves the
+random streams past the chunks below it without making them.  The writer
+splits the rows into one contiguous range per CPU (at most one per CHUNK
+rows) and formats all but the first range in forked workers, each into an
+anonymous part file in TMPDIR, which together take up to the CSV's size
+there; the caller appends the parts in order: the bytes one process writes.
+Each worker of either is pinned to its own allowed CPU and the caller to
+the first, as the kernel left a fresh worker on its parent's CPU (see
+_forked).
 """
-
-from __future__ import annotations
 
 import contextlib
 import itertools
@@ -68,12 +69,15 @@ HIST_KEYS = ("edges", "counts", "underflow")
 # at 2^14, as one chunk, it peaked 2.3 MB (6%) above.  Above 2^15 campaigns
 # ran slower.
 CHUNK = 1 << 12
-# Samples per fold worker of falsify, at least: the break-even.  A forked
-# fold costs some 6 ms to start and merge.  In process on a 2-CPU Xeon,
-# alternating rounds, two processes against one took 14.3 against 7.6 ms at
-# 1e4 samples (0 of 21 won), 21.5 against 20.5 at 32768 (10 of 31), 24.8
-# against 24.6 at 36864 (15 of 31), 29.0 against 33.1 at 5e4 (15 of 21) and
-# 100.5 against 145.3 at 2.5e5 (21 of 21).
+# Samples per fold worker of falsify, at least: the break-even of unpinned
+# workers.  A forked fold costs some 6 ms to start and merge.  In process on
+# a 2-CPU Xeon, alternating rounds, two pinned processes against one took
+# 9.2 against 3.8 ms at 1e4 samples (0 of 21 won), 14.8 against 10.8 at 32768
+# (1 of 21), 16.2 against 12.1 at 36864 (1 of 21), 16.4 against 15.5 at 5e4
+# (7 of 21), 24.9 against 28.7 at 65536 (13 of 21) and 63.2 against 108.3 at
+# 2.5e5 (20 of 21).  With the fold's cost halved, the break-even of pinned
+# workers lies between 5e4 and 65536 samples; the constant has not been
+# retuned to it.
 FOLD_SAMPLES = 1 << 14
 # CSV rows per .tolist() call and per write; with a chunk's worth of Python
 # floats and complexes at once, a forked CSV worker outgrew the serial writer.
@@ -108,15 +112,16 @@ def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
 
     Row j of each array is sample start + j: its atom weights and angles,
     prefixes p1, p2, paired q1, q2, filter masks, |a2|, |a3| and margins,
-    bit for bit the same whatever the chunk it is scored in.  The whole
-    chunks below first are drawn, which advances the streams, and not scored.
+    bit for bit the same whatever the chunk it is scored in.  The streams
+    are moved past the whole chunks below first, which are not made.
     """
     rngs = caratheodory.streams(seed)
     for start in range(0, n_samples if stop is None else stop, CHUNK):
-        weights, angles = caratheodory.sample_batch(
-            rngs, min(CHUNK, n_samples - start), atom_count)
+        count = min(CHUNK, n_samples - start)
         if start + CHUNK <= first:
+            caratheodory._skip_batch(rngs, count, atom_count)
             continue
+        weights, angles = caratheodory.sample_batch(rngs, count, atom_count)
         coeffs = caratheodory._mixture_coeffs(weights, angles)
         p1, p2 = coeffs[:, 0], coeffs[:, 1]
         a2, a3, q1, q2 = _induce(params, p1, p2)
@@ -269,12 +274,26 @@ def _negated(cells: list[str]) -> list[str]:
     return [t[1:] if t[0] == "-" else "-" + t for t in cells]
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on (sched_getaffinity, so taskset
-    limits them); 1 where the platform has no fork or no sched_getaffinity."""
+def _allowed() -> list[int]:
+    """The CPUs this thread may run on (sched_getaffinity, so taskset limits
+    them), in order; none where the platform has no fork or no
+    sched_getaffinity."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on; 1 where _allowed has none."""
+    return max(1, len(_allowed()))
+
+
+def _pin(cpus) -> None:
+    """Restrict the calling thread to the CPUs cpus.  Where the system
+    refuses (OSError), the thread runs where it ran: pinning only places the
+    work, so a refusal changes nothing else."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
 
 
 def _csv_workers(n_rows: int) -> int:
@@ -310,11 +329,24 @@ def _forked(edges: list[int], work, what: str):
     itself, then reads the parts from the iterator it is given: each part,
     in range order, rewound once its worker has exited 0.  A failed worker
     raises OSError naming what and its range.  Every worker is killed and
-    reaped, and every part closed, when the block is left.
+    reaped, every part closed, and the caller's CPU mask restored, when the
+    block is left.
+
+    Where there are workers, worker k is pinned to CPU k of the caller's
+    allowed CPUs in order (mod their count), and the caller's thread to CPU
+    0 of them while the block runs.  Left to place them, the kernel at times
+    kept a fresh worker on its parent's CPU for the whole fold while the
+    other CPU sat idle, a share that moves with the host's load: on a 2-CPU
+    Xeon, a forked worker and its parent, each burning 0.3 s of CPU, took
+    twice that in wall time in 4 of 30 checks unpinned and in 0 of 10
+    pinned.  A refused pin changes only where the work runs (see _pin).
     """
     me = os.getpid()
     parts, pids = [], {}   # the part file of each range k >= 1; unreaped workers
+    cpus = _allowed() if len(edges) > 2 else []
     try:
+        if cpus:
+            _pin(cpus[:1])
         for k in range(1, len(edges) - 1):
             parts.append(tempfile.TemporaryFile())
             # fork, not spawn: a worker starts with its arguments and numpy in
@@ -323,7 +355,8 @@ def _forked(edges: list[int], work, what: str):
             # collections neither traverse nor copy the pages it shares
             pid = os.fork()
             if pid == 0:
-                _run_worker(work, parts[-1], edges[k], edges[k + 1], me)
+                _run_worker(work, parts[-1], edges[k], edges[k + 1], me,
+                            [cpus[k % len(cpus)]] if cpus else [])
             pids[k] = pid
 
         def finished():
@@ -347,16 +380,21 @@ def _forked(edges: list[int], work, what: str):
                 os.waitpid(pid, 0)
         for part in parts:
             part.close()
+        if cpus:
+            _pin(cpus)
 
 
-def _run_worker(work, part, start: int, stop: int, parent: int) -> None:
-    """A forked worker of _forked: work(part, start, stop, parent).  Never
-    returns: it leaves through os._exit, 0 on success, 1 with the error's
-    text in place of its output on any exception (an exit that skips the
-    handlers and buffers it shares with its parent).
+def _run_worker(work, part, start: int, stop: int, parent: int, cpus: list[int]) -> None:
+    """A forked worker of _forked: pinned to cpus where they are given, then
+    work(part, start, stop, parent).  Never returns: it leaves through
+    os._exit, 0 on success, 1 with the error's text in place of its output
+    on any exception (an exit that skips the handlers and buffers it shares
+    with its parent).
     """
     code = 1
     try:
+        if cpus:
+            _pin(cpus)
         work(part, start, stop, parent)
         part.flush()
         code = 0
@@ -389,22 +427,21 @@ def falsify(params, n_samples: int, seed: int, *,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rep = bounds_for(params)
-    bounds = {"a2": rep.a2_bound, "a3": rep.a3_bound}
+    # the margin histograms' bin edges, which depend on the bound alone
+    hist_edges = {c: np.histogram_bin_edges(np.empty(0), HIST_BINS, (0.0, bound))
+                  for c, bound in (("a2", rep.a2_bound), ("a3", rep.a3_bound))}
     p, n_chunks = _fold_workers(n_samples), -(-n_samples // CHUNK)
     edges = [min(n_samples, CHUNK * (n_chunks * k // p)) for k in range(p + 1)]
 
     def fold(start, stop, parent=None):
         return _fold(_campaign_chunks(params, rep, n_samples, seed, filter_mode,
-                                      atom_count, first=start, stop=stop), bounds, parent)
+                                      atom_count, first=start, stop=stop), hist_edges, parent)
 
     with _forked(edges, lambda part, *run: pickle.dump(fold(*run), part),
                  "campaign worker for samples") as parts:
         folds = [fold(0, edges[1])]
         folds += map(pickle.load, parts)
     counts, violations, coefficients = _merge(folds)
-    # the histogram edges depend on the bound alone
-    hist_edges = {c: np.histogram(np.empty(0), bins=HIST_BINS, range=(0.0, bound))[1]
-                  for c, bound in bounds.items()}
     return CampaignSummary(
         params=params, n_samples=n_samples, seed=seed,
         filter_mode=filter_mode, atom_count=atom_count, bounds=rep,
@@ -418,24 +455,26 @@ def falsify(params, n_samples: int, seed: int, *,
             near_boundary=s["near"]) for c, s in coefficients.items()})
 
 
-def _fold(chunks, bounds: dict[str, float], parent: int | None = None):
-    """The fold of scored chunks, in order: the counts (admissible, modulus
-    fails, toeplitz fails), the violations (index, coefficient, margin) and,
-    per coefficient, "top" and "argmax" (the first admissible sample of
-    largest |a| and its atoms: np.argmax within a chunk, then a strict >
-    across chunks), "hist" (the margin counts over [0, bound]), "underflow"
-    (margins below 0) and "near" (margins near the bound, as NEAR_BOUNDARY
-    says).  Checks parent before each chunk.
+def _fold(chunks, hist_edges: dict[str, np.ndarray], parent: int | None = None):
+    """The fold of scored chunks, in order, against hist_edges, each
+    coefficient's margin bin edges over [0, bound]: the counts (admissible,
+    modulus fails, toeplitz fails), the violations (index, coefficient,
+    margin) and, per coefficient, "top" and "argmax" (the first admissible sample of largest
+    |a| and its atoms: np.argmax within a chunk, then a strict > across
+    chunks), "hist" (the margin counts over [0, bound], as _histogram),
+    "underflow" (margins below 0) and "near" (margins near the bound, as
+    NEAR_BOUNDARY says).  Checks parent before each chunk.
     """
     counts, violations = np.zeros(3, dtype=np.int64), []
     coefficients = {c: {"top": -np.inf, "argmax": None, "underflow": 0, "near": 0,
-                        "hist": np.zeros(HIST_BINS, dtype=np.int64)} for c in bounds}
+                        "hist": np.zeros(HIST_BINS, dtype=np.int64)} for c in hist_edges}
     for start, a in chunks:
         _check_parent(parent)
         rows = np.flatnonzero(a["admissible"])
-        counts += (rows.size, a["fail_modulus"].sum(), a["fail_toeplitz"].sum())
-        for c, bound in bounds.items():
-            s = coefficients[c]
+        counts += (rows.size, np.count_nonzero(a["fail_modulus"]),
+                   np.count_nonzero(a["fail_toeplitz"]))
+        for c, edges in hist_edges.items():
+            s, bound = coefficients[c], edges[-1]
             x, margin = a[f"{c}_abs"][rows], a[f"{c}_margin"][rows]
             bad = _violated(margin, bound)
             violations += zip((start + rows[bad]).tolist(), itertools.repeat(c),
@@ -444,11 +483,29 @@ def _fold(chunks, bounds: dict[str, float], parent: int | None = None):
                 s["top"], i = x[j], int(rows[j])
                 s["argmax"] = (start + i, tuple(zip(a["weights"][i].tolist(),
                                                     a["angles"][i].tolist())))
-            # no overflow bin, as margin <= bound
-            s["hist"] += np.histogram(margin, bins=HIST_BINS, range=(0.0, bound))[0]
-            s["underflow"] += int((margin < 0.0).sum())
-            s["near"] += int((margin <= NEAR_BOUNDARY * VIOLATION_TOL * bound).sum())
+            s["hist"] += _histogram(margin, edges)
+            s["underflow"] += int(np.count_nonzero(margin < 0.0))
+            s["near"] += int(np.count_nonzero(margin <= NEAR_BOUNDARY * VIOLATION_TOL * bound))
     return counts, violations, coefficients
+
+
+def _histogram(x, edges: np.ndarray) -> np.ndarray:
+    """np.histogram(x, bins=HIST_BINS, range=(0.0, bound))[0], edges being
+    its bin edges over [0, bound], by numpy's own rule for equal bins,
+    inlined (numpy/lib/_histograms_impl.py): keep x in [0, bound], take bin
+    x / bound * HIST_BINS (numpy's (x - 0) / bound * HIST_BINS: x - 0.0 is
+    x), then move it by one where x falls outside its edges, and count.
+    Divide, then scale, as numpy does: HIST_BINS / bound overflows for
+    bounds below about 1.1e-307.  On a chunk's 1700 admissible margins it
+    took 26 us where np.histogram took 48 (2-CPU Xeon).
+    """
+    bound = edges[-1]
+    x = x[(x >= 0.0) & (x <= bound)]
+    i = (x / bound * HIST_BINS).astype(np.intp)
+    i[i == HIST_BINS] -= 1   # x == bound: the last bin holds its right edge
+    i[x < edges[i]] -= 1
+    i[(x >= edges[i + 1]) & (i != HIST_BINS - 1)] += 1
+    return np.bincount(i, minlength=HIST_BINS)
 
 
 def _merge(folds: list):

@@ -11,8 +11,6 @@ All scalar formulas are plain arithmetic, so they broadcast over numpy
 arrays; the falsification harness relies on that.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from dataclasses import dataclass

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,10 @@ from bicoef.harness import (CHUNK, CSV_HEADER, HIST_BINS, SLICE, VIOLATION_TOL,
                             _campaign_chunks, extremal_search, falsify)
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 from oracles import csv_lines_row_by_row
+
+# the CPUs this process may run on, read before any test forks a worker: a
+# caller left pinned would pass a check against its mask read afterwards
+_ALLOWED = os.sched_getaffinity(0)
 
 
 # ------------------------------------------------------------------ falsify
@@ -129,6 +134,34 @@ def test_margin_histograms_span_zero_to_the_bound(alpha):
         assert edges[0] == 0.0 and edges[-1] == bound and len(counts) == HIST_BINS
         assert sum(counts) + underflow == summary.n_admissible
         assert max(counts) < summary.n_admissible
+
+
+@given(st.floats(min_value=5e-324, max_value=1e308),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=50),
+       st.lists(st.floats(), max_size=20))
+@example(5e-324, [], [])
+@example(1e-322, [0.5], [])
+@example(sys.float_info.min, [0.5], [])
+@example(1e308, [1.0, 0.95], [1.7976931348623157e308])
+def test_the_fold_histogram_is_numpys(bound, fractions, values):
+    try:
+        edges = np.histogram_bin_edges(np.empty(0), HIST_BINS, (0.0, bound))
+    except ValueError:
+        # some subnormal bounds have no HIST_BINS distinct edges: falsify
+        # refuses them, as np.histogram does, before any fold
+        with pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(np.empty(0), bins=HIST_BINS, range=(0.0, bound))
+        assert bound < 1e-320
+        return
+    # every edge, its neighbours and the bound, NaN, the infinities, -0.0,
+    # values below 0 and above the bound, and fractions of the bound
+    x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        [bound, -0.0, -bound, np.nan, np.inf, -np.inf],
+                        np.array(fractions) * bound, values])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = harness._histogram(x, edges)
+    assert got.tolist() == np.histogram(x, bins=HIST_BINS, range=(0.0, bound))[0].tolist()
 
 
 def _kernel_arrays(summary):
@@ -341,16 +374,19 @@ def test_csv_lines_of_a_row_range_are_rows_of_the_whole():
 @pytest.mark.parametrize("first", [0, 1, CHUNK - 1, CHUNK, 2 * CHUNK + SLICE // 2,
                                    3 * CHUNK, 3 * CHUNK + 5])
 def test_kernel_chunks_from_first_are_chunks_of_the_whole(first):
+    # the chunks below first draw only the weights; the angle stream is
+    # advanced by the count of its values, which the atom count scales
     params, n = BetaParams(0.5, 2, 0.5), 3 * CHUNK + 5
     rep = bounds_for(params)
-    whole = list(_campaign_chunks(params, rep, n, 5, "toeplitz", 3))
-    tail = list(_campaign_chunks(params, rep, n, 5, "toeplitz", 3, first=first))
-    assert [start for start, _ in tail] == [start for start, _ in whole[first // CHUNK:]]
-    for (_, got), (_, want) in zip(tail, whole[first // CHUNK:]):
-        assert got.keys() == want.keys()
-        for key in want:   # bitwise: -0.0 is not 0.0
-            assert got[key].shape == want[key].shape, key
-            assert got[key].tobytes() == want[key].tobytes(), key
+    for atom_count in (1, 3, 9):
+        whole = list(_campaign_chunks(params, rep, n, 5, "toeplitz", atom_count))
+        tail = list(_campaign_chunks(params, rep, n, 5, "toeplitz", atom_count, first=first))
+        assert [start for start, _ in tail] == [start for start, _ in whole[first // CHUNK:]]
+        for (_, got), (_, want) in zip(tail, whole[first // CHUNK:]):
+            assert got.keys() == want.keys()
+            for key in want:   # bitwise: -0.0 is not 0.0
+                assert got[key].shape == want[key].shape, (atom_count, key)
+                assert got[key].tobytes() == want[key].tobytes(), (atom_count, key)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -410,6 +446,7 @@ def test_an_interrupted_csv_writer_leaves_no_worker(monkeypatch, tmp_path, error
     with pytest.raises(error):
         _write_csv(summary, tmp_path / "x.csv")
     assert _no_child_left()
+    assert os.sched_getaffinity(0) == _ALLOWED
 
 
 def test_an_orphaned_csv_worker_stops(monkeypatch):
@@ -466,6 +503,7 @@ def test_a_failed_campaign_worker_is_one_usage_error(monkeypatch, tmp_path, caps
     assert "samples 1000 to 1999" in captured.err
     assert "No space left on device" in captured.err
     assert _no_child_left()
+    assert os.sched_getaffinity(0) == _ALLOWED
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
@@ -487,6 +525,7 @@ def test_an_interrupted_campaign_leaves_no_worker(monkeypatch, tmp_path, error):
     with pytest.raises(error):
         falsify(BetaParams(0.5, 2, 0.5), 6000, seed=1)
     assert _no_child_left()
+    assert os.sched_getaffinity(0) == _ALLOWED
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
@@ -530,6 +569,51 @@ def test_an_orphaned_campaign_worker_stops_within_a_chunk(monkeypatch):
     if not done:
         os.kill(int(worker), signal.SIGKILL)
     assert done and orphaned in ([], [b"orphaned"])
+
+
+def test_each_worker_is_pinned_to_its_own_allowed_cpu():
+    # worker k on CPU k of the allowed ones, in order and mod their count,
+    # the caller on the first while the block runs; under the whole mask,
+    # then under all but its first CPU, as taskset -c 1,... would leave it
+    def work(part, start, stop, parent):
+        part.write(json.dumps(sorted(os.sched_getaffinity(0))).encode())
+
+    whole = sorted(_ALLOWED)
+    masks = [whole] + ([whole[1:]] if len(whole) > 1 else [])
+    try:
+        for cpus in masks:
+            os.sched_setaffinity(0, cpus)
+            with harness._forked([0, 1, 2, 3, 4], work, "placement check") as parts:
+                caller = os.sched_getaffinity(0)
+                placed = [json.loads(part.read()) for part in parts]
+            assert caller == {cpus[0]}
+            assert placed == [[cpus[k % len(cpus)]] for k in (1, 2, 3)]
+            assert os.sched_getaffinity(0) == set(cpus)
+    finally:
+        os.sched_setaffinity(0, _ALLOWED)
+
+
+def test_a_refused_pin_changes_no_output(monkeypatch, tmp_path):
+    # where the system refuses every pin, the caller and the workers run
+    # where the kernel places them, and write the same summary and CSV
+    monkeypatch.setattr(harness, "CHUNK", 1000)
+    monkeypatch.setattr(harness, "_fold_workers", lambda n: 3)
+    monkeypatch.setattr(harness, "_csv_workers", lambda rows: 3)
+
+    def outputs():
+        summary = falsify(BetaParams(0.5, 2, 0.5), 6000, seed=1)
+        _write_csv(summary, tmp_path / "x.csv")
+        return summary, (tmp_path / "x.csv").read_bytes()
+
+    pinned, refused = outputs(), []
+
+    def refuse(pid, cpus):
+        refused.append(cpus)
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert outputs() == pinned
+    assert refused and os.sched_getaffinity(0) == _ALLOWED
 
 
 @pytest.mark.parametrize("edge", ["a2", "a3"])
