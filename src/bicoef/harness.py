@@ -27,9 +27,6 @@ splits the rows into one contiguous range per CPU (at most one per CHUNK
 rows) and formats all but the first range in forked workers, each into an
 anonymous part file in TMPDIR, which together take up to the CSV's size
 there; the caller appends the parts in order: the bytes one process writes.
-Each worker of either is pinned to its own allowed CPU and the caller to
-the first, as the kernel left a fresh worker on its parent's CPU (see
-_forked).
 """
 
 import contextlib
@@ -69,15 +66,15 @@ HIST_KEYS = ("edges", "counts", "underflow")
 # at 2^14, as one chunk, it peaked 2.3 MB (6%) above.  Above 2^15 campaigns
 # ran slower.
 CHUNK = 1 << 12
-# Samples per fold worker of falsify, at least: the break-even of unpinned
-# workers.  A forked fold costs some 6 ms to start and merge.  In process on
-# a 2-CPU Xeon, alternating rounds, two pinned processes against one took
-# 9.2 against 3.8 ms at 1e4 samples (0 of 21 won), 14.8 against 10.8 at 32768
-# (1 of 21), 16.2 against 12.1 at 36864 (1 of 21), 16.4 against 15.5 at 5e4
-# (7 of 21), 24.9 against 28.7 at 65536 (13 of 21) and 63.2 against 108.3 at
-# 2.5e5 (20 of 21).  With the fold's cost halved, the break-even of pinned
-# workers lies between 5e4 and 65536 samples; the constant has not been
-# retuned to it.
+# Samples per fold worker of falsify, at least: the break-even.  A forked
+# fold costs some 6 ms to start and merge.  In process on a 2-CPU Xeon,
+# alternating rounds, two processes against one took 8.6 against 3.3 ms at
+# 1e4 samples (0 of 21 won), 19.8 against 14.3 at 32768 (0 of 21), 26.4
+# against 16.8 at 36864 (0 of 21), 16.9 against 18.1 at 5e4 (13 of 21),
+# 17.4 against 22.6 at 65536 (20 of 21) and 57.1 against 71.6 at 2.5e5
+# (21 of 21).  So two processes break even near 5e4 samples, some 25000
+# per worker; 2^14 was the break-even when the fold cost twice as much per
+# sample, and has not been retuned.
 FOLD_SAMPLES = 1 << 14
 # CSV rows per .tolist() call and per write; with a chunk's worth of Python
 # floats and complexes at once, a forked CSV worker outgrew the serial writer.
@@ -274,26 +271,12 @@ def _negated(cells: list[str]) -> list[str]:
     return [t[1:] if t[0] == "-" else "-" + t for t in cells]
 
 
-def _allowed() -> list[int]:
-    """The CPUs this thread may run on (sched_getaffinity, so taskset limits
-    them), in order; none where the platform has no fork or no
-    sched_getaffinity."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return []
-    return sorted(os.sched_getaffinity(0))
-
-
 def _cpus() -> int:
-    """The number of CPUs this process may run on; 1 where _allowed has none."""
-    return max(1, len(_allowed()))
-
-
-def _pin(cpus) -> None:
-    """Restrict the calling thread to the CPUs cpus.  Where the system
-    refuses (OSError), the thread runs where it ran: pinning only places the
-    work, so a refusal changes nothing else."""
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, cpus)
+    """The CPUs this process may run on (sched_getaffinity, so taskset
+    limits them); 1 where the platform has no fork or no sched_getaffinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _csv_workers(n_rows: int) -> int:
@@ -329,24 +312,11 @@ def _forked(edges: list[int], work, what: str):
     itself, then reads the parts from the iterator it is given: each part,
     in range order, rewound once its worker has exited 0.  A failed worker
     raises OSError naming what and its range.  Every worker is killed and
-    reaped, every part closed, and the caller's CPU mask restored, when the
-    block is left.
-
-    Where there are workers, worker k is pinned to CPU k of the caller's
-    allowed CPUs in order (mod their count), and the caller's thread to CPU
-    0 of them while the block runs.  Left to place them, the kernel at times
-    kept a fresh worker on its parent's CPU for the whole fold while the
-    other CPU sat idle, a share that moves with the host's load: on a 2-CPU
-    Xeon, a forked worker and its parent, each burning 0.3 s of CPU, took
-    twice that in wall time in 4 of 30 checks unpinned and in 0 of 10
-    pinned.  A refused pin changes only where the work runs (see _pin).
+    reaped, and every part closed, when the block is left.
     """
     me = os.getpid()
     parts, pids = [], {}   # the part file of each range k >= 1; unreaped workers
-    cpus = _allowed() if len(edges) > 2 else []
     try:
-        if cpus:
-            _pin(cpus[:1])
         for k in range(1, len(edges) - 1):
             parts.append(tempfile.TemporaryFile())
             # fork, not spawn: a worker starts with its arguments and numpy in
@@ -355,8 +325,7 @@ def _forked(edges: list[int], work, what: str):
             # collections neither traverse nor copy the pages it shares
             pid = os.fork()
             if pid == 0:
-                _run_worker(work, parts[-1], edges[k], edges[k + 1], me,
-                            [cpus[k % len(cpus)]] if cpus else [])
+                _run_worker(work, parts[-1], edges[k], edges[k + 1], me)
             pids[k] = pid
 
         def finished():
@@ -380,21 +349,16 @@ def _forked(edges: list[int], work, what: str):
                 os.waitpid(pid, 0)
         for part in parts:
             part.close()
-        if cpus:
-            _pin(cpus)
 
 
-def _run_worker(work, part, start: int, stop: int, parent: int, cpus: list[int]) -> None:
-    """A forked worker of _forked: pinned to cpus where they are given, then
-    work(part, start, stop, parent).  Never returns: it leaves through
-    os._exit, 0 on success, 1 with the error's text in place of its output
-    on any exception (an exit that skips the handlers and buffers it shares
-    with its parent).
+def _run_worker(work, part, start: int, stop: int, parent: int) -> None:
+    """A forked worker of _forked: work(part, start, stop, parent).  Never
+    returns: it leaves through os._exit, 0 on success, 1 with the error's
+    text in place of its output on any exception (an exit that skips the
+    handlers and buffers it shares with its parent).
     """
     code = 1
     try:
-        if cpus:
-            _pin(cpus)
         work(part, start, stop, parent)
         part.flush()
         code = 0
@@ -459,11 +423,11 @@ def _fold(chunks, hist_edges: dict[str, np.ndarray], parent: int | None = None):
     """The fold of scored chunks, in order, against hist_edges, each
     coefficient's margin bin edges over [0, bound]: the counts (admissible,
     modulus fails, toeplitz fails), the violations (index, coefficient,
-    margin) and, per coefficient, "top" and "argmax" (the first admissible sample of largest
-    |a| and its atoms: np.argmax within a chunk, then a strict > across
-    chunks), "hist" (the margin counts over [0, bound], as _histogram),
-    "underflow" (margins below 0) and "near" (margins near the bound, as
-    NEAR_BOUNDARY says).  Checks parent before each chunk.
+    margin) and, per coefficient, "top" and "argmax" (the first admissible
+    sample of largest |a| and its atoms: np.argmax within a chunk, then a
+    strict > across chunks), "hist" (the margin counts over [0, bound], as
+    _histogram), "underflow" (margins below 0) and "near" (margins near the
+    bound, as NEAR_BOUNDARY says).  Checks parent before each chunk.
     """
     counts, violations = np.zeros(3, dtype=np.int64), []
     coefficients = {c: {"top": -np.inf, "argmax": None, "underflow": 0, "near": 0,

@@ -25,10 +25,6 @@ from bicoef.harness import (CHUNK, CSV_HEADER, HIST_BINS, SLICE, VIOLATION_TOL,
 from bicoef.operators import AlphaParams, BetaParams, CoefficientTuple
 from oracles import csv_lines_row_by_row
 
-# the CPUs this process may run on, read before any test forks a worker: a
-# caller left pinned would pass a check against its mask read afterwards
-_ALLOWED = os.sched_getaffinity(0)
-
 
 # ------------------------------------------------------------------ falsify
 
@@ -446,7 +442,6 @@ def test_an_interrupted_csv_writer_leaves_no_worker(monkeypatch, tmp_path, error
     with pytest.raises(error):
         _write_csv(summary, tmp_path / "x.csv")
     assert _no_child_left()
-    assert os.sched_getaffinity(0) == _ALLOWED
 
 
 def test_an_orphaned_csv_worker_stops(monkeypatch):
@@ -503,7 +498,6 @@ def test_a_failed_campaign_worker_is_one_usage_error(monkeypatch, tmp_path, caps
     assert "samples 1000 to 1999" in captured.err
     assert "No space left on device" in captured.err
     assert _no_child_left()
-    assert os.sched_getaffinity(0) == _ALLOWED
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
@@ -525,7 +519,6 @@ def test_an_interrupted_campaign_leaves_no_worker(monkeypatch, tmp_path, error):
     with pytest.raises(error):
         falsify(BetaParams(0.5, 2, 0.5), 6000, seed=1)
     assert _no_child_left()
-    assert os.sched_getaffinity(0) == _ALLOWED
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
@@ -569,51 +562,6 @@ def test_an_orphaned_campaign_worker_stops_within_a_chunk(monkeypatch):
     if not done:
         os.kill(int(worker), signal.SIGKILL)
     assert done and orphaned in ([], [b"orphaned"])
-
-
-def test_each_worker_is_pinned_to_its_own_allowed_cpu():
-    # worker k on CPU k of the allowed ones, in order and mod their count,
-    # the caller on the first while the block runs; under the whole mask,
-    # then under all but its first CPU, as taskset -c 1,... would leave it
-    def work(part, start, stop, parent):
-        part.write(json.dumps(sorted(os.sched_getaffinity(0))).encode())
-
-    whole = sorted(_ALLOWED)
-    masks = [whole] + ([whole[1:]] if len(whole) > 1 else [])
-    try:
-        for cpus in masks:
-            os.sched_setaffinity(0, cpus)
-            with harness._forked([0, 1, 2, 3, 4], work, "placement check") as parts:
-                caller = os.sched_getaffinity(0)
-                placed = [json.loads(part.read()) for part in parts]
-            assert caller == {cpus[0]}
-            assert placed == [[cpus[k % len(cpus)]] for k in (1, 2, 3)]
-            assert os.sched_getaffinity(0) == set(cpus)
-    finally:
-        os.sched_setaffinity(0, _ALLOWED)
-
-
-def test_a_refused_pin_changes_no_output(monkeypatch, tmp_path):
-    # where the system refuses every pin, the caller and the workers run
-    # where the kernel places them, and write the same summary and CSV
-    monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_fold_workers", lambda n: 3)
-    monkeypatch.setattr(harness, "_csv_workers", lambda rows: 3)
-
-    def outputs():
-        summary = falsify(BetaParams(0.5, 2, 0.5), 6000, seed=1)
-        _write_csv(summary, tmp_path / "x.csv")
-        return summary, (tmp_path / "x.csv").read_bytes()
-
-    pinned, refused = outputs(), []
-
-    def refuse(pid, cpus):
-        refused.append(cpus)
-        raise OSError(22, "Invalid argument")
-
-    monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    assert outputs() == pinned
-    assert refused and os.sched_getaffinity(0) == _ALLOWED
 
 
 @pytest.mark.parametrize("edge", ["a2", "a3"])
