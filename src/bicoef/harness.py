@@ -20,9 +20,10 @@ may run on (at most one per FOLD_SAMPLES samples) and folds all but the first
 range in forked workers; the caller merges the partial folds in range order,
 so the summary is the one a single process folds, whatever the worker count.
 The CSV is not kept: the summary replays the same chunks from its own
-fields, and builds the rows column by column from CSV_HEADER.  The cells of
-q1 = -p1 are p1's with the sign flipped, and a range of samples moves the
-random streams past the chunks below it without making them.  The writer
+fields, and builds the rows from CSV_HEADER's columns, writing the float
+cells of a block of rows with one orjson call, byte for byte as repr writes
+them; a range of samples moves the random streams past the chunks below it
+without making them.  The writer
 splits the rows into one contiguous range per CPU (at most one per CHUNK
 rows) and formats all but the first range in forked workers, each into an
 anonymous part file in TMPDIR, which together take up to the CSV's size
@@ -77,7 +78,7 @@ CHUNK = 1 << 12
 # sample, and has not been retuned.
 FOLD_SAMPLES = 1 << 14
 # CSV rows per .tolist() call and per write; with a chunk's worth of Python
-# floats and complexes at once, a forked CSV worker outgrew the serial writer.
+# floats at once, a forked CSV worker outgrew the serial writer.
 SLICE = 1024
 
 CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
@@ -86,6 +87,12 @@ CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
               "admissible", "filter_reason",
               "a2_abs", "a3_abs", "a2_bound", "a3_bound",
               "a2_margin", "a3_margin")
+# The names of CSV_HEADER that start a run of cells in csv_lines, which
+# writes each run as one string: the float blocks p1_re to q2_im, a2_abs and
+# a3_abs, and a2_margin and a3_margin, and the admissible flag with its
+# filter_reason; every other column is a run of one.
+_ROW_RUNS = ("family", "seed", "index", "alpha", "beta", "lambda", "mu", "p1_re",
+             "admissible", "a2_abs", "a2_bound", "a3_bound", "a2_margin")
 
 
 def _violated(margin, bound):
@@ -167,15 +174,15 @@ class CampaignSummary(NamedTuple):
     def csv_lines(self, start: int = 0, stop: int | None = None) -> Iterator[str]:
         """The header, then the CSV rows of samples start to stop - 1 (stop
         defaults to n_samples) in index order; floats use shortest
-        round-trip form.
+        round-trip form, as repr writes them.
 
         The rows are recomputed, chunk by chunk, from the summary's params,
         bounds, seed, n_samples, filter_mode and atom_count; the chunks below
-        start are drawn and skipped.  The rows are zipped from one column of
-        cell strings per name in CSV_HEADER, SLICE rows at a time.  The cells
-        of q1 = -p1 are p1's with the sign flipped: the shortest round-trip
-        form writes the sign apart from the digits, so repr(-x) is repr(x)
-        with its sign flipped for every finite x, and p1 is finite.
+        start are drawn and skipped.  The rows are zipped, SLICE rows at a
+        time, from one iterator of strings per run of columns (_ROW_RUNS):
+        the constants, the index, the admissible/filter_reason pair, and
+        three float blocks (p1 to q2 by real and imaginary part, |a2| and
+        |a3|, and the margins) that _float_cells writes.
         """
         stop = self.n_samples if stop is None else stop
         yield ",".join(CSV_HEADER)
@@ -188,26 +195,23 @@ class CampaignSummary(NamedTuple):
                                          self.seed, self.filter_mode, self.atom_count,
                                          first=start, stop=stop):
             end = min(stop - first, len(a["p1"]))
-            # .tolist() hands back Python scalars (numpy scalar reprs are not
-            # CSV-safe); SLICE rows at a time, as those objects outweigh the chunk
+            # SLICE rows at a time, as their Python floats outweigh the chunk
             for lo in range(max(start - first, 0), end, SLICE):
                 r = slice(lo, min(lo + SLICE, end))
                 cols = {name: itertools.repeat(cell) for name, cell in constants.items()}
                 cols["index"] = map(str, range(first + r.start, first + r.stop))
-                p1_re = list(map(repr, a["p1"][r].real.tolist()))
-                p1_im = list(map(repr, a["p1"][r].imag.tolist()))
-                cols |= {"p1_re": p1_re, "p1_im": p1_im,
-                         "q1_re": _negated(p1_re), "q1_im": _negated(p1_im)}
-                for name in ("p2", "q2"):
-                    cols[f"{name}_re"] = map(repr, a[name][r].real.tolist())
-                    cols[f"{name}_im"] = map(repr, a[name][r].imag.tolist())
-                for name in ("a2_abs", "a3_abs", "a2_margin", "a3_margin"):
-                    cols[name] = map(repr, a[name][r].tolist())
-                # the failure masks are disjoint: 0 passed, 1 modulus, 2 toeplitz
+                # each float block fills the run of columns from its first name on
+                cols["p1_re"] = _float_cells(np.stack(
+                    [a[name][r] for name in ("p1", "p2", "q1", "q2")], axis=1).view(np.float64))
+                cols["a2_abs"] = _float_cells(np.stack((a["a2_abs"][r], a["a3_abs"][r]), axis=1))
+                cols["a2_margin"] = _float_cells(
+                    np.stack((a["a2_margin"][r], a["a3_margin"][r]), axis=1))
+                # the failure masks are disjoint: 0 passed, 1 modulus, 2 toeplitz;
+                # admissible and filter_reason, in one string
                 fails = (a["fail_modulus"][r] + 2 * a["fail_toeplitz"][r]).tolist()
-                cols["admissible"] = map(("true", "false", "false").__getitem__, fails)
-                cols["filter_reason"] = map(("", "modulus", "toeplitz").__getitem__, fails)
-                yield from map(",".join, zip(*(cols[name] for name in CSV_HEADER)))
+                cols["admissible"] = map(("true,", "false,modulus", "false,toeplitz").__getitem__,
+                                         fails)
+                yield from map(",".join, zip(*(cols[name] for name in _ROW_RUNS)))
 
     def write_csv(self, fh) -> None:
         """Write the header and every row of csv_lines to the binary file fh.
@@ -266,9 +270,25 @@ class CampaignSummary(NamedTuple):
         return payload
 
 
-def _negated(cells: list[str]) -> list[str]:
-    """The reprs of -x from the reprs of finite floats x."""
-    return [t[1:] if t[0] == "-" else "-" + t for t in cells]
+def _float_cells(block: np.ndarray) -> list[str]:
+    """The cells of each row of the 2-D float array block, as repr writes
+    them, comma-joined: one string per row.
+
+    One orjson.dumps call writes the whole block, whose rows are split out
+    of its text.  orjson writes the shortest round-trip form, as repr does,
+    and its text equals repr's for every finite x with 1e-4 <= |x| < 1e16;
+    outside that range it writes 0.00001, 1e16 and null where repr writes
+    1e-05, 1e+16, nan and inf, so a row with a cell there is rebuilt from
+    repr.  orjson is imported here, by the CSV path alone: its import costs
+    a CLI child some 9 ms.
+    """
+    import orjson
+    rows = orjson.dumps(block.tolist())[2:-2].decode().split("],[")
+    magnitude = np.abs(block)
+    outside = ~((magnitude >= 1e-4) & (magnitude < 1e16)).all(axis=1)
+    for i in np.flatnonzero(outside).tolist():
+        rows[i] = ",".join(map(repr, block[i].tolist()))
+    return rows
 
 
 def _cpus() -> int:
@@ -391,8 +411,7 @@ def falsify(params, n_samples: int, seed: int, *,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rep = bounds_for(params)
-    # the margin histograms' bin edges, which depend on the bound alone
-    hist_edges = {c: np.histogram_bin_edges(np.empty(0), HIST_BINS, (0.0, bound))
+    hist_edges = {c: _margin_edges(c, bound)
                   for c, bound in (("a2", rep.a2_bound), ("a3", rep.a3_bound))}
     p, n_chunks = _fold_workers(n_samples), -(-n_samples // CHUNK)
     edges = [min(n_samples, CHUNK * (n_chunks * k // p)) for k in range(p + 1)]
@@ -417,6 +436,18 @@ def falsify(params, n_samples: int, seed: int, *,
             margin_hist=(tuple(hist_edges[c].tolist()), tuple(s["hist"].tolist()),
                          s["underflow"]),
             near_boundary=s["near"]) for c, s in coefficients.items()})
+
+
+def _margin_edges(c: str, bound: float) -> np.ndarray:
+    """The HIST_BINS + 1 bin edges of coefficient c's margin histogram over
+    [0, bound].  Raises ValueError naming the bound where it is too small
+    for HIST_BINS bins of nonzero width (below 1e-322, 20 times the least
+    subnormal)."""
+    with contextlib.suppress(ValueError):   # numpy's own error for such a bound
+        edges = np.histogram_bin_edges(np.empty(0), HIST_BINS, (0.0, bound))
+        if (edges[:-1] < edges[1:]).all():
+            return edges
+    raise ValueError(f"the {c} bound {bound!r} is too small for {HIST_BINS} margin bins")
 
 
 def _fold(chunks, hist_edges: dict[str, np.ndarray], parent: int | None = None):

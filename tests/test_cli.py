@@ -269,6 +269,22 @@ def test_import_of_the_cli_loads_no_fractions_or_decimal():
     assert json.loads(proc.stdout) == []
 
 
+@pytest.mark.parametrize("argv,loaded", [
+    (("falsify", "--family", "alpha", "--alpha", "0.5", "-n", "5000", "--json"), False),
+    (("extremal", "--family", "beta", "--beta", "0.5", "--budget", "300", "--json"), False),
+    (("falsify", "--family", "alpha", "--alpha", "0.5", "-n", "50", "--out", "x.csv"),
+     True),
+], ids=["falsify", "extremal", "falsify-out"])
+def test_only_a_run_with_out_loads_orjson(tmp_path, argv, loaded):
+    # only the CSV writer, which imports orjson itself, needs it
+    code = ("import sys, bicoef.cli; "
+            f"assert bicoef.cli.main({list(argv)!r}) == 0; "
+            "print('orjson' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=tmp_path,
+                          env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, f"{loaded}\n".encode())
+
+
 @pytest.mark.parametrize("argv", [
     # forks a fold worker wherever two CPUs are allowed
     ("falsify", "--family", "beta", "--beta", "0.5", "--lambda", "2", "--mu", "0.5",
@@ -459,6 +475,17 @@ def test_bad_membership_grid_is_usage_error(capsys, flag, value, field):
     line = assert_usage_error(capsys, "member", "--family", "alpha", "--alpha",
                               "0.5", "--coeffs", "0.05", flag, value)
     assert field in line
+
+
+@pytest.mark.parametrize("command", [("falsify", "-n", "10"),
+                                     ("extremal", "--objective", "a2", "--budget", "10")],
+                         ids=lambda argv: argv[0])
+def test_bound_too_small_for_the_margin_bins_is_usage_error(capsys, command):
+    # bound reports it, finite and positive; a campaign cannot bin margins below it
+    line = assert_usage_error(capsys, command[0], "--family", "beta", "--beta",
+                              "0.9999999999999999", "--lambda", "1e307", "--mu", "0",
+                              *command[1:])
+    assert line == "bicoef: the a2 bound 2e-323 is too small for 20 margin bins"
 
 
 def test_extremal_zero_atoms_is_usage_error(capsys):

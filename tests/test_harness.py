@@ -385,17 +385,17 @@ def test_kernel_chunks_from_first_are_chunks_of_the_whole(first):
                 assert got[key].tobytes() == want[key].tobytes(), (atom_count, key)
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False))
-@example(0.0)
-@example(-0.0)
-@example(5e-324)
-@example(-5e-324)
-@example(1e16)
-@example(1e-5)
-def test_negated_reprs_are_the_reprs_of_the_negation(x):
-    # csv_lines writes q1 = -p1 from p1's cells: repr(-x) is repr(x) with its
-    # sign flipped, as the shortest round-trip form writes the sign apart
-    assert harness._negated([repr(x)]) == [repr(-x)]
+@given(st.lists(st.floats(), min_size=1, max_size=12))
+@example([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
+@example([1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1)])
+@example([1e16, math.nextafter(1e16, 0), math.nextafter(1e16, math.inf)])
+@example([-1e16, -math.nextafter(1e16, 0), -1e-4, -math.nextafter(1e-4, 0)])
+@example([1 + 2 ** -17, 2 ** 49 + 0.25])
+def test_float_cells_are_the_reprs(xs):
+    # orjson's text where it equals repr's, repr's where it does not; one
+    # column and one row, so the rows are split where the block has one cell or many
+    assert harness._float_cells(np.array(xs).reshape(-1, 1)) == list(map(repr, xs))
+    assert harness._float_cells(np.array([xs])) == [",".join(map(repr, xs))]
 
 
 def _no_child_left():
