@@ -241,6 +241,8 @@ def _cmd_falsify(args) -> int:
         f"max |a3|   {summary.a3.max_abs!r}  bound {summary.bounds.a3_bound!r}",
         f"violations {len(summary.violations)}",
     ]
+    if not summary.n_admissible:   # no violation, yet no pass either
+        lines.append("no sample was admissible, so no bound was checked")
     print(_report(args, payload, lines))
     return 1 if summary.violations else 0
 

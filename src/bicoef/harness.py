@@ -15,19 +15,18 @@ Campaigns are deterministic per (seed, n_samples): sample i depends only on
 the seed and i, never on n_samples, and CSV rows appear in index order.  A
 campaign runs in chunks of CHUNK samples and folds each chunk into its
 summary, so its memory is CHUNK x atoms per process, flat in n_samples.
-falsify splits the chunks into one contiguous range per CPU that the process
-may run on (at most one per FOLD_SAMPLES samples) and folds all but the first
-range in forked workers; the caller merges the partial folds in range order,
-so the summary is the one a single process folds, whatever the worker count.
-The CSV is not kept: the summary replays the same chunks from its own
-fields, and builds the rows from CSV_HEADER's columns, writing the float
-cells of a block of rows with one orjson call, byte for byte as repr writes
-them; a range of samples moves the random streams past the chunks below it
-without making them.  The writer
-splits the rows into one contiguous range per CPU (at most one per CHUNK
-rows) and formats all but the first range in forked workers, each into an
-anonymous part file in TMPDIR, which together take up to the CSV's size
-there; the caller appends the parts in order: the bytes one process writes.
+falsify's fold and write_csv split the chunks by one rule, _split: one
+contiguous range of whole chunks per CPU that the process may run on, at
+most one per FOLD_SAMPLES samples for the fold and one per CHUNK rows for
+the CSV.  The caller runs the first range and forked workers the others,
+each into an anonymous part file in TMPDIR; the caller merges the partial
+folds, and appends the CSV parts, in range order, so the summary and the
+bytes are those of one process, whatever the worker count.  The CSV is not
+kept: the summary replays the same chunks from its own fields, moving the
+random streams past the chunks below a range without making them, and
+builds the rows from CSV_HEADER's columns, SLICE rows per string, writing
+their float cells with one orjson call, byte for byte as repr writes them.
+The CSV's parts take up to its size in TMPDIR while it is written.
 """
 
 import contextlib
@@ -67,18 +66,21 @@ HIST_KEYS = ("edges", "counts", "underflow")
 # at 2^14, as one chunk, it peaked 2.3 MB (6%) above.  Above 2^15 campaigns
 # ran slower.
 CHUNK = 1 << 12
-# Samples per fold worker of falsify, at least: the break-even.  A forked
-# fold costs some 6 ms to start and merge.  In process on a 2-CPU Xeon,
-# alternating rounds, two processes against one took 8.6 against 3.3 ms at
-# 1e4 samples (0 of 21 won), 19.8 against 14.3 at 32768 (0 of 21), 26.4
-# against 16.8 at 36864 (0 of 21), 16.9 against 18.1 at 5e4 (13 of 21),
-# 17.4 against 22.6 at 65536 (20 of 21) and 57.1 against 71.6 at 2.5e5
-# (21 of 21).  So two processes break even near 5e4 samples, some 25000
-# per worker; 2^14 was the break-even when the fold cost twice as much per
-# sample, and has not been retuned.
-FOLD_SAMPLES = 1 << 14
-# CSV rows per .tolist() call and per write; with a chunk's worth of Python
-# floats at once, a forked CSV worker outgrew the serial writer.
+# Samples per fold worker of falsify, at least: the fork's break-even.  On a
+# 2-vCPU Xeon VM, in process, alpha 0.5 / 1 / 1 campaigns in alternating
+# pairs, each labelled by a fork probe (a parent and its child each spin 50
+# ms: 50 ms in all where the vCPUs run in parallel, 100 where they share
+# one), two processes against one took, in the parallel phase, 11.6 against
+# 10.6 ms at 32768 samples (7 of 15 won), 13.4 against 12.8 and 14.8
+# against 16.9 at 40960 (6 of 15, 11 of 14), 14.3 against 15.5 at 49152 (16
+# of 21) and 18.2 against 21.7 at 65536 (14 of 15); in the serialised phase,
+# 19.7 against 11.4 at 32768 (0 of 5) and 26.0 against 16.9 at 40960 (0 of
+# 2).  So two processes break even near 40960 samples in the parallel phase
+# and lose in the serialised one: six chunks per worker keeps the fold in
+# one process up to that break-even.
+FOLD_SAMPLES = 24576
+# CSV rows per string and per write; with a chunk's worth of rows at once (as
+# Python floats), a forked CSV worker outgrew the serial writer.
 SLICE = 1024
 
 CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
@@ -112,7 +114,7 @@ def _campaign_chunks(params, bounds: BoundReport, n_samples: int, seed: int,
     """The scoring kernel: (start, arrays) for each chunk of at most CHUNK
     samples, in order, from the chunk that holds sample first on, through
     the last chunk that starts below stop (default n_samples); the one
-    source of falsify and csv_lines.
+    source of falsify and the CSV rows.
 
     Row j of each array is sample start + j: its atom weights and angles,
     prefixes p1, p2, paired q1, q2, filter masks, |a2|, |a3| and margins,
@@ -171,21 +173,26 @@ class CampaignSummary(NamedTuple):
     a2: CoefficientSummary
     a3: CoefficientSummary
 
-    def csv_lines(self, start: int = 0, stop: int | None = None) -> Iterator[str]:
-        """The header, then the CSV rows of samples start to stop - 1 (stop
-        defaults to n_samples) in index order; floats use shortest
-        round-trip form, as repr writes them.
+    def csv_lines(self) -> Iterator[str]:
+        """The header, then the CSV rows in index order, without their
+        newlines; floats use shortest round-trip form, as repr writes them."""
+        yield ",".join(CSV_HEADER)
+        for block in self._csv_blocks(0, self.n_samples):
+            yield from block[:-1].split("\n")
+
+    def _csv_blocks(self, start: int, stop: int) -> Iterator[str]:
+        """The CSV rows of samples start to stop - 1, start being a chunk
+        edge and stop a chunk edge or n_samples: one string per SLICE rows of
+        a chunk, each row ending in a newline.
 
         The rows are recomputed, chunk by chunk, from the summary's params,
         bounds, seed, n_samples, filter_mode and atom_count; the chunks below
-        start are drawn and skipped.  The rows are zipped, SLICE rows at a
-        time, from one iterator of strings per run of columns (_ROW_RUNS):
-        the constants, the index, the admissible/filter_reason pair, and
-        three float blocks (p1 to q2 by real and imaginary part, |a2| and
-        |a3|, and the margins) that _float_cells writes.
+        start are drawn and skipped.  Each string's rows are zipped from one
+        iterator of strings per run of columns (_ROW_RUNS): the constants,
+        the index, the admissible/filter_reason pair, and three float blocks
+        (p1 to q2 by real and imaginary part, |a2| and |a3|, and the
+        margins) that _float_cells writes.
         """
-        stop = self.n_samples if stop is None else stop
-        yield ",".join(CSV_HEADER)
         p, b = self.params, self.bounds
         # the family's shape column holds its value, the other one is blank
         constants = {"family": p.family, "seed": str(self.seed), "alpha": "", "beta": "",
@@ -194,10 +201,10 @@ class CampaignSummary(NamedTuple):
         for first, a in _campaign_chunks(self.params, self.bounds, self.n_samples,
                                          self.seed, self.filter_mode, self.atom_count,
                                          first=start, stop=stop):
-            end = min(stop - first, len(a["p1"]))
-            # SLICE rows at a time, as their Python floats outweigh the chunk
-            for lo in range(max(start - first, 0), end, SLICE):
-                r = slice(lo, min(lo + SLICE, end))
+            count = len(a["p1"])
+            # SLICE rows at a time, as their strings outweigh the chunk
+            for lo in range(0, count, SLICE):
+                r = slice(lo, min(lo + SLICE, count))
                 cols = {name: itertools.repeat(cell) for name, cell in constants.items()}
                 cols["index"] = map(str, range(first + r.start, first + r.stop))
                 # each float block fills the run of columns from its first name on
@@ -211,15 +218,14 @@ class CampaignSummary(NamedTuple):
                 fails = (a["fail_modulus"][r] + 2 * a["fail_toeplitz"][r]).tolist()
                 cols["admissible"] = map(("true,", "false,modulus", "false,toeplitz").__getitem__,
                                          fails)
-                yield from map(",".join, zip(*(cols[name] for name in _ROW_RUNS)))
+                rows = map(",".join, zip(*(cols[name] for name in _ROW_RUNS)))
+                yield "\n".join(rows) + "\n"
 
     def write_csv(self, fh) -> None:
         """Write the header and every row of csv_lines to the binary file fh.
 
-        The rows 0 to n_samples - 1 are split into P contiguous ranges of
-        about equal size, P being the number of CPUs this process may run on
-        (sched_getaffinity), but at most one per CHUNK rows, and 1 where the
-        platform has no fork.  The caller writes range 0 into fh; for each
+        The rows are split by _split into ranges of whole chunks, at most
+        one per CHUNK rows.  The caller writes range 0 into fh; for each
         further range a forked worker writes it into an anonymous temporary
         file in TMPDIR, which the caller then appends to fh in order.  So the
         bytes are those of one process writing every row, and the part files
@@ -227,16 +233,15 @@ class CampaignSummary(NamedTuple):
         OSError when a worker fails.  Every worker is killed and reaped, and
         every part file closed, before the call returns or raises.
         """
-        n = self.n_samples
-        p = _csv_workers(n)
-        edges = [n * k // p for k in range(p + 1)]
+        def rows(part, start, stop, parent=None):
+            for block in self._csv_blocks(start, stop):
+                _check_parent(parent)
+                part.write(block.encode())
 
-        def rows(part, start, stop, parent):
-            lines = itertools.islice(self.csv_lines(start, stop), 1, None)   # no header
-            _write_lines(part, lines, parent)
-
+        edges = _split(self.n_samples, CHUNK)
         with _forked(edges, rows, "CSV worker for rows") as parts:
-            _write_lines(fh, self.csv_lines(0, edges[1]))
+            fh.write((",".join(CSV_HEADER) + "\n").encode())
+            rows(fh, 0, edges[1])
             for part in parts:
                 shutil.copyfileobj(part, fh)
 
@@ -274,16 +279,17 @@ def _float_cells(block: np.ndarray) -> list[str]:
     """The cells of each row of the 2-D float array block, as repr writes
     them, comma-joined: one string per row.
 
-    One orjson.dumps call writes the whole block, whose rows are split out
-    of its text.  orjson writes the shortest round-trip form, as repr does,
-    and its text equals repr's for every finite x with 1e-4 <= |x| < 1e16;
-    outside that range it writes 0.00001, 1e16 and null where repr writes
-    1e-05, 1e+16, nan and inf, so a row with a cell there is rebuilt from
-    repr.  orjson is imported here, by the CSV path alone: its import costs
+    One orjson.dumps call writes the whole block straight from its buffer,
+    which must be C-contiguous (as np.stack makes it): orjson rejects any
+    other array.  The rows are split out of its text.  orjson writes the
+    shortest round-trip form, as repr does, and its text equals repr's for
+    every finite x with 1e-4 <= |x| < 1e16; outside that range it writes
+    0.00001, 1e16 and null where repr writes 1e-05, 1e+16, nan and inf, so a
+    row with a cell there is rebuilt from repr.  orjson is imported here, by the CSV path alone: its import costs
     a CLI child some 9 ms.
     """
     import orjson
-    rows = orjson.dumps(block.tolist())[2:-2].decode().split("],[")
+    rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
     magnitude = np.abs(block)
     outside = ~((magnitude >= 1e-4) & (magnitude < 1e16)).all(axis=1)
     for i in np.flatnonzero(outside).tolist():
@@ -291,22 +297,16 @@ def _float_cells(block: np.ndarray) -> list[str]:
     return rows
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on (sched_getaffinity, so taskset
-    limits them); 1 where the platform has no fork or no sched_getaffinity."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _csv_workers(n_rows: int) -> int:
-    """P of write_csv: the CPUs, at most one per CHUNK rows."""
-    return min(_cpus(), -(-n_rows // CHUNK))
-
-
-def _fold_workers(n_samples: int) -> int:
-    """P of falsify: the CPUs, at most one per FOLD_SAMPLES samples."""
-    return max(1, min(_cpus(), n_samples // FOLD_SAMPLES))
+def _split(n_samples: int, per_worker: int) -> list[int]:
+    """The P + 1 edges of P contiguous ranges of whole chunks that cover
+    samples 0 to n_samples - 1, for falsify's fold and write_csv alike.  P is
+    the CPUs this process may run on (sched_getaffinity, so taskset limits
+    them), at most one per per_worker samples, and at least 1; 1 where the
+    platform has no fork or no sched_getaffinity."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    p, n_chunks = max(1, min(cpus, n_samples // per_worker)), -(-n_samples // CHUNK)
+    return [min(n_samples, CHUNK * (n_chunks * k // p)) for k in range(p + 1)]
 
 
 def _check_parent(parent: int | None) -> None:
@@ -314,14 +314,6 @@ def _check_parent(parent: int | None) -> None:
     process's parent: a worker whose caller died stops at its next check."""
     if parent is not None and os.getppid() != parent:
         raise ChildProcessError(f"process {parent} is gone")
-
-
-def _write_lines(fh, lines: Iterator[str], parent: int | None = None) -> None:
-    """Write lines to the binary file fh, SLICE lines at a time, checking
-    parent before each write."""
-    while block := list(itertools.islice(lines, SLICE)):
-        _check_parent(parent)
-        fh.write(("\n".join(block) + "\n").encode("utf-8"))
 
 
 @contextlib.contextmanager
@@ -400,12 +392,11 @@ def falsify(params, n_samples: int, seed: int, *,
     closed-form bounds.  The violation list must come back empty if the
     bounds (and this transcription) are correct.
 
-    The chunks are split into P contiguous ranges of whole chunks, P being
-    the CPUs this process may run on but at most one per FOLD_SAMPLES
-    samples (1 where the platform has no fork).  The caller folds range 0
-    and a forked worker each further range, into a part file in TMPDIR; the
-    caller merges the folds in range order (see _merge), so the summary does
-    not depend on P.  Each process folds one chunk at a time, so memory is
+    The chunks are split by _split into ranges of whole chunks, at most one
+    per FOLD_SAMPLES samples.  The caller folds range 0 and a forked worker
+    each further range, into a part file in TMPDIR; the caller merges the
+    folds in range order (see _merge), so the summary does not depend on the
+    worker count.  Each process folds one chunk at a time, so memory is
     CHUNK x atoms per process.  Raises OSError when a worker fails.
     """
     if n_samples < 1:
@@ -413,8 +404,7 @@ def falsify(params, n_samples: int, seed: int, *,
     rep = bounds_for(params)
     hist_edges = {c: _margin_edges(c, bound)
                   for c, bound in (("a2", rep.a2_bound), ("a3", rep.a3_bound))}
-    p, n_chunks = _fold_workers(n_samples), -(-n_samples // CHUNK)
-    edges = [min(n_samples, CHUNK * (n_chunks * k // p)) for k in range(p + 1)]
+    edges = _split(n_samples, FOLD_SAMPLES)
 
     def fold(start, stop, parent=None):
         return _fold(_campaign_chunks(params, rep, n_samples, seed, filter_mode,

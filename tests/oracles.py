@@ -144,13 +144,12 @@ def lift(t: CoefficientTuple, params: AlphaParams | BetaParams) -> Lift:
     return Lift(sq_1, sq_2, sq_1 + half_diff, sq_2 + half_diff)
 
 
-def csv_lines_row_by_row(summary, start: int = 0, stop: int | None = None):
-    """The header and the rows start to stop - 1 of ``summary.csv_lines``.
+def csv_lines_row_by_row(summary):
+    """The header and the rows of ``summary.csv_lines``.
 
     Each row is one f-string that writes the column order out, with the
     filter reason and the admissible flag read from the masks row by row.
     """
-    stop = summary.n_samples if stop is None else stop
     yield ",".join(CSV_HEADER)
     params, bounds = summary.params, summary.bounds
     fam = params.family
@@ -166,7 +165,7 @@ def csv_lines_row_by_row(summary, start: int = 0, stop: int | None = None):
         m2, m3 = a["a2_margin"].tolist(), a["a3_margin"].tolist()
         adm = a["admissible"].tolist()
         fmod, ftoe = a["fail_modulus"].tolist(), a["fail_toeplitz"].tolist()
-        for i in range(max(start - first, 0), min(stop - first, len(adm))):
+        for i in range(len(adm)):
             reason = "modulus" if fmod[i] else "toeplitz" if ftoe[i] else ""
             yield (f"{prefix}{first + i}{mid}"
                    f"{p1[i].real!r},{p1[i].imag!r},{p2[i].real!r},{p2[i].imag!r},"

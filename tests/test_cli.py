@@ -131,6 +131,24 @@ def test_falsify_exit_zero_and_csv(tmp_path, capsys):
     assert len(lines) == 2001
 
 
+def test_falsify_that_checked_nothing_says_so(capsys):
+    # one atom under the toeplitz filter: no paired prefix is admissible here
+    argv = ("falsify", "--family", "beta", "--beta", "0", "--lambda", "1", "--mu", "1",
+            "--atoms", "1", "-n", "20000", "--seed", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1].startswith("admissible 0 ")
+    assert out.splitlines()[-1] == "no sample was admissible, so no bound was checked"
+    # the JSON keeps its keys, with the maxima null
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["n_admissible"] == 0
+    assert payload["max_a2_abs"] is payload["max_a3_abs"] is None
+    # a campaign with an admissible sample has no such line
+    code, out, _ = run(capsys, *argv[:-6], "-n", "200")
+    assert code == 0 and out.splitlines()[-1] == "violations 0"
+
+
 def test_falsify_cli_is_bitwise_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -257,6 +257,29 @@ def _unchunked_summary(params, n_samples, seed):
     return summary, least
 
 
+def _split_into(p):
+    """A stand-in for harness._split that makes p ranges of whole chunks of
+    harness.CHUNK samples, by its own edge rule: empty ones where p
+    outnumbers the chunks."""
+    def split(n_samples, per_worker):
+        n_chunks = -(-n_samples // harness.CHUNK)
+        return [min(n_samples, harness.CHUNK * (n_chunks * k // p)) for k in range(p + 1)]
+    return split
+
+
+@given(st.integers(1, 10 ** 7), st.integers(1, 10 ** 6))
+@example(CHUNK, CHUNK)
+@example(2 * CHUNK + 1, CHUNK)
+@example(10, 1)
+def test_split_makes_ranges_of_whole_chunks(n, per_worker):
+    edges = harness._split(n, per_worker)
+    p = len(edges) - 1
+    assert edges[0] == 0 and edges[-1] == n
+    assert all(lo <= hi for lo, hi in zip(edges, edges[1:]))
+    assert all(edge % CHUNK == 0 for edge in edges[1:-1])
+    assert 1 <= p <= max(1, min(len(os.sched_getaffinity(0)), n // per_worker))
+
+
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7],
                          ids=["CHUNK-1", "CHUNK", "CHUNK+1", "2CHUNK+7"])
 def test_chunked_campaign_equals_one_unchunked_batch(monkeypatch, n):
@@ -266,7 +289,7 @@ def test_chunked_campaign_equals_one_unchunked_batch(monkeypatch, n):
     # one process, and forked folds of whole chunks: at 2 and 3 workers the
     # CHUNK edge is a worker edge, and where n <= CHUNK workers outnumber chunks
     for workers in (1, 2, 3):
-        monkeypatch.setattr(harness, "_fold_workers", lambda n_samples: workers)
+        monkeypatch.setattr(harness, "_split", _split_into(workers))
         summary = falsify(params, n, seed=3)
         assert summary == expected, workers
     # the least margins as the minimum over the margins, not the bound less the maximum
@@ -300,7 +323,7 @@ def _peak_bytes(fn):
 
 def test_campaign_memory_is_flat_in_n(monkeypatch):
     # one process, as tracemalloc sees no forked worker
-    monkeypatch.setattr(harness, "_fold_workers", lambda n: 1)
+    monkeypatch.setattr(harness, "_split", _split_into(1))
     params = BetaParams(0.5, 2, 0.5)
     small, large = (_peak_bytes(lambda: falsify(params, k * CHUNK, seed=1)) for k in (2, 8))
     assert large <= 1.25 * small
@@ -315,7 +338,7 @@ def test_csv_memory_is_flat_in_n(monkeypatch, tmp_path):
     # smaller chunks: under tracemalloc the writer runs about 8 times slower;
     # one process, as tracemalloc sees no forked worker
     monkeypatch.setattr(harness, "CHUNK", 1024)
-    monkeypatch.setattr(harness, "_csv_workers", lambda n: 1)
+    monkeypatch.setattr(harness, "_split", _split_into(1))
     params = BetaParams(0.5, 2, 0.5)
     summaries = [falsify(params, k * 1024, seed=1) for k in (2, 8)]
     small, large = (_peak_bytes(lambda: _write_csv(s, tmp_path / "x.csv")) for s in summaries)
@@ -345,26 +368,33 @@ def csv_case(request):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_write_csv_is_csv_lines_whatever_the_workers(monkeypatch, tmp_path, csv_case,
                                                      workers):
-    # ranges that split chunks and slices (3 workers on CHUNK + 1 rows: one
-    # starts mid-SLICE and crosses the CHUNK edge), and empty ones where workers > n
+    # ranges of whole chunks: a worker's range that ends in a short chunk (2
+    # and 3 workers on 2 CHUNK + 7 rows), a one-row range (3 workers on
+    # CHUNK + 1 rows), and empty ones where workers outnumber the chunks
     summary, expected = csv_case
-    monkeypatch.setattr(harness, "_csv_workers", lambda rows: workers)
+    monkeypatch.setattr(harness, "_split", _split_into(workers))
     _write_csv(summary, tmp_path / "x.csv")
     assert (tmp_path / "x.csv").read_bytes() == expected
 
 
-def test_csv_lines_of_a_row_range_are_rows_of_the_whole():
+def test_csv_blocks_of_a_chunk_range_are_rows_of_the_whole():
     n = 3 * CHUNK + 5
     summary = falsify(AlphaParams(0.5, 1, 1), n, seed=5)
     lines = list(csv_lines_row_by_row(summary))
-    # starts and stops inside a SLICE, and ranges across the CHUNK edge; then
-    # starts two and three chunks in, which draw the chunks below unscored:
-    # on a chunk edge, mid-SLICE, one row before an edge, and in the last chunk
-    for start, stop in [(0, 0), (0, 5), (3, 1030), (SLICE // 2, CHUNK + 1),
-                        (CHUNK - 2, CHUNK + 1), (CHUNK, CHUNK),
-                        (2 * CHUNK, 2 * CHUNK + 3), (2 * CHUNK + SLICE // 2, 3 * CHUNK + 1),
-                        (3 * CHUNK - 1, n), (3 * CHUNK, n), (3 * CHUNK + 2, n - 1), (n, n)]:
-        assert list(summary.csv_lines(start, stop)) == [lines[0], *lines[1 + start:1 + stop]]
+    assert list(summary.csv_lines()) == lines
+    # empty ranges on chunk edges, one chunk and many, and ranges that start
+    # one, two and three chunks in, which draw the chunks below unscored, up
+    # to the short last chunk
+    for start, stop in [(0, 0), (0, CHUNK), (0, 2 * CHUNK), (CHUNK, CHUNK),
+                        (CHUNK, 3 * CHUNK), (2 * CHUNK, n), (3 * CHUNK, n)]:
+        blocks = list(summary._csv_blocks(start, stop))
+        # SLICE rows per block, fewer in the last block of a short chunk,
+        # each row ending in a newline
+        sizes = [min(SLICE, min(CHUNK, n - first) - lo) for first in range(start, stop, CHUNK)
+                 for lo in range(0, min(CHUNK, n - first), SLICE)]
+        assert [block.count("\n") for block in blocks] == sizes
+        assert all(block.endswith("\n") for block in blocks)
+        assert "".join(blocks) == "".join(line + "\n" for line in lines[1 + start:1 + stop])
 
 
 @pytest.mark.parametrize("first", [0, 1, CHUNK - 1, CHUNK, 2 * CHUNK + SLICE // 2,
@@ -405,15 +435,16 @@ def _no_child_left():
 
 
 def test_a_failed_csv_worker_is_one_usage_error(monkeypatch, tmp_path, capsys):
-    real = CampaignSummary.csv_lines
+    real = CampaignSummary._csv_blocks
 
-    def lines(self, start=0, stop=None):
+    def blocks(self, start, stop):
         if start > 0:   # in a worker
             raise OSError(28, "No space left on device")
         return real(self, start, stop)
 
-    monkeypatch.setattr(CampaignSummary, "csv_lines", lines)
-    monkeypatch.setattr(harness, "_csv_workers", lambda rows: 3)
+    monkeypatch.setattr(CampaignSummary, "_csv_blocks", blocks)
+    monkeypatch.setattr(harness, "CHUNK", 1000)
+    monkeypatch.setattr(harness, "_split", _split_into(3))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     code = main(["falsify", "--family", "beta", "--beta", "0.5", "-n", "3000",
@@ -428,17 +459,17 @@ def test_a_failed_csv_worker_is_one_usage_error(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
 def test_an_interrupted_csv_writer_leaves_no_worker(monkeypatch, tmp_path, error):
-    real = CampaignSummary.csv_lines
+    real = CampaignSummary._csv_blocks
 
-    def lines(self, start=0, stop=None):
-        for i, line in enumerate(real(self, start, stop)):
-            if start == 0 and i == 100:   # the caller's own range, with workers running
-                raise error
-            yield line
+    def blocks(self, start, stop):
+        if start == 0:   # the caller's own range, with workers running
+            raise error
+        return real(self, start, stop)
 
     summary = falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1)
-    monkeypatch.setattr(CampaignSummary, "csv_lines", lines)
-    monkeypatch.setattr(harness, "_csv_workers", lambda rows: 3)
+    monkeypatch.setattr(CampaignSummary, "_csv_blocks", blocks)
+    monkeypatch.setattr(harness, "CHUNK", 1000)
+    monkeypatch.setattr(harness, "_split", _split_into(3))
     with pytest.raises(error):
         _write_csv(summary, tmp_path / "x.csv")
     assert _no_child_left()
@@ -448,9 +479,9 @@ def test_an_orphaned_csv_worker_stops(monkeypatch):
     # the writing process dies at once, as under SIGKILL, while its worker
     # formats rows forever; the worker must notice and exit
     read_end, write_end = os.pipe()
-    real = CampaignSummary.csv_lines
+    real = CampaignSummary._csv_blocks
 
-    def lines(self, start=0, stop=None):
+    def blocks(self, start, stop):
         if start == 0:
             os._exit(0)
         os.write(write_end, b"%d\n" % os.getpid())
@@ -458,8 +489,9 @@ def test_an_orphaned_csv_worker_stops(monkeypatch):
             yield from real(self, start, stop)
 
     summary = falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1)
-    monkeypatch.setattr(CampaignSummary, "csv_lines", lines)
-    monkeypatch.setattr(harness, "_csv_workers", lambda rows: 2)
+    monkeypatch.setattr(CampaignSummary, "_csv_blocks", blocks)
+    monkeypatch.setattr(harness, "CHUNK", 1000)
+    monkeypatch.setattr(harness, "_split", _split_into(2))
     pid = os.fork()
     if pid == 0:
         try:
@@ -488,7 +520,7 @@ def test_a_failed_campaign_worker_is_one_usage_error(monkeypatch, tmp_path, caps
 
     monkeypatch.setattr(harness, "_campaign_chunks", chunks)
     monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_fold_workers", lambda n: 3)
+    monkeypatch.setattr(harness, "_split", _split_into(3))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     code = main(["falsify", "--family", "beta", "--beta", "0.5", "-n", "3000"])
@@ -513,7 +545,7 @@ def test_an_interrupted_campaign_leaves_no_worker(monkeypatch, tmp_path, error):
 
     monkeypatch.setattr(harness, "_campaign_chunks", chunks)
     monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_fold_workers", lambda n: 3)
+    monkeypatch.setattr(harness, "_split", _split_into(3))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     with pytest.raises(error):
@@ -541,7 +573,7 @@ def test_an_orphaned_campaign_worker_stops_within_a_chunk(monkeypatch):
 
     monkeypatch.setattr(harness, "_campaign_chunks", chunks)
     monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_fold_workers", lambda n: 2)
+    monkeypatch.setattr(harness, "_split", _split_into(2))
     pid = os.fork()
     if pid == 0:
         try:
@@ -711,7 +743,7 @@ def test_argmax_is_the_first_of_tied_samples(monkeypatch, chunk):
     assert len(ties) == 11 and ties[0] == 49 and ties[-1] > 2667
     monkeypatch.setattr(harness, "CHUNK", chunk)
     for workers in (1, 2, 3):
-        monkeypatch.setattr(harness, "_fold_workers", lambda n: workers)
+        monkeypatch.setattr(harness, "_split", _split_into(workers))
         summary = falsify(params, 4000, 1, filter_mode="modulus", atom_count=1)
         assert summary.a2.argmax == (49, tuple(zip(arrays["weights"][49].tolist(),
                                                    arrays["angles"][49].tolist()))), workers
@@ -811,7 +843,7 @@ def test_extremal_is_the_maximum_of_falsify(params, objective, atom_count, budge
     argmax = getattr(summary, objective).argmax
     assert res.evaluations == budget
     assert res.best_index == (0 if argmax is None else argmax[0])
-    line = list(summary.csv_lines(res.best_index, res.best_index + 1))[1]
+    line = list(summary.csv_lines())[1 + res.best_index]
     row = dict(zip(CSV_HEADER, line.split(",")))
     assert row["index"] == str(res.best_index)
     assert res.best_tuple == CoefficientTuple(*(
