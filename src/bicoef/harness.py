@@ -22,11 +22,11 @@ the CSV.  The caller runs the first range and forked workers the others,
 each into an anonymous part file in TMPDIR; the caller merges the partial
 folds, and appends the CSV parts, in range order, so the summary and the
 bytes are those of one process, whatever the worker count.  The CSV is not
-kept: the summary replays the same chunks from its own fields, moving the
-random streams past the chunks below a range without making them, and
-builds the rows from CSV_HEADER's columns, SLICE rows per string, writing
-their float cells with one orjson call, byte for byte as repr writes them.
-The CSV's parts take up to its size in TMPDIR while it is written.
+kept: write_csv walks the kernel's chunks of each range again, as the
+fold does, and _csv_blocks formats each chunk's rows from CSV_HEADER's
+columns, SLICE rows per string, writing their float cells with one orjson
+call, byte for byte as repr writes them.  The CSV's parts take up to its
+size in TMPDIR while it is written.
 """
 
 import contextlib
@@ -89,10 +89,10 @@ CSV_HEADER = ("family", "seed", "index", "alpha", "beta", "lambda", "mu",
               "admissible", "filter_reason",
               "a2_abs", "a3_abs", "a2_bound", "a3_bound",
               "a2_margin", "a3_margin")
-# The names of CSV_HEADER that start a run of cells in csv_lines, which
-# writes each run as one string: the float blocks p1_re to q2_im, a2_abs and
-# a3_abs, and a2_margin and a3_margin, and the admissible flag with its
-# filter_reason; every other column is a run of one.
+# The names of CSV_HEADER that start a run of cells in _csv_blocks, which
+# writes each run of a chunk's rows as one string: the float blocks p1_re to
+# q2_im, a2_abs and a3_abs, and a2_margin and a3_margin, and the admissible
+# flag with its filter_reason; every other column is a run of one.
 _ROW_RUNS = ("family", "seed", "index", "alpha", "beta", "lambda", "mu", "p1_re",
              "admissible", "a2_abs", "a2_bound", "a3_bound", "a2_margin")
 
@@ -158,7 +158,7 @@ class CoefficientSummary(NamedTuple):
 
 
 class CampaignSummary(NamedTuple):
-    """Aggregate result of one campaign; csv_lines replays its samples."""
+    """Aggregate result of one campaign; write_csv formats its kernel chunks."""
 
     params: AlphaParams | BetaParams
     n_samples: int
@@ -173,70 +173,33 @@ class CampaignSummary(NamedTuple):
     a2: CoefficientSummary
     a3: CoefficientSummary
 
-    def csv_lines(self) -> Iterator[str]:
-        """The header, then the CSV rows in index order, without their
-        newlines; floats use shortest round-trip form, as repr writes them."""
-        yield ",".join(CSV_HEADER)
-        for block in self._csv_blocks(0, self.n_samples):
-            yield from block[:-1].split("\n")
+    def write_csv(self, fh) -> None:
+        """Write the header, then each sample's row in index order, to the
+        binary file fh; floats read as repr writes them.
 
-    def _csv_blocks(self, start: int, stop: int) -> Iterator[str]:
-        """The CSV rows of samples start to stop - 1, start being a chunk
-        edge and stop a chunk edge or n_samples: one string per SLICE rows of
-        a chunk, each row ending in a newline.
-
-        The rows are recomputed, chunk by chunk, from the summary's params,
-        bounds, seed, n_samples, filter_mode and atom_count; the chunks below
-        start are drawn and skipped.  Each string's rows are zipped from one
-        iterator of strings per run of columns (_ROW_RUNS): the constants,
-        the index, the admissible/filter_reason pair, and three float blocks
-        (p1 to q2 by real and imaginary part, |a2| and |a3|, and the
-        margins) that _float_cells writes.
+        _split splits the rows into ranges of whole chunks, at most one per
+        CHUNK rows.  Each range walks the kernel's chunks of its samples, as
+        falsify's fold does, and formats them with _csv_blocks: the caller
+        writes range 0 into fh, and a forked worker each further range into
+        an anonymous part file in TMPDIR, which the caller appends to fh in
+        order.  So the bytes are those of one process, and the parts take up
+        to the CSV's own size in TMPDIR while the call runs.  Raises OSError
+        when a worker fails; every worker is killed and reaped, and every
+        part closed, before the call returns or raises.
         """
         p, b = self.params, self.bounds
         # the family's shape column holds its value, the other one is blank
         constants = {"family": p.family, "seed": str(self.seed), "alpha": "", "beta": "",
                      p.family: repr(getattr(p, p.family)), "lambda": repr(p.lam),
                      "mu": repr(p.mu), "a2_bound": repr(b.a2_bound), "a3_bound": repr(b.a3_bound)}
-        for first, a in _campaign_chunks(self.params, self.bounds, self.n_samples,
-                                         self.seed, self.filter_mode, self.atom_count,
-                                         first=start, stop=stop):
-            count = len(a["p1"])
-            # SLICE rows at a time, as their strings outweigh the chunk
-            for lo in range(0, count, SLICE):
-                r = slice(lo, min(lo + SLICE, count))
-                cols = {name: itertools.repeat(cell) for name, cell in constants.items()}
-                cols["index"] = map(str, range(first + r.start, first + r.stop))
-                # each float block fills the run of columns from its first name on
-                cols["p1_re"] = _float_cells(np.stack(
-                    [a[name][r] for name in ("p1", "p2", "q1", "q2")], axis=1).view(np.float64))
-                cols["a2_abs"] = _float_cells(np.stack((a["a2_abs"][r], a["a3_abs"][r]), axis=1))
-                cols["a2_margin"] = _float_cells(
-                    np.stack((a["a2_margin"][r], a["a3_margin"][r]), axis=1))
-                # the failure masks are disjoint: 0 passed, 1 modulus, 2 toeplitz;
-                # admissible and filter_reason, in one string
-                fails = (a["fail_modulus"][r] + 2 * a["fail_toeplitz"][r]).tolist()
-                cols["admissible"] = map(("true,", "false,modulus", "false,toeplitz").__getitem__,
-                                         fails)
-                rows = map(",".join, zip(*(cols[name] for name in _ROW_RUNS)))
-                yield "\n".join(rows) + "\n"
 
-    def write_csv(self, fh) -> None:
-        """Write the header and every row of csv_lines to the binary file fh.
-
-        The rows are split by _split into ranges of whole chunks, at most
-        one per CHUNK rows.  The caller writes range 0 into fh; for each
-        further range a forked worker writes it into an anonymous temporary
-        file in TMPDIR, which the caller then appends to fh in order.  So the
-        bytes are those of one process writing every row, and the part files
-        take up to the CSV's own size in TMPDIR while the call runs.  Raises
-        OSError when a worker fails.  Every worker is killed and reaped, and
-        every part file closed, before the call returns or raises.
-        """
         def rows(part, start, stop, parent=None):
-            for block in self._csv_blocks(start, stop):
-                _check_parent(parent)
-                part.write(block.encode())
+            for first, a in _campaign_chunks(p, b, self.n_samples, self.seed,
+                                             self.filter_mode, self.atom_count,
+                                             first=start, stop=stop):
+                for block in _csv_blocks(first, a, constants):
+                    _check_parent(parent)
+                    part.write(block.encode())
 
         edges = _split(self.n_samples, CHUNK)
         with _forked(edges, rows, "CSV worker for rows") as parts:
@@ -275,6 +238,37 @@ class CampaignSummary(NamedTuple):
         return payload
 
 
+def _csv_blocks(first: int, a: dict, constants: dict[str, str]) -> Iterator[str]:
+    """The CSV rows of the kernel's chunk a, whose row 0 is sample first: one
+    string per SLICE rows, each row ending in a newline.  constants holds
+    the cells that every row of the campaign shares, by column name.
+
+    Each string's rows are zipped from one iterator of strings per run of
+    columns (_ROW_RUNS): the constants, the index, the admissible and
+    filter_reason pair, and three float blocks (p1 to q2 by real and
+    imaginary part, |a2| and |a3|, and the margins) that _float_cells writes.
+    """
+    count = len(a["p1"])
+    # SLICE rows at a time, as their strings outweigh the chunk
+    for lo in range(0, count, SLICE):
+        r = slice(lo, min(lo + SLICE, count))
+        cols = {name: itertools.repeat(cell) for name, cell in constants.items()}
+        cols["index"] = map(str, range(first + r.start, first + r.stop))
+        # each float block fills the run of columns from its first name on
+        cols["p1_re"] = _float_cells(np.stack(
+            [a[name][r] for name in ("p1", "p2", "q1", "q2")], axis=1).view(np.float64))
+        cols["a2_abs"] = _float_cells(np.stack((a["a2_abs"][r], a["a3_abs"][r]), axis=1))
+        cols["a2_margin"] = _float_cells(
+            np.stack((a["a2_margin"][r], a["a3_margin"][r]), axis=1))
+        # the failure masks are disjoint: 0 passed, 1 modulus, 2 toeplitz;
+        # admissible and filter_reason, in one string
+        fails = (a["fail_modulus"][r] + 2 * a["fail_toeplitz"][r]).tolist()
+        cols["admissible"] = map(("true,", "false,modulus", "false,toeplitz").__getitem__,
+                                 fails)
+        rows = map(",".join, zip(*(cols[name] for name in _ROW_RUNS)))
+        yield "\n".join(rows) + "\n"
+
+
 def _float_cells(block: np.ndarray) -> list[str]:
     """The cells of each row of the 2-D float array block, as repr writes
     them, comma-joined: one string per row.
@@ -285,8 +279,8 @@ def _float_cells(block: np.ndarray) -> list[str]:
     shortest round-trip form, as repr does, and its text equals repr's for
     every finite x with 1e-4 <= |x| < 1e16; outside that range it writes
     0.00001, 1e16 and null where repr writes 1e-05, 1e+16, nan and inf, so a
-    row with a cell there is rebuilt from repr.  orjson is imported here, by the CSV path alone: its import costs
-    a CLI child some 9 ms.
+    row with a cell there is rebuilt from repr.  orjson is imported here, by
+    the CSV path alone: its import costs a CLI child some 9 ms.
     """
     import orjson
     rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")

@@ -13,7 +13,8 @@
 * :func:`operator_by_two_powers`, the operator series with one real power per
   term, against the single-power form of ``operators.apply_operator``.
 * :func:`csv_lines_row_by_row`, the campaign CSV formatted one f-string per
-  row, against the column-by-column rows of ``CampaignSummary.csv_lines``.
+  row, against the column-by-column rows that ``CampaignSummary.write_csv``
+  formats from the kernel's chunks of its ranges.
 * :func:`a2sq_alpha_exact`, :func:`a3_alpha_exact`,
   :func:`a2sq_beta_arms_exact` and :func:`a3_beta_arms_exact`, the bounds in
   the paper's own per-class forms, against ``bounds.bounds_for`` and, on
@@ -145,7 +146,8 @@ def lift(t: CoefficientTuple, params: AlphaParams | BetaParams) -> Lift:
 
 
 def csv_lines_row_by_row(summary):
-    """The header and the rows of ``summary.csv_lines``.
+    """The header and the rows of the CSV that ``summary.write_csv`` writes,
+    without their newlines.
 
     Each row is one f-string that writes the column order out, with the
     filter reason and the admissible flag read from the masks row by row.

@@ -20,7 +20,7 @@ from bicoef.cli import main
 from bicoef.harness import CHUNK, EmpiricalExtremum, falsify
 from bicoef.operators import AlphaParams, CoefficientTuple, MembershipReport
 from oracles import (a2sq_alpha_exact, a2sq_beta_arms_exact, a3_alpha_exact,
-                     a3_beta_arms_exact)
+                     a3_beta_arms_exact, csv_lines_row_by_row)
 
 
 def run(capsys, *argv):
@@ -207,7 +207,7 @@ def test_falsify_writes_its_csv_to_a_fifo_or_stdout(tmp_path, target):
     argv = _cli_argv("falsify", "--family", "alpha", "--alpha", "0.5", "-n", str(n),
                      "--seed", "2", "--out", "fifo" if target == "fifo" else "/dev/stdout")
     summary = falsify(AlphaParams(0.5, 1.0, 1.0), n, 2)   # the flags as floats
-    expected = "".join(line + "\n" for line in summary.csv_lines()).encode()
+    expected = "".join(line + "\n" for line in csv_lines_row_by_row(summary)).encode()
     if target == "fifo":
         os.mkfifo(tmp_path / target)
         with subprocess.Popen(argv, cwd=tmp_path, stdout=subprocess.DEVNULL,

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -43,8 +44,16 @@ def test_beta_campaign_max_a2_respects_bound():
     assert summary.a2.max_abs <= math.sqrt(2 / 3) + 1e-9
 
 
+def _csv_lines(summary):
+    """The lines of the CSV that summary.write_csv writes, without their
+    newlines."""
+    fh = io.BytesIO()
+    summary.write_csv(fh)
+    return fh.getvalue().decode().splitlines()
+
+
 def _csv_rows(summary):
-    lines = list(summary.csv_lines())
+    lines = _csv_lines(summary)
     assert lines[0] == ",".join(CSV_HEADER)
     return [dict(zip(CSV_HEADER, line.split(","))) for line in lines[1:]]
 
@@ -108,7 +117,7 @@ def test_golden_digest_of_a_small_campaign(family):
     params, want = GOLDEN[family]
     s = falsify(params, 5000, seed=1)
     column = CSV_HEADER.index("admissible")
-    bits = [line.split(",")[column] == "true" for line in list(s.csv_lines())[1:]]
+    bits = [line.split(",")[column] == "true" for line in _csv_lines(s)[1:]]
     assert (s.n_admissible, s.n_fail_modulus, s.n_fail_toeplitz) == want["counts"]
     assert s.a2.margin_hist[1:] == want["a2_hist"] and s.a3.margin_hist[1:] == want["a3_hist"]
     assert (s.a2.near_boundary, s.a3.near_boundary) == want["near_boundary"]
@@ -303,8 +312,8 @@ def test_chunked_campaign_equals_one_unchunked_batch(monkeypatch, n):
 def test_csv_rows_do_not_depend_on_the_chunking(monkeypatch):
     monkeypatch.setattr(harness, "bounds_for", _halved_bounds)
     params = BetaParams(0, 1, 0)
-    short = list(falsify(params, CHUNK + 1, seed=3).csv_lines())
-    long = list(falsify(params, 2 * CHUNK + 7, seed=3).csv_lines())
+    short = _csv_lines(falsify(params, CHUNK + 1, seed=3))
+    long = _csv_lines(falsify(params, 2 * CHUNK + 7, seed=3))
     assert len(short) == CHUNK + 2 and len(long) == 2 * CHUNK + 8
     assert long[:len(short)] == short
     index = CSV_HEADER.index("index")
@@ -355,19 +364,22 @@ _ALPHA = AlphaParams(0.5, 1, 1)   # integer lam and mu: their CSV cells read "1"
     (AlphaParams(1, 1, 1), CHUNK + 1, "modulus", 1),
     (BetaParams(0.5, 2, 0.5), CHUNK + 1, "modulus", 3),
     (BetaParams(0, 1, 0), CHUNK + 1, "toeplitz", 1),
+    (AlphaParams(0.001, 30, 0), CHUNK + 1, "toeplitz", 3),
 ], ids=["1", "CHUNK-1", "CHUNK+1", "2CHUNK+7", "alpha1-modulus-1atom",
-        "beta-modulus-3atoms", "beta-toeplitz-1atom"])
+        "beta-modulus-3atoms", "beta-toeplitz-1atom", "alpha-repr-fallback"])
 def csv_case(request):
     """A campaign and the bytes of the row-by-row reference formatter, one
-    line each, which csv_lines and write_csv must reproduce."""
+    line each, which write_csv must reproduce.  Every |a2| of the last one
+    lies below 1e-4, so every row of it, in the forked workers too, is
+    written through _float_cells' repr fallback."""
     params, n, filter_mode, atom_count = request.param
     summary = falsify(params, n, seed=5, filter_mode=filter_mode, atom_count=atom_count)
     return summary, "".join(line + "\n" for line in csv_lines_row_by_row(summary)).encode()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_write_csv_is_csv_lines_whatever_the_workers(monkeypatch, tmp_path, csv_case,
-                                                     workers):
+def test_write_csv_is_the_row_oracle_whatever_the_workers(monkeypatch, tmp_path, csv_case,
+                                                          workers):
     # ranges of whole chunks: a worker's range that ends in a short chunk (2
     # and 3 workers on 2 CHUNK + 7 rows), a one-row range (3 workers on
     # CHUNK + 1 rows), and empty ones where workers outnumber the chunks
@@ -377,24 +389,28 @@ def test_write_csv_is_csv_lines_whatever_the_workers(monkeypatch, tmp_path, csv_
     assert (tmp_path / "x.csv").read_bytes() == expected
 
 
-def test_csv_blocks_of_a_chunk_range_are_rows_of_the_whole():
+def test_csv_blocks_of_each_chunk_are_its_rows_of_the_whole():
     n = 3 * CHUNK + 5
     summary = falsify(AlphaParams(0.5, 1, 1), n, seed=5)
     lines = list(csv_lines_row_by_row(summary))
-    assert list(summary.csv_lines()) == lines
-    # empty ranges on chunk edges, one chunk and many, and ranges that start
-    # one, two and three chunks in, which draw the chunks below unscored, up
-    # to the short last chunk
-    for start, stop in [(0, 0), (0, CHUNK), (0, 2 * CHUNK), (CHUNK, CHUNK),
-                        (CHUNK, 3 * CHUNK), (2 * CHUNK, n), (3 * CHUNK, n)]:
-        blocks = list(summary._csv_blocks(start, stop))
+    # the cells every row shares, as the reference writes them in row 0
+    constants = {name: cell for name, cell in zip(CSV_HEADER, lines[1].split(","))
+                 if name in ("family", "seed", "alpha", "beta", "lambda", "mu",
+                             "a2_bound", "a3_bound")}
+    chunks = list(_campaign_chunks(summary.params, summary.bounds, n, summary.seed,
+                                   summary.filter_mode, summary.atom_count))
+    # whole chunks, then the short last chunk
+    assert [first for first, _ in chunks] == [0, CHUNK, 2 * CHUNK, 3 * CHUNK]
+    for first, a in chunks:
+        count = len(a["p1"])
+        blocks = list(harness._csv_blocks(first, a, constants))
         # SLICE rows per block, fewer in the last block of a short chunk,
         # each row ending in a newline
-        sizes = [min(SLICE, min(CHUNK, n - first) - lo) for first in range(start, stop, CHUNK)
-                 for lo in range(0, min(CHUNK, n - first), SLICE)]
-        assert [block.count("\n") for block in blocks] == sizes
+        assert [block.count("\n") for block in blocks] == [
+            min(SLICE, count - lo) for lo in range(0, count, SLICE)]
         assert all(block.endswith("\n") for block in blocks)
-        assert "".join(blocks) == "".join(line + "\n" for line in lines[1 + start:1 + stop])
+        assert "".join(blocks) == "".join(
+            line + "\n" for line in lines[1 + first:1 + first + count])
 
 
 @pytest.mark.parametrize("first", [0, 1, CHUNK - 1, CHUNK, 2 * CHUNK + SLICE // 2,
@@ -434,151 +450,109 @@ def _no_child_left():
     return True
 
 
-def test_a_failed_csv_worker_is_one_usage_error(monkeypatch, tmp_path, capsys):
-    real = CampaignSummary._csv_blocks
+# The two fork rounds of falsify --out, falsify's fold and write_csv: each
+# one's module-level hook, and the name of its ranges in a worker's error
+_ROUNDS = {"fold": ("_campaign_chunks", "samples"), "csv": ("_csv_blocks", "rows")}
 
-    def blocks(self, start, stop):
-        if start > 0:   # in a worker
-            raise OSError(28, "No space left on device")
-        return real(self, start, stop)
 
-    monkeypatch.setattr(CampaignSummary, "_csv_blocks", blocks)
+def _stand_in(monkeypatch, round_, workers, act):
+    """Split each fork round into that many ranges of whole chunks of 1000
+    samples, and put a stand-in on the round's hook that, in that round
+    alone, returns act(real, first): real() calls the real hook, and first
+    is the first sample of the call, of the fold's range or of the CSV's
+    chunk.  In the other round the stand-in is the real hook, as the CSV
+    round walks _campaign_chunks too; the round running is the last one to
+    call _split, the fold's with FOLD_SAMPLES."""
+    name = _ROUNDS[round_][0]
+    real, split, running = getattr(harness, name), _split_into(workers), []
+
+    def recording_split(n_samples, per_worker):
+        running.append("fold" if per_worker == harness.FOLD_SAMPLES else "csv")
+        return split(n_samples, per_worker)
+
+    def hook(*args, **kwargs):
+        if running[-1] != round_:
+            return real(*args, **kwargs)
+        return act(lambda: real(*args, **kwargs),
+                   kwargs["first"] if round_ == "fold" else args[0])
+
+    monkeypatch.setattr(harness, name, hook)
     monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_split", _split_into(3))
+    monkeypatch.setattr(harness, "_split", recording_split)
+
+
+def _empty_tmpdir(monkeypatch, tmp_path):
+    """A fresh, empty TMPDIR for the part files."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
-    code = main(["falsify", "--family", "beta", "--beta", "0.5", "-n", "3000",
-                 "--out", str(tmp_path / "x.csv")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.count("\n") == 1 and err.startswith("bicoef: ")
-    assert "rows 1000 to 1999" in err and "No space left on device" in err
-    assert _no_child_left()
-    assert list((tmp_path / "tmp").iterdir()) == []
+    return tmp_path / "tmp"
 
 
-@pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
-def test_an_interrupted_csv_writer_leaves_no_worker(monkeypatch, tmp_path, error):
-    real = CampaignSummary._csv_blocks
-
-    def blocks(self, start, stop):
-        if start == 0:   # the caller's own range, with workers running
-            raise error
-        return real(self, start, stop)
-
-    summary = falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1)
-    monkeypatch.setattr(CampaignSummary, "_csv_blocks", blocks)
-    monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_split", _split_into(3))
-    with pytest.raises(error):
-        _write_csv(summary, tmp_path / "x.csv")
-    assert _no_child_left()
-
-
-def test_an_orphaned_csv_worker_stops(monkeypatch):
-    # the writing process dies at once, as under SIGKILL, while its worker
-    # formats rows forever; the worker must notice and exit
-    read_end, write_end = os.pipe()
-    real = CampaignSummary._csv_blocks
-
-    def blocks(self, start, stop):
-        if start == 0:
-            os._exit(0)
-        os.write(write_end, b"%d\n" % os.getpid())
-        while True:
-            yield from real(self, start, stop)
-
-    summary = falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1)
-    monkeypatch.setattr(CampaignSummary, "_csv_blocks", blocks)
-    monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_split", _split_into(2))
-    pid = os.fork()
-    if pid == 0:
-        try:
-            with open(os.devnull, "wb") as fh:
-                summary.write_csv(fh)
-        finally:
-            os._exit(1)
-    os.close(write_end)
-    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-    with os.fdopen(read_end, "rb") as reader:
-        worker = int(reader.readline())
-        # the worker holds the write end until it exits
-        ready, _, _ = select.select([reader], [], [], 60)
-        if not ready:
-            os.kill(worker, signal.SIGKILL)
-        assert ready and reader.read() == b""
-
-
-def test_a_failed_campaign_worker_is_one_usage_error(monkeypatch, tmp_path, capsys):
-    real = harness._campaign_chunks
-
-    def chunks(*args, first=0, stop=None):
+@pytest.mark.parametrize("round_", _ROUNDS)
+def test_a_failed_worker_is_one_usage_error(monkeypatch, tmp_path, capsys, round_):
+    def act(real, first):
         if first > 0:   # in a worker
             raise OSError(28, "No space left on device")
-        return real(*args, first=first, stop=stop)
+        return real()
 
-    monkeypatch.setattr(harness, "_campaign_chunks", chunks)
-    monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_split", _split_into(3))
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    (tmp_path / "tmp").mkdir()
-    code = main(["falsify", "--family", "beta", "--beta", "0.5", "-n", "3000"])
+    _stand_in(monkeypatch, round_, 3, act)
+    tmpdir = _empty_tmpdir(monkeypatch, tmp_path)
+    code = main(["falsify", "--family", "beta", "--beta", "0.5", "-n", "3000",
+                 "--out", str(tmp_path / "x.csv")])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("bicoef: ")
-    assert "samples 1000 to 1999" in captured.err
+    assert f"{_ROUNDS[round_][1]} 1000 to 1999" in captured.err
     assert "No space left on device" in captured.err
     assert _no_child_left()
-    assert list((tmp_path / "tmp").iterdir()) == []
+    assert list(tmpdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
-def test_an_interrupted_campaign_leaves_no_worker(monkeypatch, tmp_path, error):
-    real = harness._campaign_chunks
+@pytest.mark.parametrize("round_", _ROUNDS)
+def test_an_interrupted_round_leaves_no_worker(monkeypatch, tmp_path, round_, error):
+    def act(real, first):
+        if first == 0:   # the caller's own range, with workers running
+            raise error
+        return real()
 
-    def chunks(*args, first=0, stop=None):
-        for i, chunk in enumerate(real(*args, first=first, stop=stop)):
-            if first == 0 and i == 1:   # the caller's own range, with workers running
-                raise error
-            yield chunk
-
-    monkeypatch.setattr(harness, "_campaign_chunks", chunks)
-    monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_split", _split_into(3))
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    (tmp_path / "tmp").mkdir()
+    _stand_in(monkeypatch, round_, 3, act)
+    tmpdir = _empty_tmpdir(monkeypatch, tmp_path)
     with pytest.raises(error):
-        falsify(BetaParams(0.5, 2, 0.5), 6000, seed=1)
+        _write_csv(falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1), tmp_path / "x.csv")
     assert _no_child_left()
-    assert list((tmp_path / "tmp").iterdir()) == []
+    assert list(tmpdir.iterdir()) == []
 
 
-def test_an_orphaned_campaign_worker_stops_within_a_chunk(monkeypatch):
-    # the folding process dies at once, as under SIGKILL, while its worker
-    # folds chunks forever; the worker must notice at its next chunk.  It
-    # writes its pid, then one line per chunk it is handed once orphaned
+@pytest.mark.parametrize("round_", _ROUNDS)
+def test_an_orphaned_worker_stops_within_a_chunk(monkeypatch, round_):
+    # the caller dies at once, as under SIGKILL, while its worker folds
+    # chunks or formats one chunk's rows forever; the worker must notice at
+    # its next chunk or block of rows.  It writes its pid, then one line per
+    # chunk or block it is handed once orphaned
     read_end, write_end = os.pipe()
-    real, caller = harness._campaign_chunks, []
+    caller = []
 
-    def chunks(*args, first=0, stop=None):
+    def act(real, first):
         if first == 0:
             os._exit(0)
         os.write(write_end, b"%d\n" % os.getpid())
+        return forever(real)
+
+    def forever(real):
         while True:
-            for chunk in real(*args, first=first, stop=stop):
+            for item in real():
                 if os.getppid() != caller[0]:
                     os.write(write_end, b"orphaned\n")
-                yield chunk
+                yield item
 
-    monkeypatch.setattr(harness, "_campaign_chunks", chunks)
-    monkeypatch.setattr(harness, "CHUNK", 1000)
-    monkeypatch.setattr(harness, "_split", _split_into(2))
+    _stand_in(monkeypatch, round_, 2, act)
     pid = os.fork()
     if pid == 0:
         try:
             caller.append(os.getpid())
-            falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1)
+            with open(os.devnull, "wb") as fh:
+                falsify(BetaParams(0.5, 2, 0.5), 3000, seed=1).write_csv(fh)
         finally:
             os._exit(1)
     os.close(write_end)
@@ -706,8 +680,8 @@ def test_csv_is_bitwise_deterministic(tmp_path):
 def test_campaign_prefix_stability():
     small = falsify(AlphaParams(1, 1, 1), 50, seed=9)
     big = falsify(AlphaParams(1, 1, 1), 500, seed=9)
-    small_rows = list(small.csv_lines())[1:]
-    big_rows = list(big.csv_lines())[1:51]
+    small_rows = _csv_lines(small)[1:]
+    big_rows = _csv_lines(big)[1:51]
     assert small_rows == big_rows
 
 
@@ -843,7 +817,7 @@ def test_extremal_is_the_maximum_of_falsify(params, objective, atom_count, budge
     argmax = getattr(summary, objective).argmax
     assert res.evaluations == budget
     assert res.best_index == (0 if argmax is None else argmax[0])
-    line = list(summary.csv_lines())[1 + res.best_index]
+    line = list(csv_lines_row_by_row(summary))[1 + res.best_index]
     row = dict(zip(CSV_HEADER, line.split(",")))
     assert row["index"] == str(res.best_index)
     assert res.best_tuple == CoefficientTuple(*(
