@@ -260,6 +260,8 @@ def _cmd_extremal(args) -> int:
                  f"gap       {res.gap!r}",
                  f"evals     {res.evaluations}",
                  f"sample    {res.best_index}"]
+        if res.best_atoms is None:   # achieved 0.0, yet no sample passed
+            lines.append("no sample was admissible, so no bound was checked")
         # json writes a NamedTuple as a list: best_tuple is written by name
         payload = res._asdict() | {"best_tuple": res.best_tuple._asdict()}
         report = _report(args, payload, lines)

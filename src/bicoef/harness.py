@@ -423,15 +423,13 @@ def falsify(params, n_samples: int, seed: int, *,
 
 
 def _margin_edges(c: str, bound: float) -> np.ndarray:
-    """The HIST_BINS + 1 bin edges of coefficient c's margin histogram over
-    [0, bound].  Raises ValueError naming the bound where it is too small
-    for HIST_BINS bins of nonzero width (below 1e-322, 20 times the least
-    subnormal)."""
-    with contextlib.suppress(ValueError):   # numpy's own error for such a bound
-        edges = np.histogram_bin_edges(np.empty(0), HIST_BINS, (0.0, bound))
-        if (edges[:-1] < edges[1:]).all():
-            return edges
-    raise ValueError(f"the {c} bound {bound!r} is too small for {HIST_BINS} margin bins")
+    """The HIST_BINS + 1 edges of coefficient c's margin histogram, those of
+    np.histogram_bin_edges over [0, bound].  Raises ValueError naming a bound
+    too small for HIST_BINS bins of nonzero width (below 1e-322)."""
+    edges = np.linspace(0.0, bound, HIST_BINS + 1)
+    if not (edges[:-1] < edges[1:]).all():
+        raise ValueError(f"the {c} bound {bound!r} is too small for {HIST_BINS} margin bins")
+    return edges
 
 
 def _fold(chunks, hist_edges: dict[str, np.ndarray], parent: int | None = None):

@@ -1,4 +1,5 @@
 import contextlib
+import filecmp
 import gc
 import io
 import json
@@ -10,6 +11,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from bicoef import bounds, cli
 from bicoef.bounds import BoundReport, IdentityReport
 from bicoef.cli import main
-from bicoef.harness import CHUNK, EmpiricalExtremum, falsify
+from bicoef.harness import CHUNK, EmpiricalExtremum, _campaign_chunks, falsify
 from bicoef.operators import AlphaParams, CoefficientTuple, MembershipReport
 from oracles import (a2sq_alpha_exact, a2sq_beta_arms_exact, a3_alpha_exact,
                      a3_beta_arms_exact, csv_lines_row_by_row)
@@ -241,6 +243,72 @@ def test_report_out_to_stdout_is_written_twice(tmp_path, stdout):
     assert data[:half] == data[half:] and data.startswith(b"a2_bound = ")
 
 
+# One child pinned to one allowed CPU folds the campaign and writes every
+# row; with this process's affinity, forked workers fold and write all but
+# the first range wherever two CPUs are allowed.  The second campaign is the
+# other class, the modulus-only reason column and the one-atom path; the
+# third is the benchmark's campaign workload; in the fourth, with two CPUs,
+# the CSV worker's range is a whole chunk and then a chunk of one row; in
+# the fifth every |a2| lies below 1e-4, so every row, in the workers' ranges
+# too, is written by repr.  extremal's budget of 2 x FOLD_SAMPLES forks a
+# fold worker.
+@pytest.mark.parametrize("argv", [
+    "falsify --family alpha --alpha 0.5 --lambda 1 --mu 1 -n 40000 --seed 1 --json",
+    "falsify --family beta --beta 0.5 --lambda 2 --mu 0.5 -n 40000 --seed 2 --atoms 1 "
+    "--filter modulus --json",
+    "falsify --family beta --beta 0.5 --lambda 2 --mu 0.5 -n 250000 --seed 1 --json",
+    "falsify --family alpha --alpha 0.5 --lambda 1 --mu 1 -n 8193 --seed 4 --json",
+    "falsify --family alpha --alpha 0.001 --lambda 30 --mu 0 -n 20000 --seed 3 --json",
+    "extremal --family beta --beta 0.5 --lambda 2 --mu 0.5 --objective a2 --budget 60000 "
+    "--seed 1 --json",
+], ids=["alpha", "one-atom-modulus", "campaign", "chunk-of-one-row", "repr-rows",
+        "extremal"])
+def test_output_bytes_do_not_depend_on_the_cpus_allowed(tmp_path, argv):
+    argv = argv.split()
+    cpu = min(os.sched_getaffinity(0))
+    runs = []
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+        # pinned before the child imports bicoef, which splits by its affinity
+        proc = subprocess.run(_cli_argv(*argv, "--out", str(tmp_path / name)),
+                              capture_output=True, env=_cli_env(), preexec_fn=pin,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+    assert filecmp.cmp(tmp_path / "one", tmp_path / "all", shallow=False)
+    payload = json.loads(runs[1])
+    # the same campaign in this process: extremal's is falsify's of its budget
+    args = cli.build_parser().parse_args(argv)
+    extremal = args.command == "extremal"
+    summary = falsify(cli._params_from_args(args), args.budget if extremal else args.n,
+                      args.seed, filter_mode=getattr(args, "filter", "toeplitz"),
+                      atom_count=args.atoms)
+    if extremal:
+        argmax = {args.objective: payload["best_index"]}
+        top = {args.objective: payload["achieved"]}
+    else:
+        argmax = payload["argmax"]
+        top = {c: payload[f"max_{c}_abs"] for c in argmax}
+        # every float cell, in the workers' rows too, reads as repr writes it
+        with open(tmp_path / "all", "rb") as fh:
+            for line in csv_lines_row_by_row(summary):
+                assert fh.readline() == f"{line}\n".encode()
+            assert fh.read() == b""
+    # the kernel's arrays, which the CSV rows above are: q1 is -p1 bit for
+    # bit, and argmax[c] is the first admissible row of largest |c|, which
+    # holds its max_c_abs
+    names = ("p1", "q1", "admissible", *(f"{c}_abs" for c in argmax))
+    chunks = [a for _, a in _campaign_chunks(
+        summary.params, summary.bounds, summary.n_samples, summary.seed,
+        summary.filter_mode, summary.atom_count)]
+    k = {name: np.concatenate([a[name] for a in chunks]) for name in names}
+    assert k["q1"].tobytes() == (-k["p1"]).tobytes()
+    for c, index in argmax.items():
+        values = np.where(k["admissible"], k[f"{c}_abs"], -1.0)
+        assert index == int(np.argmax(values)), c
+        assert repr(float(values[index])) == repr(top[c]), c
+
+
 # ------------------------------------------------------------ program entry
 
 _FALSIFY_ONE = ("falsify", "--family", "beta", "--beta", "0.5", "-n", "1", "--json")
@@ -334,6 +402,24 @@ def test_extremal_smoke(capsys):
     payload = json.loads(out)
     assert payload["achieved"] <= payload["bound"] + 1e-9
     assert payload["evaluations"] == 300
+
+
+def test_extremal_that_checked_nothing_says_so(capsys):
+    # one atom under the toeplitz filter: no paired prefix is admissible here
+    argv = ("extremal", "--family", "beta", "--beta", "0", "--lambda", "1", "--mu", "1",
+            "--atoms", "1", "--budget", "100")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1:4] == ["achieved  0.0", "bound     0.816496580927726",
+                                     "gap       0.816496580927726"]
+    assert out.splitlines()[-1] == "no sample was admissible, so no bound was checked"
+    # the JSON is the record as it was, with no atoms
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 0 and (payload["achieved"], payload["best_atoms"]) == (0.0, None)
+    # a search with an admissible sample has no such line
+    code, out, _ = run(capsys, *argv[:-4], "--budget", "100")
+    assert code == 0 and out.splitlines()[-1].startswith("sample    ")
 
 
 # ---------------------------------------------------------- corollary-check
@@ -474,10 +560,13 @@ def _non_finite(token):
     (("member", "--family", "beta", "--beta", "0.5", "--coeffs", "0.1,0.05,-0.02"),
      None, {"worst_value": 0.7663490977479791, "margin": 0.2663490977479791}),
 ], ids=["invert", "operator", "member"])
-def test_order_cap_is_served(capsys, argv, key, pinned):
-    code, out, _ = run(capsys, *argv, "--order", "256", "--json")
-    assert code == 0
-    payload = json.loads(out, parse_constant=_non_finite)
+def test_order_cap_is_served(argv, key, pinned):
+    # a child given a minute: a reversion or operator that grows
+    # super-polynomially in the order fails here
+    proc = subprocess.run(_cli_argv(*argv, "--order", "256", "--json"), capture_output=True,
+                          env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    payload = json.loads(proc.stdout, parse_constant=_non_finite)
     if key is not None:
         assert len(payload[key]) == max(pinned) + 1
         payload = {k: complex(*z) for k, z in enumerate(payload[key])}
