@@ -16,6 +16,7 @@ functions that build those grids, so an import of bicoef does not load it.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 from .operators import AlphaParams, BetaParams
@@ -110,8 +111,9 @@ def _bounds(params) -> BoundReport:
 def bounds_for(params: AlphaParams | BetaParams) -> BoundReport:
     """The bounds of the class that ``params`` belongs to, from ``phi`` and ``D``.
 
-    Parameters under which a bound overflows, or underflows to zero, raise
-    ValueError rather than yield a bound that is not a finite positive float.
+    Parameters under which a bound overflows, or falls below the smallest
+    normal float, raise ValueError rather than yield a bound that is not a
+    normal float: a subnormal bound has lost bits, enough to fake violations.
     """
     if not isinstance(params, (AlphaParams, BetaParams)):
         raise TypeError(f"expected AlphaParams or BetaParams, got {type(params).__name__}")
@@ -119,10 +121,11 @@ def bounds_for(params: AlphaParams | BetaParams) -> BoundReport:
         rep = _bounds(params)
     except OverflowError:   # (lam+mu)**2
         rep = None
-    if rep is None or not all(0.0 < b < math.inf for b in (rep.a2_bound, rep.a3_bound)):
+    if rep is None or not all(sys.float_info.min <= b < math.inf
+                              for b in (rep.a2_bound, rep.a3_bound)):
         raise ValueError(f"{params.family} = {getattr(params, params.family)!r}, lambda = "
                          f"{params.lam!r} and mu = {params.mu!r} give bounds that are "
-                         "not finite positive floats")
+                         "not normal floats")
     return rep
 
 

@@ -3,9 +3,10 @@
 Subcommands: bound, invert, operator, member, falsify, extremal,
 corollary-check.  Exit codes: 0 success, 1 violated invariant (a
 falsification violation, a failed corollary identity, or an extremal gap
-below -VIOLATION_TOL times the bound), 2 usage error, 141 (128 + SIGPIPE)
-when the reader of stdout closed it before the output was written, with
-nothing on stderr.
+below -VIOLATION_TOL times the bound), 2 usage error (bounds that are not
+normal floats among them), 141 (128 + SIGPIPE) when the reader of stdout
+closed it before the output was written, and 130 (128 + SIGINT) on Ctrl-C,
+both with nothing on stderr.
 
 An optional config file (``--config``) holds ``key = value`` lines whose keys
 are the subcommand's long flag names.  Each line is read as the token
@@ -469,6 +470,9 @@ def main(argv=None) -> int:
         # devnull, so the flush at interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except KeyboardInterrupt:
+        # Ctrl-C, no usage error either; _forked has killed and reaped the workers
+        return 130
     except (_UsageError, ValueError, OSError) as exc:
         print(f"bicoef: {exc}", file=sys.stderr)
         return 2

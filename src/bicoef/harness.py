@@ -396,7 +396,7 @@ def falsify(params, n_samples: int, seed: int, *,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rep = bounds_for(params)
-    hist_edges = {c: _margin_edges(c, bound)
+    hist_edges = {c: np.linspace(0.0, bound, HIST_BINS + 1)
                   for c, bound in (("a2", rep.a2_bound), ("a3", rep.a3_bound))}
     edges = _split(n_samples, FOLD_SAMPLES)
 
@@ -420,16 +420,6 @@ def falsify(params, n_samples: int, seed: int, *,
             margin_hist=(tuple(hist_edges[c].tolist()), tuple(s["hist"].tolist()),
                          s["underflow"]),
             near_boundary=s["near"]) for c, s in coefficients.items()})
-
-
-def _margin_edges(c: str, bound: float) -> np.ndarray:
-    """The HIST_BINS + 1 edges of coefficient c's margin histogram, those of
-    np.histogram_bin_edges over [0, bound].  Raises ValueError naming a bound
-    too small for HIST_BINS bins of nonzero width (below 1e-322)."""
-    edges = np.linspace(0.0, bound, HIST_BINS + 1)
-    if not (edges[:-1] < edges[1:]).all():
-        raise ValueError(f"the {c} bound {bound!r} is too small for {HIST_BINS} margin bins")
-    return edges
 
 
 def _fold(chunks, hist_edges: dict[str, np.ndarray], parent: int | None = None):

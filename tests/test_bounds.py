@@ -1,9 +1,12 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bicoef.bounds import COROLLARY_IDS, _exact_forms, bounds_for, corollary_check
 from bicoef.operators import AlphaParams, BetaParams
@@ -133,6 +136,40 @@ def test_float_paths_match_exact_rational_oracle():
                         (rb.a3_bound, float(ge1 if mu >= 1 else min(arm1, arm2)))]:
                     assert abs(got - want) <= 1e-15 * want, (a, b, lam, mu, got, want)
 
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+_LAMS = _log_uniform(1.0, 1e308)
+_MUS = st.sampled_from((0.0, 1.0)) | _log_uniform(1e-300, 1e308)
+
+
+@given(st.sampled_from((AlphaParams, BetaParams)),
+       st.floats(sys.float_info.min, 1.0), st.floats(0.0, 0.9999999999999999), _LAMS, _MUS)
+# the real-part class with |a2| bounds below the smallest normal float, where
+# a subnormal reads 2.2e-323 as 2e-323 and campaigns fake violations
+@example(BetaParams, 1.0, 0.9999999999999999, 1e307, 0.0)
+@example(BetaParams, 1.0, 0.9999999999999999, 5e305, 0.0)
+@example(BetaParams, 1.0, 0.9999999999999999, 1e306, 0.0)
+def test_accepted_bounds_are_normal_and_match_the_exact_oracle(cls, alpha, beta, lam, mu):
+    # bounds_for refuses the params, or both bounds are normal floats within
+    # 1e-15 of the exact rationals (|a2| through its square, at 2e-15)
+    shape = alpha if cls is AlphaParams else beta
+    try:
+        rep = bounds_for(cls(shape, lam, mu))
+    except ValueError:
+        return
+    assert rep.a2_bound >= sys.float_info.min and rep.a3_bound >= sys.float_info.min
+    s, fl, fm = Fraction(shape), Fraction(lam), Fraction(mu)
+    if cls is AlphaParams:
+        a2sq, a3 = a2sq_alpha_exact(s, fl, fm), a3_alpha_exact(s, fl, fm)
+    else:
+        arm1, arm2, ge1 = a3_beta_arms_exact(s, fl, fm)
+        a2sq, a3 = min(a2sq_beta_arms_exact(s, fl, fm)), ge1 if mu >= 1 else min(arm1, arm2)
+    assert abs(Fraction(rep.a2_bound) ** 2 / a2sq - 1) <= 2e-15, (rep, a2sq)
+    assert abs(Fraction(rep.a3_bound) / a3 - 1) <= 1e-15, (rep, a3)
 
 
 _EXACT_LAMS = (Fraction(1), Fraction(7, 4), Fraction(10) ** 20)

@@ -141,6 +141,24 @@ def test_margin_histograms_span_zero_to_the_bound(alpha):
         assert max(counts) < summary.n_admissible
 
 
+# the smaller bound 1x to 100x the smallest normal float: the real-part
+# class's |a2| linear arm at beta = 1 - 2^-53, and the angular class's bounds
+# at tiny alpha
+@pytest.mark.parametrize("params", [
+    *(BetaParams(0.9999999999999999, lam, mu) for lam in (4.9e291, 1e291, 1e290)
+      for mu in (0.0, 1.0)),
+    AlphaParams(3e-308, 1.0, 0.0), AlphaParams(1e-306, 1.0, 0.0), AlphaParams(1e-306, 3.0, 1.0),
+], ids=repr)
+@pytest.mark.parametrize("atom_count", [1, 2, 3])
+@pytest.mark.parametrize("filter_mode", ["modulus", "toeplitz"])
+def test_campaigns_just_above_the_smallest_normal_bound_are_clean(params, atom_count,
+                                                                  filter_mode):
+    summary = falsify(params, 5000, seed=1, filter_mode=filter_mode, atom_count=atom_count)
+    rep = summary.bounds
+    assert sys.float_info.min <= min(rep.a2_bound, rep.a3_bound) <= 100 * sys.float_info.min
+    assert summary.violations == ()
+
+
 @given(st.floats(min_value=5e-324, max_value=1e308),
        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=50),
        st.lists(st.floats(), max_size=20))
@@ -152,8 +170,9 @@ def test_the_fold_histogram_is_numpys(bound, fractions, values):
     try:
         edges = np.histogram_bin_edges(np.empty(0), HIST_BINS, (0.0, bound))
     except ValueError:
-        # some subnormal bounds have no HIST_BINS distinct edges: falsify
-        # refuses them, as np.histogram does, before any fold
+        # some subnormal bounds have no HIST_BINS distinct edges, as
+        # np.histogram says; bounds_for refuses every subnormal bound, so
+        # falsify never bins margins against one
         with pytest.raises(ValueError, match="Too many bins"):
             np.histogram(np.empty(0), bins=HIST_BINS, range=(0.0, bound))
         assert bound < 1e-320
